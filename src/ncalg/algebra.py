@@ -21,7 +21,7 @@ from .errors import (
     NotInvertible,
     UnitLawViolation,
 )
-from .linalg import UNIQUE, FieldMatrix, row_reduce
+from .linalg import INCONSISTENT, FieldMatrix, row_reduce
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -37,11 +37,13 @@ class Algebra:
     `constants[i][j][k]` is the e_k-coordinate of the product e_i * e_j.
     Construction validates the unit law for basis index 0 and the full
     associativity identity, and fails loudly naming the offending indices.
+    The derived algebra `envelope()` skips both checks and has no dense
+    `constants` (None); its sparse `_mul_table` is all it needs.
     """
 
     __slots__ = ("name", "dim", "basis_names", "scalar_mode", "constants",
                  "_mul_table", "_name_to_index", "_basis_cache",
-                 "_pair_products")
+                 "_pair_products", "_envelope")
 
     def __init__(self, constants, basis_names=None, scalar_mode=RATIONAL, name=None):
         if scalar_mode not in (RATIONAL, FLOAT):
@@ -60,7 +62,6 @@ class Algebra:
         if len(set(basis_names)) != n:
             raise ValueError("basis names must be distinct")
         self.basis_names = basis_names
-        self._name_to_index = {nm: idx for idx, nm in enumerate(basis_names)}
 
         if len(constants) != n or any(
             len(plane) != n or any(len(row) != n for row in plane)
@@ -77,20 +78,56 @@ class Algebra:
         self._check_associativity()
 
         # sparse view of C: _mul_table[i][j] lists the nonzero (k, C[i][j][k])
-        self._mul_table = tuple(
+        self._set_table(tuple(
             tuple(
                 tuple((k, c) for k, c in enumerate(self.constants[i][j]) if c != 0)
                 for j in range(n)
             )
             for i in range(n)
-        )
+        ))
+
+    def _set_table(self, mul_table):
+        """Install the sparse table and reset what derives from it; shared by
+        validated algebras and `envelope()`."""
+        self._name_to_index = {nm: idx for idx, nm in enumerate(self.basis_names)}
+        self._mul_table = mul_table
         one, zero = self.scalar_one(), self.scalar_zero()
         self._basis_cache = tuple(
-            Element(self, [one if t == k else zero for t in range(n)],
+            Element(self, [one if t == k else zero for t in range(self.dim)],
                     _validated=True)
-            for k in range(n)
+            for k in range(self.dim)
         )
         self._pair_products = None
+        self._envelope = None
+
+    def envelope(self) -> "Algebra":
+        """A (x) A^op, the algebra of operator tensors, built once and cached.
+
+        Basis element i*n + j is e_i (x) e_j, and
+        (e_i (x) e_j)(e_k (x) e_l) = sum_pq C[i][k][p] C[l][j][q] e_p (x) e_q,
+        so the product of two tensors is their composition as operators.  The
+        sparse table is derived from this algebra's validated one: nothing is
+        re-checked and no dense constants are built.
+        """
+        if self._envelope is None:
+            n, table = self.dim, self._mul_table
+            env = Algebra.__new__(Algebra)
+            env.name = f"{self.name or f'dim-{n}'} tensors"
+            env.dim = n * n
+            env.scalar_mode = self.scalar_mode
+            env.basis_names = tuple(
+                f"{a}⊗{b}" for a in self.basis_names for b in self.basis_names)
+            env.constants = None
+            env._set_table(tuple(
+                tuple(
+                    tuple((p * n + q, _times(c1, c2))
+                          for p, c1 in table[i][k] for q, c2 in table[l][j])
+                    for k in range(n) for l in range(n)
+                )
+                for i in range(n) for j in range(n)
+            ))
+            self._envelope = env
+        return self._envelope
 
     def pair_products(self):
         """Sparse entries of L(e_i) @ R(e_j) for every basis pair, cached.
@@ -129,6 +166,10 @@ class Algebra:
         if isinstance(value, str):
             return float(Fraction(value))
         return float(value)
+
+    def scalar_json(self, value):
+        """A scalar as JSON: a 'p/q' string in rational mode, else a number."""
+        return str(value) if self.scalar_mode == RATIONAL else value
 
     def scalar_zero(self):
         return Fraction(0) if self.scalar_mode == RATIONAL else 0.0
@@ -197,12 +238,12 @@ class Algebra:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Algebra)
             and self.dim == other.dim
             and self.scalar_mode == other.scalar_mode
             and self.basis_names == other.basis_names
-            and self.constants == other.constants
+            and self._mul_table == other._mul_table
         )
 
     def __hash__(self):
@@ -211,6 +252,12 @@ class Algebra:
     def __repr__(self):
         label = self.name or f"dim-{self.dim}"
         return f"Algebra({label}, {self.scalar_mode})"
+
+
+def _times(a, b):
+    # structure constants are overwhelmingly +-1, and a Fraction product
+    # costs far more than a comparison
+    return b if a == 1 else a if b == 1 else a * b
 
 
 def make_algebra(constants, basis_names=None, scalar_mode=RATIONAL, name=None) -> Algebra:
@@ -263,21 +310,30 @@ class Element:
 
     # -- arithmetic ----------------------------------------------------------
 
+    # a scalar operand s of + and - stands for the element s*1
+
     def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._same_algebra(other)
+        if isinstance(other, Element):
+            self._same_algebra(other)
+        else:
+            other = self.algebra.one().scale(other)
         return Element(self.algebra,
                        [a + b for a, b in zip(self.coords, other.coords)],
                        _validated=True)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._same_algebra(other)
+        if isinstance(other, Element):
+            self._same_algebra(other)
+        else:
+            other = self.algebra.one().scale(other)
         return Element(self.algebra,
                        [a - b for a, b in zip(self.coords, other.coords)],
                        _validated=True)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
         return Element(self.algebra, [-a for a in self.coords], _validated=True)
@@ -335,7 +391,6 @@ class Element:
     def left_matrix(self) -> FieldMatrix:
         """L with L @ coords(x) = coords(self * x) for every x."""
         n = self.algebra.dim
-        C = self.algebra.constants
         rows = [[self.algebra.scalar_zero()] * n for _ in range(n)]
         for i, a in enumerate(self.coords):
             if a == 0:
@@ -362,15 +417,16 @@ class Element:
     def inverse(self) -> "Element":
         """Two-sided inverse, by solving L(self) y = e0 and verifying y*self.
 
-        Works in any algebra expressible by structure constants; raises
-        NotInvertible when the left regular matrix is rank-deficient or the
-        candidate fails the two-sided check.
+        Works in any algebra expressible by structure constants, operator
+        tensors in `Algebra.envelope()` included; raises NotInvertible when
+        L(self) y = e0 has no solution or the candidate fails the two-sided
+        check.
         """
         if self.is_zero():
             raise NotInvertible("zero element has no inverse")
         one = self.algebra.one()
         sol = row_reduce(self.left_matrix(), list(one.coords))
-        if sol.kind != UNIQUE:
+        if sol.kind == INCONSISTENT:
             raise NotInvertible(f"left regular matrix of {self} is singular")
         y = Element(self.algebra, sol.particular, _validated=True)
         if self.algebra.scalar_mode == RATIONAL:
@@ -439,20 +495,12 @@ def format_coords(coords, basis_names) -> str:
 
 
 def algebra_to_json(algebra: Algebra) -> dict:
-    if algebra.scalar_mode == RATIONAL:
-        constants = [
-            [[str(c) for c in row] for row in plane]
-            for plane in algebra.constants
-        ]
-    else:
-        constants = [
-            [[c for c in row] for row in plane] for plane in algebra.constants
-        ]
     return {
         "name": algebra.name,
         "dim": algebra.dim,
         "basis": list(algebra.basis_names),
-        "constants": constants,
+        "constants": [[[algebra.scalar_json(c) for c in row] for row in plane]
+                      for plane in algebra.constants],
     }
 
 
@@ -473,9 +521,7 @@ def algebra_from_json(data, scalar_mode=RATIONAL) -> Algebra:
 
 
 def element_to_json(x: Element) -> list:
-    if x.algebra.scalar_mode == RATIONAL:
-        return [str(c) for c in x.coords]
-    return list(x.coords)
+    return [x.algebra.scalar_json(c) for c in x.coords]
 
 
 def element_from_json(algebra: Algebra, data) -> Element:

@@ -27,7 +27,14 @@ from .errors import (
     SingularTensor,
     UnknownSymbol,
 )
-from .linalg import INCONSISTENT, PARAMETRIC, UNIQUE, UNVERIFIED_ENLARGED
+from .linalg import (
+    INCONSISTENT,
+    PARAMETRIC,
+    UNIQUE,
+    UNVERIFIED_ENLARGED,
+    FieldMatrix,
+    rank,
+)
 from .newton import CONVERGED, NewtonConfig, newton_solve
 from .parser import (
     collect_unknowns,
@@ -129,53 +136,47 @@ def _emit(args, payload: dict, lines: list):
 
 
 def _solutions_compatible(field_sol, richardson_sol) -> bool:
+    """Whether the verified Richardson family lies in the field solution set:
+    x_richardson - x_field and every Richardson direction must lie in the span
+    of the field nullspace (exact mode only, as is the cross-check)."""
     if richardson_sol.kind == UNVERIFIED_ENLARGED:
         return False
-    if field_sol.kind == INCONSISTENT or richardson_sol.kind == INCONSISTENT:
+    if INCONSISTENT in (field_sol.kind, richardson_sol.kind):
         return field_sol.kind == richardson_sol.kind
-    if field_sol.kind == UNIQUE and richardson_sol.kind == UNIQUE:
-        return field_sol.x == richardson_sol.x
-    if field_sol.kind == UNIQUE:
-        # richardson may report a verified solution without characterizing
-        # the full set; same x and no extra directions is still agreement
-        return not richardson_sol.nullspace and field_sol.x == richardson_sol.x
-    return True
+
+    def flat(xs):
+        return [c for x in xs for c in x.coords]
+
+    # the field nullspace basis is independent, so the extra columns lie in
+    # its span exactly when they leave the rank unchanged
+    span = [flat(d) for d in field_sol.nullspace]
+    extra = [flat(r - f for r, f in zip(richardson_sol.x, field_sol.x))]
+    extra += [flat(d) for d in richardson_sol.nullspace]
+    return rank(FieldMatrix(list(zip(*span, *extra)))) == len(span)
 
 
 def _cmd_solve(args) -> int:
     algebra = _load_algebra(args.algebra, args.scalar)
     system, unknowns = _parse_system(args, algebra)
 
-    if args.method == "field":
-        sol = solve_field(system)
-        _emit(args, {**_solution_json(sol, unknowns), "method": "field"},
+    def report(sol, method):
+        _emit(args, {**_solution_json(sol, unknowns), "method": method},
               _solution_lines(sol, unknowns))
         return 0 if sol.kind in (UNIQUE, PARAMETRIC) else 1
 
     if args.method == "richardson":
-        sol = solve_richardson(system)
-        _emit(args, {**_solution_json(sol, unknowns), "method": "richardson"},
-              _solution_lines(sol, unknowns))
-        return 0 if sol.kind in (UNIQUE, PARAMETRIC) else 1
-
+        return report(solve_richardson(system), "richardson")
     # auto: field first, enlarged-system route as a cross-check in exact mode
     field_sol = solve_field(system)
-    if algebra.scalar_mode != RATIONAL:
-        _emit(args, {**_solution_json(field_sol, unknowns), "method": "field"},
-              _solution_lines(field_sol, unknowns))
-        return 0 if field_sol.kind in (UNIQUE, PARAMETRIC) else 1
-
+    if args.method == "field" or algebra.scalar_mode != RATIONAL:
+        return report(field_sol, "field")
     try:
         richardson_sol = solve_richardson(system)
     except PivotNotInvertible:
         # not a division algebra: the cross-check does not apply
-        _emit(args, {**_solution_json(field_sol, unknowns), "method": "field"},
-              _solution_lines(field_sol, unknowns))
-        return 0 if field_sol.kind in (UNIQUE, PARAMETRIC) else 1
+        return report(field_sol, "field")
     if _solutions_compatible(field_sol, richardson_sol):
-        _emit(args, {**_solution_json(field_sol, unknowns), "method": "auto"},
-              _solution_lines(field_sol, unknowns))
-        return 0 if field_sol.kind in (UNIQUE, PARAMETRIC) else 1
+        return report(field_sol, "auto")
 
     payload = {
         "status": "disagreement",
@@ -248,8 +249,15 @@ def _cmd_invert_tensor(args) -> int:
     try:
         inverse = op.invert()
     except SingularTensor:
-        _emit(args, {"status": "singular", "tensor": None, "text": None},
-              ["tensor is singular"])
+        lines = ["tensor is singular"]
+        reason = "singular_operator"
+        if rank(op.operator_matrix()) == algebra.dim:
+            # possible only outside central simple algebras
+            reason = "zero_divisor"
+            lines.append("the operator is invertible, but its tensor is a "
+                         "zero divisor in A⊗A^op")
+        _emit(args, {"status": "singular", "tensor": None, "text": None,
+                     "reason": reason}, lines)
         return 1
     _emit(
         args,

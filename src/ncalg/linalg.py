@@ -1,16 +1,20 @@
-"""Dense linear algebra over the scalar field.
+"""Dense linear algebra, and the one elimination kernel of the package.
 
-Everything here works uniformly for exact `Fraction` entries and for binary
-floats; the pivoting strategy is the only place the two modes differ.  Exact
-mode takes the first nonzero entry scanning top-left to bottom-right so that
-outputs are reproducible; float mode takes the largest-magnitude pivot and
-treats anything at or below `zero_tol` as zero.
+`eliminate` is the only Gauss-Jordan sweep: scalar systems (`row_reduce`,
+`rank`, `pivot_columns`, hence `Element.inverse`) and algebra-valued systems
+(`solvers.nc_row_reduce`) differ only in the zero test, the pivot inverse
+and the pivot order they hand it.  Exact `Fraction` mode takes the first
+nonzero entry scanning top-left to bottom-right so that outputs are
+reproducible; float mode takes the largest-magnitude pivot and treats
+anything at or below `zero_tol` as zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import NotInvertible, PivotNotInvertible
 
 DEFAULT_ZERO_TOL = 1e-12
 
@@ -126,54 +130,98 @@ class SolutionSet:
         return out
 
 
-def _echelon(matrix: FieldMatrix, rhs, zero_tol: float):
-    """Shared Gauss-Jordan sweep; returns (rows, rhs, pivot list, exact)."""
-    exact = matrix.is_exact() and not any(isinstance(v, float) for v in rhs or ())
-    rows = [list(r) for r in matrix.entries]
-    b = list(rhs) if rhs is not None else None
-    m, n = matrix.rows, matrix.cols
+def eliminate(rows, rhs, zero, is_zero, divider, magnitude=None) -> list:
+    """Gauss-Jordan elimination in place; the one sweep behind every solve.
 
-    def is_zero(v):
-        return v == 0 if exact else abs(v) <= zero_tol
-
-    pivots = []  # (row_index, col_index), rows in echelon order
-    r = 0
-    for c in range(n):
+    Entries of `rows` (and of `rhs`, which may be None) are field scalars or
+    algebra elements; coefficients act from the left, so a pivot row is
+    left-divided by its pivot.  The ring enters only through `zero`, the zero
+    test `is_zero`, the pivot inverse `divider(pivot)`, a map v -> pivot^-1 v
+    that raises NotInvertible for a nonzero non-unit, and the pivot order:
+    the first usable entry down the column when `magnitude` is None (exact
+    mode, reproducible), else the usable entry of largest `magnitude`.  A
+    column whose nonzero entries are all non-invertible raises
+    PivotNotInvertible.  Returns the pivots as (row, column) pairs in echelon
+    order.
+    """
+    m = len(rows)
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
         if r == m:
             break
-        if exact:
-            pick = next((s for s in range(r, m) if rows[s][c] != 0), None)
-        else:
-            pick = max(range(r, m), key=lambda s: abs(rows[s][c]))
-            if is_zero(rows[pick][c]):
-                pick = None
+        candidates = range(r, m)
+        if magnitude is not None:
+            candidates = sorted(candidates, key=lambda s: -magnitude(rows[s][c]))
+        pick, blocked = None, False
+        for s in candidates:
+            if is_zero(rows[s][c]):
+                continue
+            try:
+                pick = s, divider(rows[s][c])
+                break
+            except NotInvertible:
+                blocked = True
         if pick is None:
+            if blocked:
+                raise PivotNotInvertible(
+                    f"column {c}: nonzero entries exist but none is invertible"
+                )
             continue
-        if pick != r:
-            rows[r], rows[pick] = rows[pick], rows[r]
-            if b is not None:
-                b[r], b[pick] = b[pick], b[r]
-        pivot = rows[r][c]
-        rows[r] = [v / pivot for v in rows[r]]
-        if b is not None:
-            b[r] = b[r] / pivot
-        for s in range(m):
-            if s == r:
+        s, divide = pick
+        rows[r], rows[s] = rows[s], rows[r]
+        prow = rows[r] = [divide(v) for v in rows[r]]
+        if rhs is not None:
+            rhs[r], rhs[s] = rhs[s], rhs[r]
+            rhs[r] = divide(rhs[r])
+        # skipping exact zeros in the pivot row is a large win on the sparse
+        # systems built from structure constants
+        support = [u for u, v in enumerate(prow) if v != zero]
+        for t in range(m):
+            factor = rows[t][c]
+            if t == r or is_zero(factor):
                 continue
-            factor = rows[s][c]
-            if is_zero(factor):
-                continue
-            # skipping exact zeros in the pivot row is a large win on the
-            # sparse systems built from structure constants
-            rows[s] = [
-                vs if vr == 0 else vs - factor * vr
-                for vs, vr in zip(rows[s], rows[r])
-            ]
-            if b is not None:
-                b[s] = b[s] - factor * b[r]
+            row = rows[t]
+            for u in support:
+                row[u] = row[u] - factor * prow[u]
+            if rhs is not None:
+                rhs[t] = rhs[t] - factor * rhs[r]
         pivots.append((r, c))
-        r += 1
-    return rows, b, pivots, exact
+    return pivots
+
+
+def solution_set(rows, rhs, pivots, zero, one, is_zero) -> tuple:
+    """(kind, particular, nullspace, free names) of a system reduced by
+    `eliminate`: zero rows with a nonzero right-hand side make it
+    inconsistent; otherwise free columns become parameters C0, C1, ..."""
+    if any(not is_zero(rhs[s]) for s in range(len(pivots), len(rows))):
+        return INCONSISTENT, None, [], []
+    cols = len(rows[0])
+    particular = [zero] * cols
+    for r, c in pivots:
+        particular[c] = rhs[r]
+    pivot_cols = {c for _, c in pivots}
+    nullspace = []
+    for fc in range(cols):
+        if fc in pivot_cols:
+            continue
+        vec = [zero] * cols
+        vec[fc] = one
+        for r, c in pivots:
+            vec[c] = -rows[r][fc]
+        nullspace.append(vec)
+    kind = PARAMETRIC if nullspace else UNIQUE
+    return kind, particular, nullspace, [f"C{k}" for k in range(len(nullspace))]
+
+
+def _scalar_ring(exact: bool, zero_tol: float) -> dict:
+    # dividing by the pivot, rather than multiplying by its reciprocal, keeps
+    # float results correctly rounded
+    ring = dict(divider=lambda p: lambda v: v / p)
+    if exact:
+        return dict(ring, zero=Fraction(0), is_zero=lambda v: v == 0)
+    return dict(ring, zero=0.0, is_zero=lambda v: abs(v) <= zero_tol,
+                magnitude=abs)
 
 
 def row_reduce(matrix: FieldMatrix, rhs, zero_tol: float = DEFAULT_ZERO_TOL) -> SolutionSet:
@@ -184,39 +232,21 @@ def row_reduce(matrix: FieldMatrix, rhs, zero_tol: float = DEFAULT_ZERO_TOL) -> 
     """
     if matrix.rows != len(rhs):
         raise ValueError("rhs length must match row count")
-    rows, b, pivots, exact = _echelon(matrix, rhs, zero_tol)
-
-    def is_zero(v):
-        return v == 0 if exact else abs(v) <= zero_tol
-
-    rank = len(pivots)
-    for s in range(rank, matrix.rows):
-        if not is_zero(b[s]):
-            return SolutionSet(INCONSISTENT, None, [], [])
-
-    zero = Fraction(0) if exact else 0.0
+    exact = matrix.is_exact() and not any(isinstance(v, float) for v in rhs)
+    ring = _scalar_ring(exact, zero_tol)
+    rows, b = [list(r) for r in matrix.entries], list(rhs)
+    pivots = eliminate(rows, b, **ring)
     one = Fraction(1) if exact else 1.0
-    particular = [zero] * matrix.cols
-    for r, c in pivots:
-        particular[c] = b[r]
+    return SolutionSet(*solution_set(rows, b, pivots, ring["zero"], one, ring["is_zero"]))
 
-    pivot_cols = {c for _, c in pivots}
-    nullspace = []
-    for fc in range(matrix.cols):
-        if fc in pivot_cols:
-            continue
-        vec = [zero] * matrix.cols
-        vec[fc] = one
-        for r, c in pivots:
-            vec[c] = -rows[r][fc]
-        nullspace.append(vec)
 
-    names = [f"C{k}" for k in range(len(nullspace))]
-    kind = UNIQUE if not nullspace else PARAMETRIC
-    return SolutionSet(kind, particular, nullspace, names)
+def pivot_columns(matrix: FieldMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> list:
+    """Columns that get a pivot; in exact mode these are exactly the columns
+    independent of the columns before them."""
+    ring = _scalar_ring(matrix.is_exact(), zero_tol)
+    return [c for _, c in eliminate([list(r) for r in matrix.entries], None, **ring)]
 
 
 def rank(matrix: FieldMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
     """Row rank, using the same pivoting rules as row_reduce."""
-    _, _, pivots, _ = _echelon(matrix, None, zero_tol)
-    return len(pivots)
+    return len(pivot_columns(matrix, zero_tol))

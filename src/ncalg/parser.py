@@ -31,7 +31,6 @@ from .errors import (
 )
 from .newton import GeneralizedPolynomial
 from .solvers import SylvesterSystem
-from .tensor import TensorOp
 
 
 # -- AST --------------------------------------------------------------------
@@ -408,22 +407,15 @@ def normalize_linear(algebra: Algebra, equations, unknowns) -> SylvesterSystem:
     the column layout.  Products are distributed, constants move to the
     right-hand side, and each equation/unknown cell becomes one operator.
     """
-    unknowns = list(unknowns)
-    known = set(unknowns)
-    ops = []
-    rhs = []
+    column = {name: j for j, name in enumerate(unknowns)}
+    rows = []
     for lhs, rhs_ast in equations:
-        left = _linear_walk(lhs, algebra, known)
-        right = _linear_walk(rhs_ast, algebra, known)
-        moved = left + right.negate()
-        row = []
-        for name in unknowns:
-            pairs = moved.terms.get(name, [])
-            row.append(TensorOp.from_pairs(pairs) if pairs
-                       else TensorOp.zero(algebra))
-        ops.append(row)
-        rhs.append(-moved.const)
-    return SylvesterSystem(algebra, ops, rhs)
+        moved = _linear_walk(lhs, algebra, column) \
+            + _linear_walk(rhs_ast, algebra, column).negate()
+        terms = [(a, b, column[name])
+                 for name, pairs in moved.terms.items() for a, b in pairs]
+        rows.append((terms, -moved.const))
+    return SylvesterSystem.from_terms(algebra, rows, len(column))
 
 
 # -- polynomial normalization ------------------------------------------------------

@@ -7,7 +7,9 @@ Two independent routes are implemented and cross-checked:
 
 * solve_richardson right-multiplies every equation by every basis unit,
   obtaining an enlarged algebra-valued linear system in the unknowns
-  x^j e_p, and runs Gaussian elimination with left division by pivots.
+  x^j e_p, and runs Gauss-Jordan elimination with left division by pivots.
+  The sweep is `linalg.eliminate`, the same one that solve_field runs over
+  the scalars; only the pivot inverse (`Element.inverse`) differs.
   A solution of the enlarged system need NOT solve the original equation
   when the operator is singular, so every candidate is verified by
   substitution before it is reported; a failing candidate is returned with
@@ -23,12 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, Element, RATIONAL, element_from_json, element_to_json
-from .errors import (
-    AlgebraMismatch,
-    NotInvertible,
-    PivotNotInvertible,
-    QuasideterminantUndefined,
-)
+from .errors import AlgebraMismatch, NotInvertible, QuasideterminantUndefined
 from .linalg import (
     DEFAULT_ZERO_TOL,
     FieldMatrix,
@@ -36,7 +33,10 @@ from .linalg import (
     PARAMETRIC,
     UNIQUE,
     UNVERIFIED_ENLARGED,
+    eliminate,
+    pivot_columns,
     row_reduce,
+    solution_set,
 )
 from .tensor import TensorOp
 
@@ -256,61 +256,36 @@ def solve_field(system: SylvesterSystem,
 def build_richardson(system: SylvesterSystem) -> RichardsonSystem:
     """Right-multiply every equation by every basis unit.
 
-    For equation i and unknown j, the operator's standard coefficients give
-    the elements a^{ik} = sum_u f[u][k] e_u, so that the equation reads
-    sum_{j,k} a^{ik} (x^j e_k) = b^i.  Multiplying by e_l on the right and
-    expanding e_k e_l through the structure constants yields the coefficient
-    of the unknown x^j e_p in row (i, l):  sum_k C[k][l][p] a^{ik}.
+    Multiplying equation i by e_l on the right composes each of its operators
+    f with x -> x e_l, which in A (x) A^op is the product g = (1 (x) e_l) f.
+    As g(x) = sum_p (sum_u g[u][p] e_u) (x e_p), column p of g's coefficient
+    matrix is the coefficient of the unknown x^j e_p in row (i, l).
     """
     alg = system.algebra
     n = alg.dim
-    table = alg._mul_table
+    env = alg.envelope()
     amat = []
     brhs = []
     for i in range(system.m_eq):
-        # a_ik[j][k]: column k of the operator's coefficient matrix
-        a_ik = [
-            [
-                Element(alg, [op.coeff[u][k] for u in range(n)], _validated=True)
-                for k in range(n)
-            ]
-            for op in system.ops[i]
-        ]
         for l in range(n):
             row = []
-            for j in range(system.m_unk):
-                cols = [alg.zero() for _ in range(n)]
-                for k in range(n):
-                    a = a_ik[j][k]
-                    if a.is_zero():
-                        continue
-                    for p, c in table[k][l]:
-                        if c == 1:
-                            cols[p] = cols[p] + a
-                        elif c == -1:
-                            cols[p] = cols[p] - a
-                        else:
-                            cols[p] = cols[p] + a.scale(c)
-                row.extend(cols)
+            for op in system.ops[i]:
+                g = (env.basis(l) * op.element).coords
+                row.extend(Element(alg, g[p::n], _validated=True) for p in range(n))
             amat.append(row)
             brhs.append(system.rhs[i] * alg.basis(l))
     return RichardsonSystem(alg, system.m_eq, system.m_unk, amat, brhs)
-
-
-def _element_zero(e: Element, exact: bool, tol: float) -> bool:
-    return e.is_zero() if exact else e.is_zero(tol)
 
 
 def nc_row_reduce(amat, brhs, zero_tol: float = DEFAULT_ZERO_TOL) -> NCSolutionSet:
     """Gauss-Jordan elimination over the algebra, dividing rows on the left
     by their pivots.
 
-    Coefficients multiply the unknowns from the left, so scaling an equation
-    means left-multiplying the whole row by the pivot's inverse.  In exact
-    mode the pivot is the first invertible entry scanning down the column; in
-    float mode the largest-norm entry.  A column whose nonzero entries are all
-    non-invertible raises PivotNotInvertible (only possible outside division
-    algebras).
+    This is `linalg.eliminate` with `Element.inverse` as the pivot inverse:
+    in exact mode the pivot is the first invertible entry scanning down the
+    column, in float mode the invertible entry of largest norm.  A column
+    whose nonzero entries are all non-invertible raises PivotNotInvertible
+    (only possible outside division algebras).
     """
     rows = [list(r) for r in amat]
     rhs = list(brhs)
@@ -318,154 +293,15 @@ def nc_row_reduce(amat, brhs, zero_tol: float = DEFAULT_ZERO_TOL) -> NCSolutionS
         raise ValueError("empty system")
     alg = rhs[0].algebra
     exact = alg.scalar_mode == RATIONAL
-    m, cols = len(rows), len(rows[0])
 
-    def zero(e):
-        return _element_zero(e, exact, zero_tol)
+    def is_zero(e):
+        return e.is_zero() if exact else e.is_zero(zero_tol)
 
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == m:
-            break
-        pick = None
-        saw_noninvertible = False
-        candidates = range(r, m)
-        if not exact:
-            candidates = sorted(candidates, key=lambda s: -rows[s][c].norm())
-        for s in candidates:
-            entry = rows[s][c]
-            if zero(entry):
-                continue
-            try:
-                pick = (s, entry.inverse())
-                break
-            except NotInvertible:
-                saw_noninvertible = True
-        if pick is None:
-            if saw_noninvertible:
-                raise PivotNotInvertible(
-                    f"column {c}: nonzero entries exist but none is invertible"
-                )
-            continue
-        s, inv = pick
-        if s != r:
-            rows[r], rows[s] = rows[s], rows[r]
-            rhs[r], rhs[s] = rhs[s], rhs[r]
-        rows[r] = [inv * e for e in rows[r]]
-        rhs[r] = inv * rhs[r]
-        for t in range(m):
-            if t == r:
-                continue
-            factor = rows[t][c]
-            if zero(factor):
-                continue
-            rows[t] = [et - factor * er for et, er in zip(rows[t], rows[r])]
-            rhs[t] = rhs[t] - factor * rhs[r]
-        pivots.append((r, c))
-        r += 1
-
-    for s in range(len(pivots), m):
-        if not zero(rhs[s]):
-            return NCSolutionSet(INCONSISTENT, None, [], [])
-
-    particular = [alg.zero()] * cols
-    for t, pc in pivots:
-        particular[pc] = rhs[t]
-    pivot_cols = {pc for _, pc in pivots}
-    nullspace = []
-    for fc in range(cols):
-        if fc in pivot_cols:
-            continue
-        vec = [alg.zero()] * cols
-        vec[fc] = alg.one()
-        for t, pc in pivots:
-            vec[pc] = -rows[t][fc]
-        nullspace.append(vec)
-    names = [f"C{k}" for k in range(len(nullspace))]
-    kind = UNIQUE if not nullspace else PARAMETRIC
-    return NCSolutionSet(kind, particular, nullspace, names)
-
-
-def _nc_reduce_transposed(amat, brhs, zero_tol: float = DEFAULT_ZERO_TOL) -> NCSolutionSet:
-    """The same elimination driven over the transposed storage layout.
-
-    The single-equation case can be written with the coefficient matrix
-    transposed and the unknowns laid out as a row; the mathematics is
-    unchanged, but the traversal order differs, which makes this a useful
-    second path.  Equations live in the columns of `cmat`.
-    """
-    cmat = [list(col) for col in zip(*amat)]   # cmat[u][e]
-    rhs = list(brhs)
-    alg = rhs[0].algebra
-    exact = alg.scalar_mode == RATIONAL
-    n_unknowns = len(cmat)
-    m = len(rhs)
-
-    def zero(e):
-        return _element_zero(e, exact, zero_tol)
-
-    used = set()
-    pivots = []  # (equation, unknown)
-    for u in range(n_unknowns):
-        pick = None
-        saw_noninvertible = False
-        candidates = [e for e in range(m) if e not in used]
-        if not exact:
-            candidates.sort(key=lambda e: -cmat[u][e].norm())
-        for e in candidates:
-            entry = cmat[u][e]
-            if zero(entry):
-                continue
-            try:
-                pick = (e, entry.inverse())
-                break
-            except NotInvertible:
-                saw_noninvertible = True
-        if pick is None:
-            if saw_noninvertible:
-                raise PivotNotInvertible(
-                    f"unknown {u}: nonzero coefficients exist but none is invertible"
-                )
-            continue
-        e, inv = pick
-        for u2 in range(n_unknowns):
-            cmat[u2][e] = inv * cmat[u2][e]
-        rhs[e] = inv * rhs[e]
-        for e2 in range(m):
-            if e2 == e:
-                continue
-            factor = cmat[u][e2]
-            if zero(factor):
-                continue
-            for u2 in range(n_unknowns):
-                cmat[u2][e2] = cmat[u2][e2] - factor * cmat[u2][e]
-            rhs[e2] = rhs[e2] - factor * rhs[e]
-        used.add(e)
-        pivots.append((e, u))
-
-    for e in range(m):
-        if e in used:
-            continue
-        if not zero(rhs[e]):
-            return NCSolutionSet(INCONSISTENT, None, [], [])
-
-    particular = [alg.zero()] * n_unknowns
-    for e, u in pivots:
-        particular[u] = rhs[e]
-    pivot_unknowns = {u for _, u in pivots}
-    nullspace = []
-    for fu in range(n_unknowns):
-        if fu in pivot_unknowns:
-            continue
-        vec = [alg.zero()] * n_unknowns
-        vec[fu] = alg.one()
-        for e, u in pivots:
-            vec[u] = -cmat[fu][e]
-        nullspace.append(vec)
-    names = [f"C{k}" for k in range(len(nullspace))]
-    kind = UNIQUE if not nullspace else PARAMETRIC
-    return NCSolutionSet(kind, particular, nullspace, names)
+    pivots = eliminate(rows, rhs, alg.zero(), is_zero,
+                       lambda pivot: pivot.inverse().__mul__,
+                       None if exact else Element.norm)
+    return NCSolutionSet(
+        *solution_set(rows, rhs, pivots, alg.zero(), alg.one(), is_zero))
 
 
 # ---------------------------------------------------------------------------
@@ -564,39 +400,7 @@ def _candidate_by_quasideterminants(rich: RichardsonSystem):
 # ---------------------------------------------------------------------------
 
 
-def _independent_directions(directions, alg: Algebra, zero_tol: float):
-    """Greedy scalar-level filter keeping a maximal independent subset."""
-    exact = alg.scalar_mode == RATIONAL
-    kept = []
-    basis_rows = []
-
-    def reduce(vec):
-        v = list(vec)
-        for row in basis_rows:
-            lead = row["lead"]
-            factor = v[lead] / row["vec"][lead]
-            if (factor == 0) if exact else (abs(factor) <= zero_tol):
-                continue
-            v = [a - factor * b for a, b in zip(v, row["vec"])]
-        return v
-
-    for d in directions:
-        flat = [c for elem in d for c in elem.coords]
-        v = reduce(flat)
-        lead = next(
-            (t for t, val in enumerate(v)
-             if (val != 0 if exact else abs(val) > zero_tol)),
-            None,
-        )
-        if lead is None:
-            continue
-        basis_rows.append({"vec": v, "lead": lead})
-        kept.append(d)
-    return kept
-
-
-def solve_richardson(system: SylvesterSystem, *, convention: str = "column",
-                     engine: str = "elimination",
+def solve_richardson(system: SylvesterSystem, *, engine: str = "elimination",
                      zero_tol: float = DEFAULT_ZERO_TOL,
                      residual_tol: float = RESIDUAL_TOL) -> AlgebraSolution:
     """Solve through the enlarged algebra-valued system.
@@ -607,14 +411,10 @@ def solve_richardson(system: SylvesterSystem, *, convention: str = "column",
     system: a failing candidate comes back as UNVERIFIED_ENLARGED together
     with its residuals.
 
-    convention selects the storage layout of the enlarged system ("column"
-    eliminates rows, "row" works on the transposed layout); both must and do
-    produce the same solutions.  engine="quasideterminant" tries the
-    Cramer-style formula first and falls back to elimination whenever it is
-    not applicable or its candidate fails verification.
+    engine="quasideterminant" tries the Cramer-style formula first and falls
+    back to elimination whenever it is not applicable or its candidate fails
+    verification.
     """
-    if convention not in ("column", "row"):
-        raise ValueError(f"unknown convention {convention!r}")
     if engine not in ("elimination", "quasideterminant"):
         raise ValueError(f"unknown engine {engine!r}")
 
@@ -632,10 +432,7 @@ def solve_richardson(system: SylvesterSystem, *, convention: str = "column",
                 return AlgebraSolution(UNIQUE, xs, [], [], residuals)
         # not applicable or not verified: the elimination engine decides
 
-    if convention == "column":
-        enlarged = nc_row_reduce(rich.amat, rich.brhs, zero_tol)
-    else:
-        enlarged = _nc_reduce_transposed(rich.amat, rich.brhs, zero_tol)
+    enlarged = nc_row_reduce(rich.amat, rich.brhs, zero_tol)
 
     if enlarged.kind == INCONSISTENT:
         # any true solution would embed into the enlarged system, so an
@@ -651,11 +448,8 @@ def solve_richardson(system: SylvesterSystem, *, convention: str = "column",
         [vec[j * n] for j in range(system.m_unk)]
         for vec in enlarged.nullspace
     ]
-    exact = alg.scalar_mode == RATIONAL
-    nonzero = [
-        d for d in extracted
-        if not all(_element_zero(e, exact, zero_tol) for e in d)
-    ]
+    tol = 0.0 if alg.scalar_mode == RATIONAL else zero_tol
+    nonzero = [d for d in extracted if not all(e.is_zero(tol) for e in d)]
     if not nonzero:
         # every other enlarged solution projects onto the same candidate,
         # so the original solution is unique
@@ -665,7 +459,12 @@ def solve_richardson(system: SylvesterSystem, *, convention: str = "column",
         d for d in nonzero
         if _residuals_vanish(system.apply_ops(d), alg.scalar_mode, residual_tol)
     ]
-    independent = _independent_directions(kernel_dirs, alg, zero_tol)
+    # a maximal independent subset: the pivot columns of the directions
+    independent = []
+    if kernel_dirs:
+        columns = FieldMatrix(list(zip(*(
+            [c for e in d for c in e.coords] for d in kernel_dirs))))
+        independent = [kernel_dirs[c] for c in pivot_columns(columns, zero_tol)]
     names = [f"C{k}" for k in range(len(independent))]
     return AlgebraSolution(
         PARAMETRIC, xs, [tuple(d) for d in independent], names, residuals

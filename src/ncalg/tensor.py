@@ -1,38 +1,49 @@
-"""Elements of A (x) A acting as linear operators on the algebra A.
+"""Operator tensors: elements of A (x) A^op acting as linear maps on A.
 
 A tensor f = sum_ij f[i][j] e_i (x) e_j acts on x as sum_ij f[i][j] e_i x e_j.
-The dense coefficient matrix f[i][j] is the canonical (standard) form: it is
-what equality, composition and inversion work on.  A list of simple pairs
-(a, b), when the tensor was built from one, is kept purely for display.
+Its coordinates f[i][j] make it an `Element` of the derived algebra
+`Algebra.envelope()` = A (x) A^op, whose product is composition of the maps.
+So composition is multiplication there, inversion is `Element.inverse`, and
+equality is equality of elements.  `apply` stays an independent triple-product
+evaluation, and a list of simple pairs (a, b), when the tensor was built from
+one, is kept purely for display.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra, Element, RATIONAL, element_from_json, format_scalar
-from .errors import AlgebraMismatch, SingularTensor
-from .linalg import DEFAULT_ZERO_TOL, FieldMatrix, INCONSISTENT, row_reduce
-
-#: float-mode tolerance for the two-sided identity check after inversion
-IDENTITY_CHECK_TOL = 1e-9
+from .algebra import Algebra, Element, element_from_json, format_scalar
+from .errors import AlgebraMismatch, NotInvertible, SingularTensor
+from .linalg import FieldMatrix
 
 
 class TensorOp:
-    """A linear operator on the algebra in standard (coefficient) form."""
+    """A linear operator on the algebra, held as an element of A (x) A^op."""
 
-    __slots__ = ("algebra", "coeff", "display_pairs")
+    __slots__ = ("algebra", "element", "display_pairs")
 
     def __init__(self, algebra: Algebra, coeff, display_pairs=None,
                  _validated=False):
         n = algebra.dim
-        if _validated:
-            coeff = tuple(tuple(row) for row in coeff)
-        else:
-            coeff = tuple(tuple(algebra.coerce(v) for v in row) for row in coeff)
+        if not _validated:
+            coeff = [[algebra.coerce(v) for v in row] for row in coeff]
             if len(coeff) != n or any(len(row) != n for row in coeff):
                 raise ValueError("coefficient matrix must be n*n")
         self.algebra = algebra
-        self.coeff = coeff
+        self.element = Element(algebra.envelope(),
+                               [v for row in coeff for v in row], _validated=True)
         self.display_pairs = tuple(display_pairs) if display_pairs else None
+
+    @classmethod
+    def _of(cls, algebra: Algebra, element: Element) -> "TensorOp":
+        op = cls.__new__(cls)
+        op.algebra, op.element, op.display_pairs = algebra, element, None
+        return op
+
+    @property
+    def coeff(self) -> tuple:
+        """The coordinates as an n*n matrix: coeff[i][j] multiplies e_i (x) e_j."""
+        n, flat = self.algebra.dim, self.element.coords
+        return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
     # -- constructors ---------------------------------------------------------
 
@@ -60,49 +71,28 @@ class TensorOp:
     @classmethod
     def identity(cls, algebra: Algebra) -> "TensorOp":
         """The unit tensor 1 (x) 1, which acts as the identity map."""
-        return cls.from_pairs([(algebra.one(), algebra.one())])
+        return cls._of(algebra, algebra.envelope().one())
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "TensorOp":
-        n = algebra.dim
-        z = algebra.scalar_zero()
-        return cls(algebra, [[z] * n for _ in range(n)])
+        return cls._of(algebra, algebra.envelope().zero())
 
     # -- basic protocol ---------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TensorOp)
-            and self.algebra == other.algebra
-            and self.coeff == other.coeff
-        )
+        return isinstance(other, TensorOp) and self.element == other.element
 
     def __hash__(self):
-        return hash((self.algebra, self.coeff))
+        return hash(self.element)
 
     def __repr__(self):
         return f"TensorOp({self.to_text()})"
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        if tol:
-            return all(abs(v) <= tol for row in self.coeff for v in row)
-        return all(v == 0 for row in self.coeff for v in row)
+        return self.element.is_zero(tol)
 
     def is_identity(self, tol: float = 0.0) -> bool:
-        one = self.algebra.scalar_one()
-        for i, row in enumerate(self.coeff):
-            for j, v in enumerate(row):
-                want = one if i == j == 0 else 0
-                if tol:
-                    if abs(v - want) > tol:
-                        return False
-                elif v != want:
-                    return False
-        return True
-
-    def _same_algebra(self, other):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatch("tensors over different algebras")
+        return (self.element - 1).is_zero(tol)
 
     # -- action, composition, vectorization ------------------------------------
 
@@ -123,39 +113,8 @@ class TensorOp:
         return total
 
     def compose(self, other: "TensorOp") -> "TensorOp":
-        """Standard form of the operator x -> self(other(x)).
-
-        The mixed products (e_i e_k) (x) (e_l e_j) contract through the
-        structure constants; cost is O(n^4) scalar operations with the sparse
-        constant table.
-        """
-        self._same_algebra(other)
-        alg = self.algebra
-        n = alg.dim
-        table = alg._mul_table
-        out = [[alg.scalar_zero()] * n for _ in range(n)]
-        for i, frow in enumerate(self.coeff):
-            for j, fij in enumerate(frow):
-                if fij == 0:
-                    continue
-                for k, grow in enumerate(other.coeff):
-                    left_products = table[i][k]
-                    if not left_products:
-                        continue
-                    for l, gkl in enumerate(grow):
-                        if gkl == 0:
-                            continue
-                        w = fij * gkl
-                        for p, c1 in left_products:
-                            wc = w if c1 == 1 else -w if c1 == -1 else w * c1
-                            for q, c2 in table[l][j]:
-                                if c2 == 1:
-                                    out[p][q] = out[p][q] + wc
-                                elif c2 == -1:
-                                    out[p][q] = out[p][q] - wc
-                                else:
-                                    out[p][q] = out[p][q] + wc * c2
-        return TensorOp(alg, out, _validated=True)
+        """The operator x -> self(other(x)): the product in A (x) A^op."""
+        return TensorOp._of(self.algebra, self.element * other.element)
 
     def operator_matrix(self) -> FieldMatrix:
         """Field-level matrix M with M @ coords(x) = coords(self.apply(x)).
@@ -180,53 +139,18 @@ class TensorOp:
                         out[q][p] = out[q][p] + v * w
         return FieldMatrix(out)
 
-    # -- inversion -----------------------------------------------------------------
-
-    def invert(self, zero_tol: float = DEFAULT_ZERO_TOL) -> "TensorOp":
+    def invert(self) -> "TensorOp":
         """The tensor g with self o g = g o self = 1 (x) 1.
 
-        The coefficients of g solve the n^2 linear equations stating that the
-        composed tensor is the unit tensor; inconsistency of that system is
-        what defines a singular tensor.  Both-sided identity is verified after
-        the solve rather than assumed.
+        This is the inverse in A (x) A^op.  A singular operator has none, but
+        outside central simple algebras an invertible operator can have none
+        too: its tensor is then a zero divisor in A (x) A^op.
         """
-        alg = self.algebra
-        n = alg.dim
-        table = alg._mul_table
-        zero = alg.scalar_zero()
-        rows = [[zero] * (n * n) for _ in range(n * n)]
-        for i, frow in enumerate(self.coeff):
-            for j, fij in enumerate(frow):
-                if fij == 0:
-                    continue
-                for k in range(n):
-                    for p, c1 in table[i][k]:
-                        fc = fij if c1 == 1 else -fij if c1 == -1 else fij * c1
-                        for l in range(n):
-                            for q, c2 in table[l][j]:
-                                row = rows[p * n + q]
-                                if c2 == 1:
-                                    row[k * n + l] = row[k * n + l] + fc
-                                elif c2 == -1:
-                                    row[k * n + l] = row[k * n + l] - fc
-                                else:
-                                    row[k * n + l] = row[k * n + l] + fc * c2
-        rhs = [zero] * (n * n)
-        rhs[0] = alg.scalar_one()
-        sol = row_reduce(FieldMatrix(rows), rhs, zero_tol)
-        if sol.kind == INCONSISTENT:
-            raise SingularTensor("tensor is singular: no inverse tensor exists")
-        g = TensorOp(
-            alg,
-            [[sol.particular[k * n + l] for l in range(n)] for k in range(n)],
-            _validated=True,
-        )
-        tol = 0.0 if alg.scalar_mode == RATIONAL else IDENTITY_CHECK_TOL
-        if not self.compose(g).is_identity(tol) or not g.compose(self).is_identity(tol):
+        try:
+            return TensorOp._of(self.algebra, self.element.inverse())
+        except NotInvertible as exc:
             raise SingularTensor(
-                "tensor has only a one-sided inverse; treating it as singular"
-            )
-        return g
+                "tensor has no two-sided inverse in A⊗A^op") from exc
 
     # -- presentation ---------------------------------------------------------------
 
@@ -266,11 +190,8 @@ class TensorOp:
         return " ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
-        if self.algebra.scalar_mode == RATIONAL:
-            coeff = [[str(v) for v in row] for row in self.coeff]
-        else:
-            coeff = [list(row) for row in self.coeff]
-        return {"coeff": coeff}
+        return {"coeff": [[self.algebra.scalar_json(v) for v in row]
+                          for row in self.coeff]}
 
     @classmethod
     def from_json(cls, algebra: Algebra, data) -> "TensorOp":

@@ -1,5 +1,8 @@
 """Shared randomized-input builders and independent test-side oracles."""
 
+from fractions import Fraction
+from pathlib import Path
+
 import ncalg as nc
 
 
@@ -37,3 +40,27 @@ def compose_pairs_oracle(f_pairs, g_pairs):
 
 def residuals_are_zero(system, xs):
     return all(r.is_zero() for r in system.residuals(xs))
+
+
+def matrix_2x2_algebra(scalar_mode=nc.RATIONAL):
+    """M2 over the basis 1, h = E11 - E22, e = E12, f = E21 (unit first).
+
+    Central simple, but with zero divisors and the constants 1/2 in ef and fe.
+    """
+    basis = [((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (0, 0)), ((0, 0), (1, 0))]
+
+    def coords(m):
+        (a, b), (c, d) = m
+        return [Fraction(a + d, 2), Fraction(a - d, 2), b, c]
+
+    def matmul(x, y):
+        return tuple(tuple(sum(x[r][t] * y[t][s] for t in range(2)) for s in range(2))
+                     for r in range(2))
+
+    constants = [[coords(matmul(x, y)) for y in basis] for x in basis]
+    return nc.make_algebra(constants, ["1", "h", "e", "f"], scalar_mode, name="M2")
+
+
+def algebra_from_data(name, scalar_mode=nc.RATIONAL):
+    path = Path(__file__).parent / "data" / f"{name}_algebra.json"
+    return nc.algebra_from_json(path.read_text(), scalar_mode)

@@ -68,6 +68,22 @@ class TestModuleArithmetic:
         with pytest.raises(nc.AlgebraMismatch):
             hq.one() * other.one()
 
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_scalar_operand_is_a_multiple_of_one(self, mode):
+        alg = nc.quaternion_algebra(mode)
+        one, i = alg.one(), alg.basis(1)
+        assert 1 + i == i + 1 == one + i == alg.element([1, 1, 0, 0])
+        assert 1 - i == one - i == alg.element([1, -1, 0, 0])
+        assert i - 1 == i - one == alg.element([-1, 1, 0, 0])
+        assert Fraction(1, 2) + i == alg.element(["1/2", 1, 0, 0])
+        assert sum([i, i]) == 2 * i
+
+    def test_float_scalar_rejected_in_rational_mode(self, hq):
+        with pytest.raises(TypeError):
+            hq.basis(1) + 0.5
+        with pytest.raises(TypeError):
+            0.5 - hq.basis(1)
+
 
 class TestInverse:
     def test_basis_inverses(self, hq, units):

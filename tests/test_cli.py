@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import ncalg as nc
 from ncalg.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -159,6 +160,53 @@ class TestSolve:
         assert code == 2
         assert "float" in err
 
+    def test_auto_accepts_parametric_family(self, capsys):
+        # Richardson finds the direction -i, which lies in the field kernel
+        # span{1, i}; the cross-check compares the two sets and agrees
+        code, out, _ = invoke(capsys, "solve", "--output", "json",
+                              "x + i*x*i = 0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "auto"
+        assert payload["status"] == "parametric"
+        assert len(payload["free"]) == 2
+
+    def test_auto_rejects_shifted_richardson_solution(self, capsys, monkeypatch):
+        import ncalg.cli as cli
+
+        real = cli.solve_richardson
+
+        def shifted(system, **kwargs):
+            sol = real(system, **kwargs)
+            j = system.algebra.basis(2)
+            return nc.AlgebraSolution(sol.kind, [x + j for x in sol.x],
+                                      sol.nullspace, sol.free_names,
+                                      sol.residuals)
+
+        monkeypatch.setattr(cli, "solve_richardson", shifted)
+        code, out, _ = invoke(capsys, "solve", "--output", "json",
+                              "x + i*x*i = 0")
+        assert code == 1
+        assert json.loads(out)["status"] == "disagreement"
+
+    def test_auto_rejects_direction_outside_field_kernel(self, capsys,
+                                                          monkeypatch):
+        import ncalg.cli as cli
+
+        real = cli.solve_richardson
+
+        def extra_direction(system, **kwargs):
+            sol = real(system, **kwargs)
+            k = system.algebra.basis(3)
+            return nc.AlgebraSolution(sol.kind, sol.x,
+                                      list(sol.nullspace) + [(k,)],
+                                      sol.free_names + ["C9"], sol.residuals)
+
+        monkeypatch.setattr(cli, "solve_richardson", extra_direction)
+        code, out, _ = invoke(capsys, "solve", "x + i*x*i = 0")
+        assert code == 1
+        assert out.startswith("methods disagree")
+
 
 class TestNewton:
     def test_flagship_run(self, capsys):
@@ -207,6 +255,25 @@ class TestInvertTensor:
                               "(i+j)*x*k + k*x*(j+1)")
         assert code == 1
         assert "singular" in out
+        assert "zero divisor" not in out
+        _, out, _ = invoke(capsys, "invert-tensor", "--output", "json",
+                           "(i+j)*x*k + k*x*(j+1)")
+        assert json.loads(out)["reason"] == "singular_operator"
+
+    def test_zero_divisor_named(self, capsys):
+        # x -> u x + x u = 2 u x is invertible on the complex numbers, but
+        # u(x)1 + 1(x)u is a zero divisor in A(x)A^op, so no inverse tensor
+        argv = ["--algebra", str(DATA / "complex_algebra.json"), "u*x + x*u"]
+        code, out, _ = invoke(capsys, "invert-tensor", *argv)
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[0] == "tensor is singular"
+        assert lines[1] == ("the operator is invertible, but its tensor is a "
+                            "zero divisor in A⊗A^op")
+        code, out, _ = invoke(capsys, "invert-tensor", "--output", "json", *argv)
+        assert code == 1
+        assert json.loads(out) == {"status": "singular", "tensor": None,
+                                   "text": None, "reason": "zero_divisor"}
 
     def test_json_output(self, capsys):
         code, out, _ = invoke(capsys, "invert-tensor", "--output", "json",

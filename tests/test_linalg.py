@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import ncalg as nc
-from ncalg.linalg import FieldMatrix, rank, row_reduce
+from ncalg.linalg import FieldMatrix, pivot_columns, rank, row_reduce
 
 
 def fm(rows):
@@ -75,6 +75,13 @@ class TestRank:
 
     def test_dependent_rows(self):
         assert rank(fm([[1, 2], [2, 4]])) == 1
+
+
+class TestPivotColumns:
+    def test_greedy_independent_columns(self):
+        # column 1 = 2 * column 0 and column 3 = column 0 + column 2
+        M = fm([[1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 0, 1]])
+        assert pivot_columns(M) == [0, 2]
 
 
 class TestFloatMode:

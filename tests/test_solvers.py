@@ -4,7 +4,6 @@ import pytest
 
 import ncalg as nc
 from ncalg.solvers import build_richardson, nc_row_reduce, quasideterminant
-from ncalg.solvers import _nc_reduce_transposed
 from helpers import rand_element, rand_nonzero, residuals_are_zero
 
 
@@ -169,14 +168,6 @@ class TestNCRowReduce:
         with pytest.raises(nc.PivotNotInvertible):
             nc_row_reduce([[eps]], [dual.one()])
 
-    def test_transposed_layout_same_answer(self, hq, example_21, example_22):
-        for system in (example_21, example_22):
-            rich = build_richardson(system)
-            a = nc_row_reduce(rich.amat, rich.brhs)
-            b = _nc_reduce_transposed(rich.amat, rich.brhs)
-            assert a.kind == b.kind
-            assert a.particular == b.particular
-
 
 class TestSolveField:
     def test_unique_example(self, hq, example_21):
@@ -263,13 +254,6 @@ class TestSolveRichardson:
         assert not all(r.is_zero() for r in sol.residuals)
         # while the field route solves the same system
         assert nc.solve_field(example_23).kind == nc.PARAMETRIC
-
-    def test_conventions_agree(self, hq, example_21, example_22, example_23):
-        for system in (example_21, example_22, example_23):
-            col = nc.solve_richardson(system, convention="column")
-            row = nc.solve_richardson(system, convention="row")
-            assert col.kind == row.kind
-            assert col.x == row.x
 
     def test_quasideterminant_engine(self, hq, example_21):
         sol = nc.solve_richardson(example_21, engine="quasideterminant")

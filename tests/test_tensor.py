@@ -4,7 +4,14 @@ import pytest
 
 import ncalg as nc
 from ncalg.linalg import rank
-from helpers import compose_pairs_oracle, rand_element, rand_nonzero, rand_tensor
+from helpers import (
+    algebra_from_data,
+    compose_pairs_oracle,
+    matrix_2x2_algebra,
+    rand_element,
+    rand_nonzero,
+    rand_tensor,
+)
 
 
 def coeff_value(t, i, j):
@@ -205,3 +212,73 @@ class TestPresentation:
             nc.tensor_from_pairs([(hq.one(), other.one())])
         with pytest.raises(nc.AlgebraMismatch):
             nc.TensorOp.identity(hq).apply(other.one())
+
+
+def _not_central_simple():
+    # complex and dual numbers are commutative, so A(x)A^op is not End(A);
+    # M2 is central simple but has zero divisors and non-unit constants
+    return {"complex": algebra_from_data("complex"),
+            "dual": algebra_from_data("dual"),
+            "M2": matrix_2x2_algebra()}
+
+
+class TestEnvelopeAlgebras:
+    @pytest.mark.parametrize("name", ["complex", "dual", "M2"])
+    def test_compose_matches_pairwise_oracle(self, name, rng):
+        alg = _not_central_simple()[name]
+        for _ in range(10):
+            fp = [(rand_element(alg, rng), rand_element(alg, rng)) for _ in range(2)]
+            gp = [(rand_element(alg, rng), rand_element(alg, rng)) for _ in range(2)]
+            f, g = nc.tensor_from_pairs(fp), nc.tensor_from_pairs(gp)
+            assert f.compose(g) == compose_pairs_oracle(fp, gp)
+            x = rand_element(alg, rng)
+            assert f.compose(g).apply(x) == f.apply(g.apply(x))
+
+    @pytest.mark.parametrize("name", ["complex", "dual", "M2"])
+    def test_invert_is_two_sided_or_singular(self, name, rng):
+        alg = _not_central_simple()[name]
+        ident = nc.TensorOp.identity(alg)
+        outcomes = set()
+        for _ in range(15):
+            f = rand_tensor(alg, rng)
+            try:
+                g = f.invert()
+            except nc.SingularTensor:
+                with pytest.raises(nc.NotInvertible):
+                    f.element.inverse()
+                outcomes.add("singular")
+                continue
+            assert f.compose(g) == ident and g.compose(f) == ident
+            assert g.element == f.element.inverse()
+            x = rand_element(alg, rng)
+            assert g.apply(f.apply(x)) == x
+            outcomes.add("inverted")
+        assert outcomes == {"singular", "inverted"}
+
+    def test_zero_divisor_with_invertible_operator(self):
+        alg = algebra_from_data("complex")
+        one, u = alg.one(), alg.basis(1)
+        f = nc.tensor_from_pairs([(u, one), (one, u)])  # x -> 2 u x
+        assert rank(f.operator_matrix()) == 2
+        with pytest.raises(nc.SingularTensor):
+            f.invert()
+
+    def test_envelope_cached_and_sparse(self, monkeypatch):
+        alg = matrix_2x2_algebra()
+        builds = []
+        original = nc.Algebra._set_table
+
+        def counting(self, table):
+            builds.append(self.dim)
+            original(self, table)
+
+        monkeypatch.setattr(nc.Algebra, "_set_table", counting)
+        f = nc.tensor_from_pairs([(alg.basis(2) + alg.one(), alg.basis(3) + alg.one())])
+        f.invert()
+        f.invert()
+        nc.tensor_from_pairs([(alg.basis(1), alg.one())]).invert()
+        assert builds == [16]
+        env = alg.envelope()
+        assert f.element.algebra is env
+        assert env.constants is None
+        assert env.basis_names[:3] == ("1⊗1", "1⊗h", "1⊗e")
