@@ -37,6 +37,7 @@ class Algebra:
     `constants[i][j][k]` is the e_k-coordinate of the product e_i * e_j.
     Construction validates the unit law for basis index 0 and the full
     associativity identity, and fails loudly naming the offending indices.
+    The associativity check and `pair_products()` read the nonzero constants only.
     The derived algebra `envelope()` skips both checks and has no dense
     `constants` (None); its sparse `_mul_table` is all it needs.
     """
@@ -73,18 +74,12 @@ class Algebra:
                   for j in range(n))
             for i in range(n)
         )
-
+        # sparse view of C: table[i][j] lists the nonzero (k, C[i][j][k])
+        table = tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if c != 0)
+                            for cell in plane) for plane in self.constants)
         self._check_unit_law()
-        self._check_associativity()
-
-        # sparse view of C: _mul_table[i][j] lists the nonzero (k, C[i][j][k])
-        self._set_table(tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(self.constants[i][j]) if c != 0)
-                for j in range(n)
-            )
-            for i in range(n)
-        ))
+        self._check_associativity(table)
+        self._set_table(table)
 
     def _set_table(self, mul_table):
         """Install the sparse table and reset what derives from it; shared by
@@ -132,22 +127,18 @@ class Algebra:
     def pair_products(self):
         """Sparse entries of L(e_i) @ R(e_j) for every basis pair, cached.
 
-        Entry [i][j] is a tuple of (row, col, value) triples; these matrices
-        vectorize the maps x -> e_i x e_j.
+        Entry [i][j] is a tuple of (row, col, value) triples in row-major
+        order; these matrices vectorize the maps x -> e_i x e_j.  Entry (q, p),
+        the e_q-coordinate of e_i (e_p e_j), is summed from the sparse table.
         """
         if self._pair_products is None:
-            n = self.dim
-            lefts = [self.basis(i).left_matrix() for i in range(n)]
-            rights = [self.basis(j).right_matrix() for j in range(n)]
+            n, table = self.dim, self._mul_table
             self._pair_products = tuple(
                 tuple(
-                    tuple(
-                        (q, p, value)
-                        for q in range(n)
-                        for p in range(n)
-                        if (value := product.entries[q][p]) != 0
-                    )
-                    for product in ((lefts[i] @ rights[j]) for j in range(n))
+                    tuple(sorted((q, p, value) for p in range(n)
+                                 for q, value in _combine(table[p][j], table[i]).items()
+                                 if value != 0))
+                    for j in range(n)
                 )
                 for i in range(n)
             )
@@ -200,22 +191,30 @@ class Algebra:
                         f"{self.constants[j][0][k]} (indices i={j}, j=0, k={k})"
                     )
 
-    def _check_associativity(self):
+    def _check_associativity(self, table):
         # (e_i e_j) e_k = e_i (e_j e_k), coordinate p:
         #   sum_m C[i][j][m] C[m][k][p] = sum_m C[i][m][p] C[j][k][m]
-        n = self.dim
-        C = self.constants
+        # summed over nonzero constants, m ascending; names the first (i,j,k,p)
+        n, zero = self.dim, self.scalar_zero()
+        if self.scalar_mode == RATIONAL:  # integral constants as exact, cheaper ints
+            table = tuple(tuple(tuple((k, int(c) if c.denominator == 1 else c)
+                                      for k, c in cell) for cell in plane)
+                          for plane in table)
+        columns = [tuple(plane[k] for plane in table) for k in range(n)]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    for p in range(n):
-                        lhs = sum(C[i][j][m] * C[m][k][p] for m in range(n))
-                        rhs = sum(C[i][m][p] * C[j][k][m] for m in range(n))
-                        if not self._scalar_close(lhs, rhs):
+                    lhs = _combine(table[i][j], columns[k])
+                    rhs = _combine(table[j][k], table[i])
+                    if lhs == rhs:
+                        continue
+                    for p in sorted(lhs.keys() | rhs.keys()):
+                        left, right = lhs.get(p, zero), rhs.get(p, zero)
+                        if not self._scalar_close(left, right):
                             raise NonAssociative(
                                 f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k}) at "
                                 f"coordinate p={p} (indices i={i}, j={j}, "
-                                f"k={k}, p={p}): {lhs} != {rhs}"
+                                f"k={k}, p={p}): {left} != {right}"
                             )
 
     # -- element construction ----------------------------------------------
@@ -258,6 +257,17 @@ def _times(a, b):
     # structure constants are overwhelmingly +-1, and a Fraction product
     # costs far more than a comparison
     return b if a == 1 else a if b == 1 else a * b
+
+
+def _combine(coeffs, cells):
+    """sum_m a_m x_m for the (m, a_m) in `coeffs`, where cells[m] lists the
+    nonzero (k, x_m[k]), as a dict k -> sum taken in m-ascending order."""
+    out = {}
+    for m, a in coeffs:
+        for k, c in cells[m]:
+            term = _times(a, c)
+            out[k] = out[k] + term if k in out else term
+    return out
 
 
 def make_algebra(constants, basis_names=None, scalar_mode=RATIONAL, name=None) -> Algebra:

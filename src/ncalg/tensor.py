@@ -3,10 +3,10 @@
 A tensor f = sum_ij f[i][j] e_i (x) e_j acts on x as sum_ij f[i][j] e_i x e_j.
 Its coordinates f[i][j] make it an `Element` of the derived algebra
 `Algebra.envelope()` = A (x) A^op, whose product is composition of the maps.
-So composition is multiplication there, inversion is `Element.inverse`, and
-equality is equality of elements.  `apply` stays an independent triple-product
-evaluation, and a list of simple pairs (a, b), when the tensor was built from
-one, is kept purely for display.
+So composition is multiplication there and inversion is `Element.inverse`;
+that element (and the envelope) is built on first use, and everything else
+reads the flat coordinates.  `apply` stays an independent triple-product
+evaluation, and simple pairs (a, b) given at construction are kept for display.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .linalg import FieldMatrix
 class TensorOp:
     """A linear operator on the algebra, held as an element of A (x) A^op."""
 
-    __slots__ = ("algebra", "element", "display_pairs")
+    __slots__ = ("algebra", "_coords", "display_pairs", "_element")
 
     def __init__(self, algebra: Algebra, coeff, display_pairs=None,
                  _validated=False):
@@ -29,20 +29,29 @@ class TensorOp:
             if len(coeff) != n or any(len(row) != n for row in coeff):
                 raise ValueError("coefficient matrix must be n*n")
         self.algebra = algebra
-        self.element = Element(algebra.envelope(),
-                               [v for row in coeff for v in row], _validated=True)
+        self._coords = tuple(v for row in coeff for v in row)
         self.display_pairs = tuple(display_pairs) if display_pairs else None
+        self._element = None
 
     @classmethod
     def _of(cls, algebra: Algebra, element: Element) -> "TensorOp":
         op = cls.__new__(cls)
-        op.algebra, op.element, op.display_pairs = algebra, element, None
+        op.algebra, op._coords, op.display_pairs = algebra, element.coords, None
+        op._element = element
         return op
+
+    @property
+    def element(self) -> Element:
+        """This tensor as an element of `Algebra.envelope()`, built on first use."""
+        if self._element is None:
+            self._element = Element(self.algebra.envelope(), self._coords,
+                                    _validated=True)
+        return self._element
 
     @property
     def coeff(self) -> tuple:
         """The coordinates as an n*n matrix: coeff[i][j] multiplies e_i (x) e_j."""
-        n, flat = self.algebra.dim, self.element.coords
+        n, flat = self.algebra.dim, self._coords
         return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
     # -- constructors ---------------------------------------------------------
@@ -75,21 +84,22 @@ class TensorOp:
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "TensorOp":
-        return cls._of(algebra, algebra.envelope().zero())
+        return cls(algebra, [[0] * algebra.dim] * algebra.dim)
 
     # -- basic protocol ---------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, TensorOp) and self.element == other.element
+        return (isinstance(other, TensorOp) and self.algebra == other.algebra
+                and self._coords == other._coords)
 
     def __hash__(self):
-        return hash(self.element)
+        return hash((self.algebra, self._coords))
 
     def __repr__(self):
         return f"TensorOp({self.to_text()})"
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return self.element.is_zero(tol)
+        return all(abs(c) <= tol for c in self._coords)
 
     def is_identity(self, tol: float = 0.0) -> bool:
         return (self.element - 1).is_zero(tol)

@@ -42,23 +42,63 @@ def residuals_are_zero(system, xs):
     return all(r.is_zero() for r in system.residuals(xs))
 
 
-def matrix_2x2_algebra(scalar_mode=nc.RATIONAL):
-    """M2 over the basis 1, h = E11 - E22, e = E12, f = E21 (unit first).
+def matrix_algebra(m, scalar_mode=nc.RATIONAL):
+    """M_m from matrix units, over a unit-first basis: the identity, the
+    traceless diagonals h_d = E_dd - E_(d+1)(d+1), then the off-diagonal E_rs.
 
-    Central simple, but with zero divisors and the constants 1/2 in ef and fe.
+    M2 has the basis 1, h, e = E12, f = E21.  Central simple, but with zero
+    divisors and non-integral constants such as the 1/2 in ef and fe.
     """
-    basis = [((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (0, 0)), ((0, 0), (1, 0))]
+    def unit(r, s):
+        return tuple(tuple(int((a, b) == (r, s)) for b in range(m)) for a in range(m))
 
-    def coords(m):
-        (a, b), (c, d) = m
-        return [Fraction(a + d, 2), Fraction(a - d, 2), b, c]
+    def difference(x, y):
+        return tuple(tuple(a - b for a, b in zip(u, v)) for u, v in zip(x, y))
+
+    off = [(r, s) for r in range(m) for s in range(m) if r != s]
+    identity = tuple(tuple(int(a == b) for b in range(m)) for a in range(m))
+    basis = ([identity]
+             + [difference(unit(d, d), unit(d + 1, d + 1)) for d in range(m - 1)]
+             + [unit(r, s) for r, s in off])
+    if m == 2:
+        names = ["1", "h", "e", "f"]
+    else:
+        names = (["1"] + [f"h{d + 1}" for d in range(m - 1)]
+                 + [f"e{r + 1}{s + 1}" for r, s in off])
+
+    def coords(x):
+        # x = a*1 + sum_d h_d (E_dd - E_(d+1)(d+1)) + off-diagonal part
+        a = Fraction(sum(x[d][d] for d in range(m)), m)
+        hs, h = [], 0
+        for d in range(m - 1):
+            h = h + x[d][d] - a
+            hs.append(h)
+        return [a] + hs + [x[r][s] for r, s in off]
 
     def matmul(x, y):
-        return tuple(tuple(sum(x[r][t] * y[t][s] for t in range(2)) for s in range(2))
-                     for r in range(2))
+        return tuple(tuple(sum(x[r][t] * y[t][s] for t in range(m)) for s in range(m))
+                     for r in range(m))
 
     constants = [[coords(matmul(x, y)) for y in basis] for x in basis]
-    return nc.make_algebra(constants, ["1", "h", "e", "f"], scalar_mode, name="M2")
+    return nc.make_algebra(constants, names, scalar_mode, name=f"M{m}")
+
+
+def clifford_algebra(p, q, scalar_mode=nc.RATIONAL):
+    """Cl(p,q) over the blades e_S, with S a bitmask of generators (so the
+    unit comes first); the first p generators square to +1, the last q to -1."""
+    g = p + q
+    n = 1 << g
+    constants = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            # move each generator t of b left past the generators of a above t,
+            # then contract the generators the two blades share
+            swaps = sum(bin(a >> (t + 1)).count("1") for t in range(g) if b >> t & 1)
+            negative_squares = bin(a & b & ~((1 << p) - 1)).count("1")
+            constants[a][b][a ^ b] = (-1) ** (swaps + negative_squares)
+    names = ["1"] + ["e" + "".join(str(t + 1) for t in range(g) if s >> t & 1)
+                     for s in range(1, n)]
+    return nc.make_algebra(constants, names, scalar_mode, name=f"Cl({p},{q})")
 
 
 def algebra_from_data(name, scalar_mode=nc.RATIONAL):

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 import ncalg as nc
+from ncalg.cli import run
 from ncalg.linalg import rank
 from helpers import (
     algebra_from_data,
     compose_pairs_oracle,
-    matrix_2x2_algebra,
+    matrix_algebra,
     rand_element,
     rand_nonzero,
     rand_tensor,
@@ -214,12 +215,26 @@ class TestPresentation:
             nc.TensorOp.identity(hq).apply(other.one())
 
 
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The dimensions of the sparse tables built while the test runs."""
+    builds = []
+    original = nc.Algebra._set_table
+
+    def counting(self, table):
+        builds.append(self.dim)
+        original(self, table)
+
+    monkeypatch.setattr(nc.Algebra, "_set_table", counting)
+    return builds
+
+
 def _not_central_simple():
     # complex and dual numbers are commutative, so A(x)A^op is not End(A);
     # M2 is central simple but has zero divisors and non-unit constants
     return {"complex": algebra_from_data("complex"),
             "dual": algebra_from_data("dual"),
-            "M2": matrix_2x2_algebra()}
+            "M2": matrix_algebra(2)}
 
 
 class TestEnvelopeAlgebras:
@@ -264,7 +279,7 @@ class TestEnvelopeAlgebras:
             f.invert()
 
     def test_envelope_cached_and_sparse(self, monkeypatch):
-        alg = matrix_2x2_algebra()
+        alg = matrix_algebra(2)
         builds = []
         original = nc.Algebra._set_table
 
@@ -282,3 +297,11 @@ class TestEnvelopeAlgebras:
         assert f.element.algebra is env
         assert env.constants is None
         assert env.basis_names[:3] == ("1⊗1", "1⊗h", "1⊗e")
+
+    def test_check_builds_no_envelope(self, table_builds, capsys):
+        # `check` only applies the operators, so no dim-n^2 table is built;
+        # the second system has an equation without x2, i.e. a zero tensor
+        assert run(["check", "--x", "-1/2 - 1/2j", "(i+j)*x*k + k*x*(j+k) = 1+k"]) == 0
+        assert run(["check", "--x", "1", "--x", "i + k",
+                    "i*x1 + x2*j = k", "x1 = 1"]) == 0
+        assert table_builds == [4, 4]
