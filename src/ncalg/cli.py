@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = solved/converged, 1 = inconsistent / singular / diverged /
-method disagreement (the result is still printed), 2 = usage or parse error.
+max iterations / bit budget / method disagreement (the result is still
+printed), 2 = usage or parse error.
 """
 
 from __future__ import annotations
@@ -210,11 +211,13 @@ def _cmd_newton(args) -> int:
     cfg = NewtonConfig(tol=args.tol, max_iter=args.max_iter)
     trace = newton_solve(poly, target, x0, cfg)
 
-    final_x, _, final_norm = trace.iterates[-1]
+    # a start already over the bit budget leaves no iterate to report
+    final_x = trace.solution
+    solution = None if final_x is None else format_element(final_x)
     payload = {
         "status": trace.status,
-        "solution": format_element(final_x),
-        "residual_norm": final_norm,
+        "solution": solution,
+        "residual_norm": trace.final_residual_norm,
         "iterations": trace.rows(),
     }
     lines = [
@@ -222,7 +225,7 @@ def _cmd_newton(args) -> int:
         for k, (x, _r, norm) in enumerate(trace.iterates)
     ]
     lines.append(f"status: {trace.status}")
-    lines.append(f"{unknown} = {format_element(final_x)}")
+    lines.append(f"{unknown} = {solution}")
     _emit(args, payload, lines)
     return 0 if trace.status == CONVERGED else 1
 

@@ -2,22 +2,28 @@
 
 Maps are generalized polynomials: sums of monomials c0 x c1 x ... x cd with
 fixed algebra coefficients between the occurrences of the unknown.  The
-derivative at a point is a tensor operator, so each Newton step is one linear
-solve over the algebra.
+derivative at a point is a tensor operator, and each Newton step is one
+n x n linear solve with its operator matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import Algebra, Element
-from .errors import AlgebraMismatch, SingularTensor
+from .algebra import RATIONAL, Algebra, Element
+from .errors import AlgebraMismatch
+from .linalg import UNIQUE, row_reduce
 from .tensor import TensorOp
 
 CONVERGED = "converged"
 SINGULAR_DERIVATIVE = "singular_derivative"
 MAX_ITERATIONS = "max_iterations"
 DIVERGED = "diverged"
+BIT_BUDGET = "bit_budget"
+
+#: largest numerator or denominator, in bits, of a recorded rational iterate
+#: or residual: about 2466 digits, so every recorded row stays printable
+MAX_BITS = 8192
 
 #: consecutive blow-up steps before a run is declared divergent
 _DIVERGENCE_STREAK = 5
@@ -216,12 +222,14 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
                  cfg: NewtonConfig | None = None) -> NewtonTrace:
     """Iterate Newton steps for p(x) = a starting at x0.
 
-    Each step solves  D o x = -(p(x_k) - a) + D o x_k  where D is the
-    derivative tensor at x_k; the solve goes through the inverse tensor.  The
-    run stops on residual norm < tol, on a singular derivative, after
-    max_iter steps, or once the residual exceeds divergence_factor times the
-    initial residual for five consecutive steps.  Rational mode works but
-    denominators grow quickly.
+    Each step solves  D(delta) = -(p(x_k) - a)  with the n x n operator
+    matrix of the derivative D at x_k and sets x_{k+1} = x_k + delta.  The
+    run stops on residual norm < tol, on a singular operator matrix (even
+    with a consistent system), after max_iter steps, or once the residual
+    exceeds divergence_factor times the initial residual for five consecutive
+    steps.  In rational mode, where digit lengths roughly double every step,
+    it also stops (BIT_BUDGET) before recording an iterate or residual with a
+    numerator or denominator above MAX_BITS bits.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -231,6 +239,9 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
     streak = 0
     for k in range(cfg.max_iter + 1):
         residual = p.evaluate(x) - a
+        if x.algebra.scalar_mode == RATIONAL and _exceeds_bits(x, residual):
+            trace.status = BIT_BUDGET
+            return trace
         rnorm = residual.norm()
         trace.iterates.append((x, residual, rnorm))
         if initial_norm is None:
@@ -247,12 +258,16 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
             streak = 0
         if k == cfg.max_iter:
             break
-        derivative = p.derivative_at(x)
-        try:
-            inverse = derivative.invert()
-        except SingularTensor:
+        step = row_reduce(p.derivative_at(x).operator_matrix(),
+                          [-c for c in residual.coords])
+        if step.kind != UNIQUE:
             trace.status = SINGULAR_DERIVATIVE
             return trace
-        x = inverse.apply(-residual + derivative.apply(x))
+        x = x + Element(x.algebra, step.particular, _validated=True)
     trace.status = MAX_ITERATIONS
     return trace
+
+
+def _exceeds_bits(*elements) -> bool:
+    return any(max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_BITS
+               for e in elements for c in e.coords)

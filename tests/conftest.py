@@ -24,3 +24,17 @@ def units(hq):
 @pytest.fixture
 def rng():
     return random.Random(0xA1B2)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The dimensions of the sparse tables built while the test runs."""
+    builds = []
+    original = nc.Algebra._set_table
+
+    def counting(self, table):
+        builds.append(self.dim)
+        original(self, table)
+
+    monkeypatch.setattr(nc.Algebra, "_set_table", counting)
+    return builds

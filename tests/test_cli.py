@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ncalg as nc
@@ -241,6 +244,35 @@ class TestNewton:
         assert code == 0
         assert "k=0" in out
 
+    def test_complex_algebra_converges_to_u(self, capsys):
+        code, out, _ = invoke(capsys, "newton", "--algebra",
+                              str(DATA / "complex_algebra.json"),
+                              "--x0", "2u", "x^2 = -1")
+        assert code == 0
+        assert "status: converged" in out
+        final = out.strip().splitlines()[-1]
+        assert abs(float(final.removeprefix("x = ").removesuffix("u")) - 1) < 1e-9
+
+    def test_exact_runaway_stops_at_bit_budget(self, capsys):
+        code, out, _ = invoke(capsys, "newton", "--scalar", "rational",
+                              "--output", "json", "--x0", "2", "x^2 = -1")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "bit_budget"
+        rows = payload["iterations"]
+        assert len(rows) > 5
+        hq = nc.quaternion_algebra()
+        for row in rows:  # every row parses back
+            hq.element(row["x"]), hq.element(row["residual"])
+        assert payload["solution"] == nc.format_element(hq.element(rows[-1]["x"]))
+
+    def test_start_over_bit_budget_records_nothing(self, capsys):
+        code, out, _ = invoke(capsys, "newton", "--scalar", "rational",
+                              "--output", "json", "--x0", "2^9000", "x^2 = -1")
+        assert code == 1
+        assert json.loads(out) == {"status": "bit_budget", "solution": None,
+                                   "residual_norm": None, "iterations": []}
+
 
 class TestInvertTensor:
     def test_golden_inverse(self, capsys):
@@ -319,3 +351,12 @@ class TestUsage:
         code, _, err = invoke(capsys, "solve", "--algebra", "/nope/missing.json",
                               "x = 1")
         assert code == 2
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "ncalg", "newton", "--x0", "1+j",
+             EXAMPLE_NEWTON],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "status: converged" in done.stdout

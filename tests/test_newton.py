@@ -4,15 +4,17 @@ import pytest
 
 import ncalg as nc
 from ncalg.newton import (
+    BIT_BUDGET,
     CONVERGED,
     DIVERGED,
+    MAX_BITS,
     MAX_ITERATIONS,
     SINGULAR_DERIVATIVE,
     GeneralizedPolynomial,
     NewtonConfig,
     newton_solve,
 )
-from helpers import rand_element
+from helpers import algebra_from_data, rand_element
 
 
 @pytest.fixture
@@ -116,6 +118,44 @@ class TestNewton:
         assert x1 == hq.element([Fraction(1, 3), Fraction(1, 6),
                                  Fraction(5, 6), 0])
 
+    def test_exact_iterates_pinned(self, hq, units, square_map):
+        # D^-1(D x - r) = x - D^-1 r in exact arithmetic, so stepping by
+        # D^-1(-r) and applying the inverse tensor give the same iterates
+        one, i, j, k = units
+        trace = newton_solve(square_map, hq.zero(), one + j,
+                             NewtonConfig(max_iter=4))
+        assert [nc.format_element(x) for x, _, _ in trace.iterates[1:]] == [
+            "1/3 + 1/6i + 5/6j",
+            "-1/12 + 1/12i + 11/12j",
+            "7/408 - 1/408i + 409/408j",
+            "7/79152 + 11/79152i + 79141/79152j",
+        ]
+
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_complex_algebra_converges_to_u(self, mode):
+        # x -> 2 x0 x is invertible, but x0 (x) 1 + 1 (x) x0 is a zero divisor
+        # in A (x) A^op for the commutative complex numbers
+        alg = algebra_from_data("complex", mode)
+        one, u = alg.one(), alg.basis(1)
+        p = GeneralizedPolynomial(alg, [[one, one, one]])
+        trace = newton_solve(p, -one, u.scale(2))
+        assert trace.status == CONVERGED
+        assert len(trace.iterates) == 6
+        assert (trace.solution - u).norm() < 1e-9
+
+    def test_step_builds_no_envelope(self, table_builds, monkeypatch):
+        def no_invert(self):
+            raise AssertionError("Newton step inverted a tensor")
+
+        monkeypatch.setattr(nc.TensorOp, "invert", no_invert)
+        for mode in (nc.RATIONAL, nc.FLOAT):
+            alg = nc.quaternion_algebra(mode)
+            p, target = nc.normalize_poly(
+                alg, nc.parse_equation("x^2 - i*x - x*j + k = 0", alg), "x")
+            trace = newton_solve(p, target, alg.one() + alg.basis(2))
+            assert trace.status == CONVERGED
+        assert table_builds == [4, 4]
+
     def test_starting_at_root_converges_immediately(self, hq, units, square_map):
         one, i, j, k = units
         trace = newton_solve(square_map, hq.zero(), j)
@@ -171,6 +211,27 @@ class TestNewton:
         p = GeneralizedPolynomial(hq, [[i + j, k], [k, j + one]])
         trace = newton_solve(p, one + k, hq.zero())
         assert trace.status == SINGULAR_DERIVATIVE
+
+    def test_consistent_singular_step_is_not_taken(self, hq, units):
+        # x -> i x i + x kills 1 and i and doubles j and k, so the first
+        # step's system is consistent but has a whole plane of solutions
+        one, i, j, k = units
+        p = GeneralizedPolynomial(hq, [[i, i], [one, one]])
+        trace = newton_solve(p, j, hq.zero())
+        assert trace.status == SINGULAR_DERIVATIVE
+        assert len(trace.iterates) == 1
+
+    def test_exact_run_stops_at_bit_budget(self, hq):
+        # real Newton for x^2 = -1 never settles, and exact digits double
+        one = hq.one()
+        p = GeneralizedPolynomial(hq, [[one, one, one]])
+        trace = newton_solve(p, -one, one.scale(2))
+        assert trace.status == BIT_BUDGET
+        assert 5 < len(trace.iterates) < 50
+        for x, r, _ in trace.iterates:
+            for c in x.coords + r.coords:
+                assert c.numerator.bit_length() <= MAX_BITS
+                assert c.denominator.bit_length() <= MAX_BITS
 
     def test_max_iterations(self, hq_float):
         one = hq_float.one()

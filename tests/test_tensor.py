@@ -215,20 +215,6 @@ class TestPresentation:
             nc.TensorOp.identity(hq).apply(other.one())
 
 
-@pytest.fixture
-def table_builds(monkeypatch):
-    """The dimensions of the sparse tables built while the test runs."""
-    builds = []
-    original = nc.Algebra._set_table
-
-    def counting(self, table):
-        builds.append(self.dim)
-        original(self, table)
-
-    monkeypatch.setattr(nc.Algebra, "_set_table", counting)
-    return builds
-
-
 def _not_central_simple():
     # complex and dual numbers are commutative, so A(x)A^op is not End(A);
     # M2 is central simple but has zero divisors and non-unit constants
