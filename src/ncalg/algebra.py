@@ -37,13 +37,19 @@ class Algebra:
     `constants[i][j][k]` is the e_k-coordinate of the product e_i * e_j.
     Construction validates the unit law for basis index 0 and the full
     associativity identity, and fails loudly naming the offending indices.
-    The associativity check and `pair_products()` read the nonzero constants only.
-    The derived algebra `envelope()` skips both checks and has no dense
-    `constants` (None); its sparse `_mul_table` is all it needs.
+
+    Only the nonzero constants are kept, in the sparse `_mul_table`:
+    `_mul_table[i][j]` lists the (k, C[i][j][k] * _dc).  In float mode `_dc`
+    is 1 and the entries are the float constants.  In rational mode `_dc` is
+    the common denominator of the constants and the entries are Python ints,
+    so exact products run on integer numerators (see `Element.__mul__`).
+    Validation, `pair_products()` and `envelope()` all read this table; the
+    dense `constants` are derived from it on request.  The derived algebra
+    `envelope()` skips both checks and has no `constants` (None).
     """
 
-    __slots__ = ("name", "dim", "basis_names", "scalar_mode", "constants",
-                 "_mul_table", "_name_to_index", "_basis_cache",
+    __slots__ = ("name", "dim", "basis_names", "scalar_mode", "_mul_table",
+                 "_dc", "_derived", "_name_to_index", "_basis_cache",
                  "_pair_products", "_envelope")
 
     def __init__(self, constants, basis_names=None, scalar_mode=RATIONAL, name=None):
@@ -55,6 +61,7 @@ class Algebra:
         self.dim = n
         self.scalar_mode = scalar_mode
         self.name = name
+        self._derived = False
         if basis_names is None:
             basis_names = ["1"] + [f"e{k}" for k in range(1, n)]
         basis_names = tuple(str(b) for b in basis_names)
@@ -69,17 +76,48 @@ class Algebra:
             for plane in constants
         ):
             raise ValueError("constants must form an n*n*n array")
-        self.constants = tuple(
-            tuple(tuple(self.coerce(constants[i][j][k]) for k in range(n))
-                  for j in range(n))
-            for i in range(n)
-        )
-        # sparse view of C: table[i][j] lists the nonzero (k, C[i][j][k])
-        table = tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if c != 0)
-                            for cell in plane) for plane in self.constants)
-        self._check_unit_law()
+        table = tuple(tuple(self._nonzero(row) for row in plane)
+                      for plane in constants)
+        self._dc = 1
+        if scalar_mode == RATIONAL:
+            self._dc = dc = math.lcm(*(c.denominator for plane in table
+                                       for cell in plane for _, c in cell))
+            table = tuple(tuple(tuple((k, c.numerator * (dc // c.denominator))
+                                      for k, c in cell) for cell in plane)
+                          for plane in table)
+        self._check_unit_law(table)
         self._check_associativity(table)
         self._set_table(table)
+
+    def _nonzero(self, row):
+        """The coerced nonzero (k, row[k]).  Int and "0" zeros are skipped
+        unread; anything else is coerced, and so type-checked, first."""
+        cell = []
+        for k, v in enumerate(row):
+            if v == "0" or type(v) is int and v == 0:
+                continue
+            c = self.coerce(v)
+            if c != 0:
+                cell.append((k, c))
+        return tuple(cell)
+
+    @property
+    def constants(self):
+        """The dense n*n*n constants, derived from the sparse table; None
+        for `envelope()`, which is derived rather than given."""
+        if self._derived:
+            return None
+        n, zero = self.dim, self.scalar_zero()
+        dense = []
+        for plane in self._mul_table:
+            rows = []
+            for cell in plane:
+                row = [zero] * n
+                for k, c in cell:
+                    row[k] = self._scalar_of(c, self._dc)
+                rows.append(tuple(row))
+            dense.append(tuple(rows))
+        return tuple(dense)
 
     def _set_table(self, mul_table):
         """Install the sparse table and reset what derives from it; shared by
@@ -101,7 +139,8 @@ class Algebra:
         Basis element i*n + j is e_i (x) e_j, and
         (e_i (x) e_j)(e_k (x) e_l) = sum_pq C[i][k][p] C[l][j][q] e_p (x) e_q,
         so the product of two tensors is their composition as operators.  The
-        sparse table is derived from this algebra's validated one: nothing is
+        sparse table is derived from this algebra's validated one, products
+        of its scaled entries over the common denominator _dc**2: nothing is
         re-checked and no dense constants are built.
         """
         if self._envelope is None:
@@ -112,10 +151,11 @@ class Algebra:
             env.scalar_mode = self.scalar_mode
             env.basis_names = tuple(
                 f"{a}⊗{b}" for a in self.basis_names for b in self.basis_names)
-            env.constants = None
+            env._derived = True
+            env._dc = self._dc * self._dc
             env._set_table(tuple(
                 tuple(
-                    tuple((p * n + q, _times(c1, c2))
+                    tuple((p * n + q, c1 * c2)
                           for p, c1 in table[i][k] for q, c2 in table[l][j])
                     for k in range(n) for l in range(n)
                 )
@@ -132,10 +172,11 @@ class Algebra:
         the e_q-coordinate of e_i (e_p e_j), is summed from the sparse table.
         """
         if self._pair_products is None:
-            n, table = self.dim, self._mul_table
+            n, table, scale = self.dim, self._mul_table, self._dc * self._dc
             self._pair_products = tuple(
                 tuple(
-                    tuple(sorted((q, p, value) for p in range(n)
+                    tuple(sorted((q, p, self._scalar_of(value, scale))
+                                 for p in range(n)
                                  for q, value in _combine(table[p][j], table[i]).items()
                                  if value != 0))
                     for j in range(n)
@@ -168,6 +209,11 @@ class Algebra:
     def scalar_one(self):
         return Fraction(1) if self.scalar_mode == RATIONAL else 1.0
 
+    def _scalar_of(self, value, scale):
+        """The scalar value/scale, for a value read off the scaled table
+        (`scale` is a power of _dc, so always 1 in float mode)."""
+        return Fraction(value, scale) if self.scalar_mode == RATIONAL else value
+
     # -- validation --------------------------------------------------------
 
     def _scalar_close(self, a, b) -> bool:
@@ -175,31 +221,28 @@ class Algebra:
             return a == b
         return abs(a - b) <= FLOAT_CHECK_TOL
 
-    def _check_unit_law(self):
-        n = self.dim
+    def _check_unit_law(self, table):
+        n, dc, zero = self.dim, self._dc, self.scalar_zero()
+        left = [dict(cell) for cell in table[0]]          # e0 * e_j
+        right = [dict(plane[0]) for plane in table]       # e_j * e0
         for j in range(n):
             for k in range(n):
-                want = self.scalar_one() if j == k else self.scalar_zero()
-                if not self._scalar_close(self.constants[0][j][k], want):
-                    raise UnitLawViolation(
-                        f"e0*e{j} has wrong e{k}-coordinate "
-                        f"{self.constants[0][j][k]} (indices i=0, j={j}, k={k})"
-                    )
-                if not self._scalar_close(self.constants[j][0][k], want):
-                    raise UnitLawViolation(
-                        f"e{j}*e0 has wrong e{k}-coordinate "
-                        f"{self.constants[j][0][k]} (indices i={j}, j=0, k={k})"
-                    )
+                want = dc if j == k else 0
+                for got, i, jj in ((left[j].get(k, zero), 0, j),
+                                   (right[j].get(k, zero), j, 0)):
+                    if not self._scalar_close(got, want):
+                        raise UnitLawViolation(
+                            f"e{i}*e{jj} has wrong e{k}-coordinate "
+                            f"{self._scalar_of(got, dc)} "
+                            f"(indices i={i}, j={jj}, k={k})"
+                        )
 
     def _check_associativity(self, table):
         # (e_i e_j) e_k = e_i (e_j e_k), coordinate p:
         #   sum_m C[i][j][m] C[m][k][p] = sum_m C[i][m][p] C[j][k][m]
-        # summed over nonzero constants, m ascending; names the first (i,j,k,p)
-        n, zero = self.dim, self.scalar_zero()
-        if self.scalar_mode == RATIONAL:  # integral constants as exact, cheaper ints
-            table = tuple(tuple(tuple((k, int(c) if c.denominator == 1 else c)
-                                      for k, c in cell) for cell in plane)
-                          for plane in table)
+        # summed over nonzero constants, m ascending, both sides scaled by
+        # _dc**2 (exact ints in rational mode); names the first (i,j,k,p)
+        n, zero, scale = self.dim, self.scalar_zero(), self._dc * self._dc
         columns = [tuple(plane[k] for plane in table) for k in range(n)]
         for i in range(n):
             for j in range(n):
@@ -214,7 +257,8 @@ class Algebra:
                             raise NonAssociative(
                                 f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k}) at "
                                 f"coordinate p={p} (indices i={i}, j={j}, "
-                                f"k={k}, p={p}): {left} != {right}"
+                                f"k={k}, p={p}): {self._scalar_of(left, scale)} "
+                                f"!= {self._scalar_of(right, scale)}"
                             )
 
     # -- element construction ----------------------------------------------
@@ -242,6 +286,7 @@ class Algebra:
             and self.dim == other.dim
             and self.scalar_mode == other.scalar_mode
             and self.basis_names == other.basis_names
+            and self._dc == other._dc
             and self._mul_table == other._mul_table
         )
 
@@ -253,19 +298,13 @@ class Algebra:
         return f"Algebra({label}, {self.scalar_mode})"
 
 
-def _times(a, b):
-    # structure constants are overwhelmingly +-1, and a Fraction product
-    # costs far more than a comparison
-    return b if a == 1 else a if b == 1 else a * b
-
-
 def _combine(coeffs, cells):
     """sum_m a_m x_m for the (m, a_m) in `coeffs`, where cells[m] lists the
     nonzero (k, x_m[k]), as a dict k -> sum taken in m-ascending order."""
     out = {}
     for m, a in coeffs:
         for k, c in cells[m]:
-            term = _times(a, c)
+            term = a * c
             out[k] = out[k] + term if k in out else term
     return out
 
@@ -294,7 +333,12 @@ def quaternion_algebra(scalar_mode=RATIONAL) -> Algebra:
 
 
 class Element:
-    """A vector of coordinates over the algebra's basis, with ring arithmetic."""
+    """A vector of coordinates over the algebra's basis, with ring arithmetic.
+
+    In rational mode products run on integers: each operand is cleared to
+    integer numerators over the lcm of its denominators, multiplied through
+    the integer table, and one `Fraction` is built per output coordinate.
+    """
 
     __slots__ = ("algebra", "coords")
 
@@ -351,27 +395,37 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._same_algebra(other)
-            n = self.algebra.dim
-            table = self.algebra._mul_table
-            out = [self.algebra.scalar_zero()] * n
-            for i, a in enumerate(self.coords):
-                if a == 0:
-                    continue
-                row = table[i]
-                for j, b in enumerate(other.coords):
-                    if b == 0:
-                        continue
-                    ab = a * b
-                    for k, c in row[j]:
-                        # structure constants are overwhelmingly +-1
-                        if c == 1:
-                            out[k] = out[k] + ab
-                        elif c == -1:
-                            out[k] = out[k] - ab
-                        else:
-                            out[k] = out[k] + ab * c
-            return Element(self.algebra, out, _validated=True)
+            alg = self.algebra
+            if alg.scalar_mode != RATIONAL:
+                return Element(alg, _product(alg._mul_table, self.coords,
+                                             other.coords, alg.scalar_zero()),
+                               _validated=True)
+            da, xa = _cleared(self.coords)
+            db, xb = _cleared(other.coords)
+            den = da * db * alg._dc
+            return Element(alg, [Fraction(v, den) if v else _ZERO
+                                 for v in _product(alg._mul_table, xa, xb, 0)],
+                           _validated=True)
         return self.scale(other)
+
+    def minus_product(self, f: "Element", g: "Element") -> "Element":
+        """self - f*g in one pass: the row update of exact elimination.
+
+        Rational mode only.  The product's integer numerators are combined
+        with self's over the lcm of the two denominators, so each
+        coordinate costs one `Fraction` instead of a product and a
+        difference.
+        """
+        alg = self.algebra
+        da, xa = _cleared(self.coords)
+        df, xf = _cleared(f.coords)
+        dg, xg = _cleared(g.coords)
+        dp = df * dg * alg._dc
+        den = math.lcm(da, dp)
+        sa, sp = den // da, den // dp
+        return Element(alg, [Fraction(v, den) if (v := a * sa - p * sp) else _ZERO
+                             for a, p in zip(xa, _product(alg._mul_table, xf, xg, 0))],
+                       _validated=True)
 
     def __rmul__(self, other):
         # scalars commute with everything, so left and right scaling agree
@@ -400,11 +454,13 @@ class Element:
 
     def left_matrix(self) -> FieldMatrix:
         """L with L @ coords(x) = coords(self * x) for every x."""
-        n = self.algebra.dim
+        n, dc = self.algebra.dim, self.algebra._dc
         rows = [[self.algebra.scalar_zero()] * n for _ in range(n)]
         for i, a in enumerate(self.coords):
             if a == 0:
                 continue
+            if dc != 1:  # the table holds the constants times dc
+                a = a / dc
             for j in range(n):
                 for k, c in self.algebra._mul_table[i][j]:
                     rows[k][j] = rows[k][j] + a * c
@@ -412,11 +468,13 @@ class Element:
 
     def right_matrix(self) -> FieldMatrix:
         """R with R @ coords(x) = coords(x * self) for every x."""
-        n = self.algebra.dim
+        n, dc = self.algebra.dim, self.algebra._dc
         rows = [[self.algebra.scalar_zero()] * n for _ in range(n)]
         for j, a in enumerate(self.coords):
             if a == 0:
                 continue
+            if dc != 1:
+                a = a / dc
             for i in range(n):
                 for k, c in self.algebra._mul_table[i][j]:
                     rows[k][i] = rows[k][i] + a * c
@@ -456,8 +514,22 @@ class Element:
         return total
 
     def norm(self) -> float:
-        """Euclidean norm of the coordinate vector (the quaternion norm on H)."""
-        return math.sqrt(float(self.norm_squared()))
+        """Euclidean norm of the coordinate vector (the quaternion norm on H).
+
+        An exact square beyond the float range is scaled by an even power of
+        two before its square root is taken; a norm that itself exceeds the
+        float range is `math.inf`.
+        """
+        squared = self.norm_squared()
+        try:
+            return math.sqrt(float(squared))
+        except OverflowError:  # only exact squares overflow a conversion
+            num, den = squared.numerator, squared.denominator
+            shift = (num.bit_length() - den.bit_length()) // 2
+            try:
+                return math.ldexp(math.sqrt(num / (den << 2 * shift)), shift)
+            except OverflowError:
+                return math.inf
 
     # -- rendering ---------------------------------------------------------------
 
@@ -466,6 +538,42 @@ class Element:
 
     def __repr__(self):
         return f"Element({self})"
+
+
+_ZERO = Fraction(0)
+
+
+def _cleared(coords):
+    """(d, numerators): the exact coordinates as integers over their least
+    common denominator d."""
+    pairs = [c.as_integer_ratio() for c in coords]
+    d = math.lcm(*[q for _, q in pairs])
+    if d == 1:
+        return 1, [p for p, _ in pairs]
+    return d, [p * (d // q) for p, q in pairs]
+
+
+def _product(table, xa, xb, zero):
+    """Coordinates of the product of coordinate vectors xa and xb through a
+    sparse table: floats in float mode, integer numerators in rational mode."""
+    out = [zero] * len(xa)
+    for i, a in enumerate(xa):
+        if a == 0:
+            continue
+        row = table[i]
+        for j, b in enumerate(xb):
+            if b == 0:
+                continue
+            ab = a * b
+            for k, c in row[j]:
+                # structure constants are overwhelmingly +-1
+                if c == 1:
+                    out[k] += ab
+                elif c == -1:
+                    out[k] -= ab
+                else:
+                    out[k] += ab * c
+    return out
 
 
 def format_scalar(value) -> str:

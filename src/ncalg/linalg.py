@@ -2,11 +2,12 @@
 
 `eliminate` is the only Gauss-Jordan sweep: scalar systems (`row_reduce`,
 `rank`, `pivot_columns`, hence `Element.inverse`) and algebra-valued systems
-(`solvers.nc_row_reduce`) differ only in the zero test, the pivot inverse
-and the pivot order they hand it.  Exact `Fraction` mode takes the first
-nonzero entry scanning top-left to bottom-right so that outputs are
-reproducible; float mode takes the largest-magnitude pivot and treats
-anything at or below `zero_tol` as zero.
+(`solvers.nc_row_reduce`) differ only in the zero test, the pivot inverse,
+the pivot order and (exact algebra elements only) the fused row update they
+hand it.  Exact `Fraction` mode takes the first nonzero entry scanning
+top-left to bottom-right so that outputs are reproducible; float mode takes
+the largest-magnitude pivot and treats anything at or below `zero_tol` as
+zero.
 """
 
 from __future__ import annotations
@@ -130,19 +131,22 @@ class SolutionSet:
         return out
 
 
-def eliminate(rows, rhs, zero, is_zero, divider, magnitude=None) -> list:
+def eliminate(rows, rhs, zero, is_zero, divider, magnitude=None,
+              update=None) -> list:
     """Gauss-Jordan elimination in place; the one sweep behind every solve.
 
     Entries of `rows` (and of `rhs`, which may be None) are field scalars or
     algebra elements; coefficients act from the left, so a pivot row is
     left-divided by its pivot.  The ring enters only through `zero`, the zero
     test `is_zero`, the pivot inverse `divider(pivot)`, a map v -> pivot^-1 v
-    that raises NotInvertible for a nonzero non-unit, and the pivot order:
-    the first usable entry down the column when `magnitude` is None (exact
-    mode, reproducible), else the usable entry of largest `magnitude`.  A
-    column whose nonzero entries are all non-invertible raises
-    PivotNotInvertible.  Returns the pivots as (row, column) pairs in echelon
-    order.
+    that raises NotInvertible for a nonzero non-unit, the row update, and the
+    pivot order.  The update of entry a by factor f and pivot-row entry g is
+    a - f*g, written inline unless the ring supplies `update(a, f, g)` (exact
+    algebra elements do, as one integer pass).  The pivot is the first
+    usable entry down the column when `magnitude` is None (exact mode,
+    reproducible), else the usable entry of largest `magnitude`.  A column
+    whose nonzero entries are all non-invertible raises PivotNotInvertible.
+    Returns the pivots as (row, column) pairs in echelon order.
     """
     m = len(rows)
     pivots = []
@@ -182,10 +186,16 @@ def eliminate(rows, rhs, zero, is_zero, divider, magnitude=None) -> list:
             if t == r or is_zero(factor):
                 continue
             row = rows[t]
-            for u in support:
-                row[u] = row[u] - factor * prow[u]
-            if rhs is not None:
-                rhs[t] = rhs[t] - factor * rhs[r]
+            if update is None:
+                for u in support:
+                    row[u] = row[u] - factor * prow[u]
+                if rhs is not None:
+                    rhs[t] = rhs[t] - factor * rhs[r]
+            else:
+                for u in support:
+                    row[u] = update(row[u], factor, prow[u])
+                if rhs is not None:
+                    rhs[t] = update(rhs[t], factor, rhs[r])
         pivots.append((r, c))
     return pivots
 

@@ -8,6 +8,7 @@ n x n linear solve with its operator matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .algebra import RATIONAL, Algebra, Element
@@ -225,10 +226,11 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
     Each step solves  D(delta) = -(p(x_k) - a)  with the n x n operator
     matrix of the derivative D at x_k and sets x_{k+1} = x_k + delta.  The
     run stops on residual norm < tol, on a singular operator matrix (even
-    with a consistent system), after max_iter steps, or once the residual
-    exceeds divergence_factor times the initial residual for five consecutive
-    steps.  In rational mode, where digit lengths roughly double every step,
-    it also stops (BIT_BUDGET) before recording an iterate or residual with a
+    with a consistent system), after max_iter steps, or as DIVERGED once the
+    residual exceeds divergence_factor times the initial residual for five
+    consecutive steps or its norm is not finite (inf, or NaN in float mode).
+    In rational mode, where digit lengths roughly double every step, it also
+    stops (BIT_BUDGET) before recording an iterate or residual with a
     numerator or denominator above MAX_BITS bits.
     """
     if cfg is None:
@@ -244,6 +246,9 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
             return trace
         rnorm = residual.norm()
         trace.iterates.append((x, residual, rnorm))
+        if not math.isfinite(rnorm):  # NaN fails every comparison below
+            trace.status = DIVERGED
+            return trace
         if initial_norm is None:
             initial_norm = rnorm
         if rnorm < cfg.tol:

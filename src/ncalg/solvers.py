@@ -9,7 +9,8 @@ Two independent routes are implemented and cross-checked:
   obtaining an enlarged algebra-valued linear system in the unknowns
   x^j e_p, and runs Gauss-Jordan elimination with left division by pivots.
   The sweep is `linalg.eliminate`, the same one that solve_field runs over
-  the scalars; only the pivot inverse (`Element.inverse`) differs.
+  the scalars; only the pivot inverse (`Element.inverse`) and, in exact
+  mode, the fused row update (`Element.minus_product`) differ.
   A solution of the enlarged system need NOT solve the original equation
   when the operator is singular, so every candidate is verified by
   substitution before it is reported; a failing candidate is returned with
@@ -283,7 +284,8 @@ def nc_row_reduce(amat, brhs, zero_tol: float = DEFAULT_ZERO_TOL) -> NCSolutionS
 
     This is `linalg.eliminate` with `Element.inverse` as the pivot inverse:
     in exact mode the pivot is the first invertible entry scanning down the
-    column, in float mode the invertible entry of largest norm.  A column
+    column and rows are updated by the fused `Element.minus_product`, in
+    float mode the pivot is the invertible entry of largest norm.  A column
     whose nonzero entries are all non-invertible raises PivotNotInvertible
     (only possible outside division algebras).
     """
@@ -299,7 +301,8 @@ def nc_row_reduce(amat, brhs, zero_tol: float = DEFAULT_ZERO_TOL) -> NCSolutionS
 
     pivots = eliminate(rows, rhs, alg.zero(), is_zero,
                        lambda pivot: pivot.inverse().__mul__,
-                       None if exact else Element.norm)
+                       None if exact else Element.norm,
+                       Element.minus_product if exact else None)
     return NCSolutionSet(
         *solution_set(rows, rhs, pivots, alg.zero(), alg.one(), is_zero))
 

@@ -101,6 +101,17 @@ def clifford_algebra(p, q, scalar_mode=nc.RATIONAL):
     return nc.make_algebra(constants, names, scalar_mode, name=f"Cl({p},{q})")
 
 
+def scaled_quaternion_algebra(scalar_mode=nc.RATIONAL):
+    """The quaternions over the basis 1, i/2, j/2, k/4, so that constants
+    such as -1/4 and 1/8 occur."""
+    H = nc.quaternion_algebra()
+    scale = [1, 2, 2, 4]
+    basis = [H.basis(t).scale(Fraction(1, scale[t])) for t in range(4)]
+    constants = [[[(x * y).coords[k] * scale[k] for k in range(4)] for y in basis]
+                 for x in basis]
+    return nc.make_algebra(constants, ["1", "u", "v", "w"], scalar_mode)
+
+
 def algebra_from_data(name, scalar_mode=nc.RATIONAL):
     path = Path(__file__).parent / "data" / f"{name}_algebra.json"
     return nc.algebra_from_json(path.read_text(), scalar_mode)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import ncalg as nc
-from helpers import algebra_from_data, clifford_algebra, matrix_algebra, rand_nonzero
+from helpers import (algebra_from_data, clifford_algebra, matrix_algebra, rand_nonzero,
+                     scaled_quaternion_algebra)
 
 MODES = [nc.RATIONAL, nc.FLOAT]
 
@@ -21,17 +22,6 @@ FLIPPED_MESSAGE = {
 
 def quaternion_constants():
     return [[list(row) for row in plane] for plane in nc.quaternion_algebra().constants]
-
-
-def scaled_quaternion_algebra(scalar_mode=nc.RATIONAL):
-    """The quaternions over the basis 1, i/2, j/2, k/4, so that constants
-    such as -1/4 and 1/8 occur."""
-    H = nc.quaternion_algebra()
-    scale = [1, 2, 2, 4]
-    basis = [H.basis(t).scale(Fraction(1, scale[t])) for t in range(4)]
-    constants = [[[(x * y).coords[k] * scale[k] for k in range(4)] for y in basis]
-                 for x in basis]
-    return nc.make_algebra(constants, ["1", "u", "v", "w"], scalar_mode)
 
 
 ALGEBRAS = {
