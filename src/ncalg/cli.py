@@ -46,7 +46,7 @@ from .parser import (
     parse_equation,
     parse_expression,
 )
-from .solvers import SylvesterSystem, solve_field, solve_richardson
+from .solvers import SylvesterSystem, residuals_vanish, solve_field, solve_richardson
 from .tensor import TensorOp
 
 _USAGE_ERRORS = (
@@ -66,8 +66,12 @@ def _load_algebra(source: str, scalar_mode: str) -> Algebra:
 
 def _sort_unknowns(names) -> list:
     def key(name: str):
+        # the name itself breaks ties such as x / x0 and x1 / x01, which
+        # would otherwise follow set order, that is the hash seed
         suffix = name[1:] if name.startswith("x") else name
-        return (0, int(suffix)) if suffix.isdigit() else (0, 0) if suffix == "" else (1, name)
+        if suffix.isdigit() or suffix == "":
+            return 0, int(suffix or 0), name
+        return 1, 0, name
 
     return sorted(names, key=key)
 
@@ -284,10 +288,7 @@ def _cmd_check(args) -> int:
     ]
     residuals = system.residuals(xs)
     worst = max((r.norm() for r in residuals), default=0.0)
-    ok = all(
-        r.is_zero() if algebra.scalar_mode == RATIONAL else r.is_zero(1e-9)
-        for r in residuals
-    )
+    ok = residuals_vanish(residuals)
     payload = {
         "status": "ok" if ok else "nonzero",
         "residuals": [format_element(r) for r in residuals],

@@ -31,7 +31,8 @@ class PivotNotInvertible(AlgebraError):
 
 
 class QuasideterminantUndefined(AlgebraError):
-    """The recursive quasideterminant needed the inverse of a singular entry."""
+    """The minor of a quasideterminant is singular, or elimination on it met a
+    column whose nonzero entries are all zero divisors."""
 
 
 class EquationSyntaxError(AlgebraError):

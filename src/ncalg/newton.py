@@ -141,9 +141,10 @@ def _merge_and_sort(algebra: Algebra, monomials):
         _absorb_scalar_head(algebra, m) for m in merged if not m[0].is_zero()
     ]
 
+    # exact coordinates sort as they are: float() of a rational coefficient
+    # beyond the float range raises OverflowError
     def key(mono):
-        return (-(len(mono) - 1),
-                tuple(tuple(float(c) for c in elem.coords) for elem in mono))
+        return -(len(mono) - 1), tuple(elem.coords for elem in mono)
 
     return [tuple(m) for m in sorted(merged, key=key)]
 

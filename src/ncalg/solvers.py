@@ -16,9 +16,10 @@ Two independent routes are implemented and cross-checked:
   substitution before it is reported; a failing candidate is returned with
   kind UNVERIFIED_ENLARGED instead of being silently trusted.
 
-Quasideterminants are provided both as a standalone operation and as an
-alternative engine for the enlarged solve (a Cramer-style formula); the
-elimination engine remains the default and the fallback.
+Quasideterminants are a standalone operation, computed by their definition
+through the same elimination.  They are not a third solve route: for an
+invertible enlarged matrix the Cramer-style formula built from them is its
+inverse, which `nc_row_reduce` already applies.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, Element, RATIONAL, element_from_json, element_to_json
-from .errors import AlgebraMismatch, NotInvertible, QuasideterminantUndefined
+from .errors import AlgebraMismatch, PivotNotInvertible, QuasideterminantUndefined
 from .linalg import (
     DEFAULT_ZERO_TOL,
     FieldMatrix,
@@ -200,9 +201,11 @@ class AlgebraSolution:
         return out
 
 
-def _residuals_vanish(residuals, mode, tol) -> bool:
-    if mode == RATIONAL:
-        return all(r.is_zero() for r in residuals)
+def residuals_vanish(residuals) -> bool:
+    """Whether every residual is zero: exactly in rational mode, within
+    RESIDUAL_TOL per coordinate in float mode.  The one acceptance rule for
+    a solution, used by the solvers and by `ncalg check`."""
+    tol = 0.0 if residuals[0].algebra.scalar_mode == RATIONAL else RESIDUAL_TOL
     return all(r.is_zero(tol) for r in residuals)
 
 
@@ -211,8 +214,7 @@ def _residuals_vanish(residuals, mode, tol) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def solve_field(system: SylvesterSystem,
-                zero_tol: float = DEFAULT_ZERO_TOL) -> AlgebraSolution:
+def solve_field(system: SylvesterSystem) -> AlgebraSolution:
     """Vectorize the whole system over the scalar field and classify fully.
 
     Stacks the operator matrix of every block into an (n*m_eq) x (n*m_unk)
@@ -233,7 +235,7 @@ def solve_field(system: SylvesterSystem,
     for b in system.rhs:
         rhs.extend(b.coords)
 
-    sol = row_reduce(FieldMatrix(big), rhs, zero_tol)
+    sol = row_reduce(FieldMatrix(big), rhs)
     if sol.kind == INCONSISTENT:
         return AlgebraSolution(INCONSISTENT, None, [], [], None)
 
@@ -278,7 +280,7 @@ def build_richardson(system: SylvesterSystem) -> RichardsonSystem:
     return RichardsonSystem(alg, system.m_eq, system.m_unk, amat, brhs)
 
 
-def nc_row_reduce(amat, brhs, zero_tol: float = DEFAULT_ZERO_TOL) -> NCSolutionSet:
+def nc_row_reduce(amat, brhs) -> NCSolutionSet:
     """Gauss-Jordan elimination over the algebra, dividing rows on the left
     by their pivots.
 
@@ -297,7 +299,7 @@ def nc_row_reduce(amat, brhs, zero_tol: float = DEFAULT_ZERO_TOL) -> NCSolutionS
     exact = alg.scalar_mode == RATIONAL
 
     def is_zero(e):
-        return e.is_zero() if exact else e.is_zero(zero_tol)
+        return e.is_zero() if exact else e.is_zero(DEFAULT_ZERO_TOL)
 
     pivots = eliminate(rows, rhs, alg.zero(), is_zero,
                        lambda pivot: pivot.inverse().__mul__,
@@ -312,90 +314,39 @@ def nc_row_reduce(amat, brhs, zero_tol: float = DEFAULT_ZERO_TOL) -> NCSolutionS
 # ---------------------------------------------------------------------------
 
 
-class _QuasiContext:
-    """Memoized recursive quasideterminants over row/column index subsets."""
-
-    def __init__(self, mat):
-        self.mat = mat
-        self.memo = {}
-
-    def qd(self, rows: tuple, cols: tuple, ri: int, cj: int) -> Element:
-        key = (rows, cols, ri, cj)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if len(rows) == 1:
-            value = self.mat[ri][cj]
-        else:
-            sub_rows = tuple(r for r in rows if r != ri)
-            sub_cols = tuple(c for c in cols if c != cj)
-            # inverse of the complementary minor, entrywise:
-            # inv[(c, r)] = (qd of the minor at (r, c)) ** -1
-            inv = {}
-            for r in sub_rows:
-                for c in sub_cols:
-                    q = self.qd(sub_rows, sub_cols, r, c)
-                    try:
-                        inv[(c, r)] = q.inverse()
-                    except NotInvertible as exc:
-                        raise QuasideterminantUndefined(
-                            f"minor quasideterminant at ({r}, {c}) is not invertible"
-                        ) from exc
-            value = self.mat[ri][cj]
-            for c in sub_cols:
-                left = self.mat[ri][c]
-                if left.is_zero():
-                    continue
-                for r in sub_rows:
-                    value = value - left * inv[(c, r)] * self.mat[r][cj]
-        self.memo[key] = value
-        return value
-
-
 def quasideterminant(mat, i: int, j: int) -> Element:
     """The (i, j) quasideterminant of a square matrix over the algebra.
 
-    Defined recursively: the (i, j) entry minus (row i without column j)
-    times the entrywise-inverted complementary minor times (column j without
-    row i).  For commuting entries this equals det(M) / det(minor).  Raises
-    QuasideterminantUndefined when the recursion needs the inverse of a
-    singular quasideterminant.
+    By definition (Gelfand, Gelfand, Retakh and Wilson, "Quasideterminants",
+    2005, 1.2) it is m_ij - r (M^ij)^-1 c, with r row i without column j,
+    c column j without row i and M^ij the minor without row i and column j.
+    The product (M^ij)^-1 c is one elimination, `nc_row_reduce` on the minor.
+    For commuting entries this equals det(M) / det(M^ij); for an invertible
+    M it is the inverse of the (j, i) entry of M^-1.  Raises
+    QuasideterminantUndefined when that elimination does not find a unique
+    solution, or hits a column whose nonzero entries are all zero divisors.
     """
     size = len(mat)
     if any(len(row) != size for row in mat):
         raise ValueError("quasideterminant needs a square matrix")
     if not (0 <= i < size and 0 <= j < size):
         raise ValueError("index out of range")
-    ctx = _QuasiContext(mat)
-    return ctx.qd(tuple(range(size)), tuple(range(size)), i, j)
-
-
-def _candidate_by_quasideterminants(rich: RichardsonSystem):
-    """Cramer-style candidate: x^j = sum_r (qd at (r, col(j,0)))^-1 * b_r.
-
-    Presumes an invertible (square) enlarged matrix; returns None when the
-    matrix is rectangular or some needed quasideterminant is undefined or
-    singular, letting the caller fall back to elimination.
-    """
-    size = len(rich.amat)
-    if size != len(rich.amat[0]):
-        return None
-    n = rich.algebra.dim
-    ctx = _QuasiContext(rich.amat)
-    rows = tuple(range(size))
-    cols = tuple(range(size))
-    xs = []
+    if size == 1:
+        return mat[0][0]
+    rows = [r for r in range(size) if r != i]
+    cols = [c for c in range(size) if c != j]
     try:
-        for j in range(rich.m_unk):
-            target = j * n  # the x^j e_0 column
-            total = rich.algebra.zero()
-            for r in rows:
-                q = ctx.qd(rows, cols, r, target)
-                total = total + q.inverse() * rich.brhs[r]
-            xs.append(total)
-    except (QuasideterminantUndefined, NotInvertible):
-        return None
-    return xs
+        sol = nc_row_reduce([[mat[r][c] for c in cols] for r in rows],
+                            [mat[r][j] for r in rows])
+    except PivotNotInvertible as exc:
+        raise QuasideterminantUndefined(
+            f"elimination on the minor at ({i}, {j}) is blocked: {exc}") from exc
+    if sol.kind != UNIQUE:
+        raise QuasideterminantUndefined(f"the minor at ({i}, {j}) is singular")
+    value = mat[i][j]
+    for c, y in zip(cols, sol.particular):
+        value = value - mat[i][c] * y
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +354,7 @@ def _candidate_by_quasideterminants(rich: RichardsonSystem):
 # ---------------------------------------------------------------------------
 
 
-def solve_richardson(system: SylvesterSystem, *, engine: str = "elimination",
-                     zero_tol: float = DEFAULT_ZERO_TOL,
-                     residual_tol: float = RESIDUAL_TOL) -> AlgebraSolution:
+def solve_richardson(system: SylvesterSystem) -> AlgebraSolution:
     """Solve through the enlarged algebra-valued system.
 
     The enlarged unknowns x^j e_p are treated as independent during
@@ -413,29 +362,11 @@ def solve_richardson(system: SylvesterSystem, *, engine: str = "elimination",
     extracted candidate is ALWAYS verified by substitution into the original
     system: a failing candidate comes back as UNVERIFIED_ENLARGED together
     with its residuals.
-
-    engine="quasideterminant" tries the Cramer-style formula first and falls
-    back to elimination whenever it is not applicable or its candidate fails
-    verification.
     """
-    if engine not in ("elimination", "quasideterminant"):
-        raise ValueError(f"unknown engine {engine!r}")
-
     alg = system.algebra
     n = alg.dim
     rich = build_richardson(system)
-
-    if engine == "quasideterminant":
-        xs = _candidate_by_quasideterminants(rich)
-        if xs is not None:
-            residuals = system.residuals(xs)
-            if _residuals_vanish(residuals, alg.scalar_mode, residual_tol):
-                # the Cramer formula presupposes an invertible enlarged
-                # matrix, under which the solution is unique
-                return AlgebraSolution(UNIQUE, xs, [], [], residuals)
-        # not applicable or not verified: the elimination engine decides
-
-    enlarged = nc_row_reduce(rich.amat, rich.brhs, zero_tol)
+    enlarged = nc_row_reduce(rich.amat, rich.brhs)
 
     if enlarged.kind == INCONSISTENT:
         # any true solution would embed into the enlarged system, so an
@@ -444,30 +375,27 @@ def solve_richardson(system: SylvesterSystem, *, engine: str = "elimination",
 
     xs = [enlarged.particular[j * n] for j in range(system.m_unk)]
     residuals = system.residuals(xs)
-    if not _residuals_vanish(residuals, alg.scalar_mode, residual_tol):
+    if not residuals_vanish(residuals):
         return AlgebraSolution(UNVERIFIED_ENLARGED, xs, [], [], residuals)
 
     extracted = [
         [vec[j * n] for j in range(system.m_unk)]
         for vec in enlarged.nullspace
     ]
-    tol = 0.0 if alg.scalar_mode == RATIONAL else zero_tol
+    tol = 0.0 if alg.scalar_mode == RATIONAL else DEFAULT_ZERO_TOL
     nonzero = [d for d in extracted if not all(e.is_zero(tol) for e in d)]
     if not nonzero:
         # every other enlarged solution projects onto the same candidate,
         # so the original solution is unique
         return AlgebraSolution(UNIQUE, xs, [], [], residuals)
 
-    kernel_dirs = [
-        d for d in nonzero
-        if _residuals_vanish(system.apply_ops(d), alg.scalar_mode, residual_tol)
-    ]
+    kernel_dirs = [d for d in nonzero if residuals_vanish(system.apply_ops(d))]
     # a maximal independent subset: the pivot columns of the directions
     independent = []
     if kernel_dirs:
         columns = FieldMatrix(list(zip(*(
             [c for e in d for c in e.coords] for d in kernel_dirs))))
-        independent = [kernel_dirs[c] for c in pivot_columns(columns, zero_tol)]
+        independent = [kernel_dirs[c] for c in pivot_columns(columns)]
     names = [f"C{k}" for k in range(len(independent))]
     return AlgebraSolution(
         PARAMETRIC, xs, [tuple(d) for d in independent], names, residuals

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import ncalg as nc
-from ncalg.cli import run
+from ncalg.cli import _sort_unknowns, run
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,6 +112,24 @@ class TestSolve:
         assert code == 0
         assert "x1 = 1" in out
         assert "x2 = " in out
+
+    def test_unknown_order_breaks_ties_by_name(self):
+        assert _sort_unknowns(["x0", "x"]) == _sort_unknowns(["x", "x0"])
+        assert _sort_unknowns(["x01", "x1"]) == _sort_unknowns(["x1", "x01"])
+        assert _sort_unknowns(["y", "x10", "x2", "x", "x1"]) == \
+            ["x", "x1", "x2", "x10", "y"]
+
+    def test_unknown_order_independent_of_hash_seed(self):
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+            done = subprocess.run(
+                [sys.executable, "-m", "ncalg", "solve", "x + 2*x0 = 1", "x - x0 = i"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert outputs == {"x = 1/3 + 2/3i\nx0 = 1/3 - 1/3i\n"}
 
     def test_custom_algebra_file(self, capsys):
         code, out, _ = invoke(capsys, "solve", "--algebra",
@@ -265,6 +283,12 @@ class TestNewton:
         for row in rows:  # every row parses back
             hq.element(row["x"]), hq.element(row["residual"])
         assert payload["solution"] == nc.format_element(hq.element(rows[-1]["x"]))
+
+    def test_rational_coefficient_beyond_float_range(self, capsys):
+        code, out, _ = invoke(capsys, "newton", "--scalar", "rational",
+                              "--x0", "1", "2^1100*x^2 = 1")
+        assert code == 1
+        assert out.strip().splitlines()[-2].startswith("status: ")
 
     def test_start_over_bit_budget_records_nothing(self, capsys):
         code, out, _ = invoke(capsys, "newton", "--scalar", "rational",

@@ -55,6 +55,16 @@ class TestPolynomial:
         zero_p = GeneralizedPolynomial(hq, [[i, one], [-i, one]])
         assert zero_p.monomials == ()
 
+    def test_coefficients_beyond_float_range(self, hq, units):
+        # monomials sort on exact coordinates, which float() cannot hold here
+        one, i, j, k = units
+        big = Fraction(2) ** 1100
+        p = GeneralizedPolynomial(
+            hq, [[one, j], [one.scale(big), one, one], [i.scale(big + 1), one]])
+        assert p == GeneralizedPolynomial(
+            hq, [[i.scale(big + 1), one], [one.scale(big), one, one], [one, j]])
+        assert p.evaluate(i) == one.scale(-2 * big - 1) + k
+
     def test_evaluation_goldens(self, hq, units, square_map):
         one, i, j, k = units
         assert square_map.evaluate(j) == hq.zero()

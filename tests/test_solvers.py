@@ -1,10 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import ncalg as nc
 from ncalg.solvers import build_richardson, nc_row_reduce, quasideterminant
-from helpers import rand_element, rand_nonzero, residuals_are_zero
+from helpers import (
+    algebra_from_data,
+    clifford_algebra,
+    matrix_algebra,
+    rand_element,
+    rand_nonzero,
+    residuals_are_zero,
+)
 
 
 @pytest.fixture
@@ -26,6 +34,32 @@ def example_23(hq, units):
     one, i, j, k = units
     return nc.SylvesterSystem.from_terms(
         hq, [([(i + j, k, 0), (k, j + one, 0)], j - k)], 1)
+
+
+def rand_sparse(alg, rng):
+    """An element with 1, 2 or all coordinates drawn from -2..2."""
+    coords = [0] * alg.dim
+    for t in rng.sample(range(alg.dim), rng.choice([1, 2, alg.dim])):
+        coords[t] = rng.randint(-2, 2)
+    return alg.element(coords)
+
+
+def reference_quasideterminant(mat, i, j):
+    """The recursive quasideterminant: a_ij - sum_{c,r} a_ic |A^ij|_rc^-1 a_rj,
+    with |A^ij|_rc the quasideterminants of the minor A^ij.  Raises
+    NotInvertible wherever the recursion meets a singular one."""
+    size = len(mat)
+    if size == 1:
+        return mat[0][0]
+    rows = [r for r in range(size) if r != i]
+    cols = [c for c in range(size) if c != j]
+    minor = [[mat[r][c] for c in cols] for r in rows]
+    value = mat[i][j]
+    for b, r in enumerate(rows):
+        for a, c in enumerate(cols):
+            inverse = reference_quasideterminant(minor, b, a).inverse()
+            value = value - mat[i][c] * inverse * mat[r][j]
+    return value
 
 
 def enlarged_matvec(rich, vec):
@@ -255,18 +289,6 @@ class TestSolveRichardson:
         # while the field route solves the same system
         assert nc.solve_field(example_23).kind == nc.PARAMETRIC
 
-    def test_quasideterminant_engine(self, hq, example_21):
-        sol = nc.solve_richardson(example_21, engine="quasideterminant")
-        assert sol.kind == nc.UNIQUE
-        assert sol.x == [hq.element(["-1/2", 0, "-1/2", 0])]
-
-    def test_quasideterminant_engine_falls_back(self, hq, example_22, example_23):
-        # singular enlarged matrices are handled by the elimination engine
-        assert nc.solve_richardson(
-            example_22, engine="quasideterminant").kind == nc.INCONSISTENT
-        assert nc.solve_richardson(
-            example_23, engine="quasideterminant").kind == nc.UNVERIFIED_ENLARGED
-
     def test_verified_parametric_directions(self, hq, units):
         # x -> x + i x i kills 1 and i; the homogeneous equation has the
         # zero candidate (which verifies) plus free directions, and every
@@ -360,6 +382,70 @@ class TestQuasideterminant:
             quasideterminant([[i, j]], 0, 0)
         with pytest.raises(ValueError):
             quasideterminant([[i]], 1, 0)
+
+    @pytest.mark.parametrize("name", ["H", "M2", "Cl(1,1)", "complex", "dual"])
+    def test_matches_recursion_where_it_is_defined(self, name):
+        alg = {
+            "H": nc.quaternion_algebra,
+            "M2": lambda: matrix_algebra(2),
+            "Cl(1,1)": lambda: clifford_algebra(1, 1),
+            "complex": lambda: algebra_from_data("complex"),
+            "dual": lambda: algebra_from_data("dual"),
+        }[name]()
+        rng = random.Random(f"qd-{name}")
+        defined = 0
+        for _ in range(40):
+            size = rng.choice([2, 3])
+            mat = [[rand_sparse(alg, rng) for _ in range(size)]
+                   for _ in range(size)]
+            i, j = rng.randrange(size), rng.randrange(size)
+            try:
+                expected = reference_quasideterminant(mat, i, j)
+            except nc.NotInvertible:
+                continue
+            defined += 1
+            assert quasideterminant(mat, i, j) == expected
+        assert defined >= 10
+
+    def test_defined_where_the_recursion_is_not(self, hq, units):
+        # the minor [[0, 1], [1, 0]] is invertible, but its own (0, 0)
+        # quasideterminant needs 0^-1, so the recursion stops; by definition
+        # the value is 1 - (i, j) [[0, 1], [1, 0]] (k, 1) = 1 - i - jk
+        one, i, j, k = units
+        M = [[one, i, j], [k, hq.zero(), one], [one, one, hq.zero()]]
+        with pytest.raises(nc.NotInvertible):
+            reference_quasideterminant(M, 0, 0)
+        assert quasideterminant(M, 0, 0) == one - i.scale(2)
+
+    @pytest.mark.parametrize("m_unk, count", [(1, 20), (2, 3)])
+    def test_cramer_identity(self, hq, m_unk, count):
+        # for an invertible enlarged matrix A, (A^-1)_ji = |A|_ij^-1, so
+        # x^j = sum_r |A|_{r,(j,0)}^-1 b_r; an undefined quasideterminant
+        # is a zero entry of A^-1 and contributes nothing
+        rng = random.Random(f"cramer-{m_unk}")
+        checked = 0
+        while checked < count:
+            equations = [
+                ([(rand_nonzero(hq, rng), rand_nonzero(hq, rng), rng.randrange(m_unk))
+                  for _ in range(2 * m_unk)], rand_element(hq, rng))
+                for _ in range(m_unk)
+            ]
+            system = nc.SylvesterSystem.from_terms(hq, equations, m_unk)
+            rich = build_richardson(system)
+            if nc_row_reduce(rich.amat, rich.brhs).kind != nc.UNIQUE:
+                continue
+            xs = []
+            for j in range(m_unk):
+                total = hq.zero()
+                for r, b in enumerate(rich.brhs):
+                    try:
+                        q = quasideterminant(rich.amat, r, j * hq.dim)
+                    except nc.QuasideterminantUndefined:
+                        continue
+                    total = total + q.inverse() * b
+                xs.append(total)
+            assert xs == nc.solve_richardson(system).x
+            checked += 1
 
 
 class TestSystemJson:
