@@ -21,7 +21,7 @@ from .errors import (
     NotInvertible,
     UnitLawViolation,
 )
-from .linalg import INCONSISTENT, FieldMatrix, row_reduce
+from .linalg import INCONSISTENT, FieldMatrix, cleared, row_reduce, solve_integer
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -400,8 +400,8 @@ class Element:
                 return Element(alg, _product(alg._mul_table, self.coords,
                                              other.coords, alg.scalar_zero()),
                                _validated=True)
-            da, xa = _cleared(self.coords)
-            db, xb = _cleared(other.coords)
+            da, xa = cleared(self.coords)
+            db, xb = cleared(other.coords)
             den = da * db * alg._dc
             return Element(alg, [Fraction(v, den) if v else _ZERO
                                  for v in _product(alg._mul_table, xa, xb, 0)],
@@ -411,21 +411,13 @@ class Element:
     def minus_product(self, f: "Element", g: "Element") -> "Element":
         """self - f*g in one pass: the row update of exact elimination.
 
-        Rational mode only.  The product's integer numerators are combined
-        with self's over the lcm of the two denominators, so each
-        coordinate costs one `Fraction` instead of a product and a
-        difference.
+        Rational mode only.  `ClearedRing.update` on the three operands
+        cleared to integers, so each coordinate costs one `Fraction`
+        instead of a product and a difference.
         """
-        alg = self.algebra
-        da, xa = _cleared(self.coords)
-        df, xf = _cleared(f.coords)
-        dg, xg = _cleared(g.coords)
-        dp = df * dg * alg._dc
-        den = math.lcm(da, dp)
-        sa, sp = den // da, den // dp
-        return Element(alg, [Fraction(v, den) if (v := a * sa - p * sp) else _ZERO
-                             for a, p in zip(xa, _product(alg._mul_table, xf, xg, 0))],
-                       _validated=True)
+        ring = ClearedRing(self.algebra)
+        return ring.element(ring.update(ring.clear(self), ring.clear(f),
+                                        ring.clear(g)))
 
     def __rmul__(self, other):
         # scalars commute with everything, so left and right scaling agree
@@ -454,17 +446,14 @@ class Element:
 
     def left_matrix(self) -> FieldMatrix:
         """L with L @ coords(x) = coords(self * x) for every x."""
-        n, dc = self.algebra.dim, self.algebra._dc
-        rows = [[self.algebra.scalar_zero()] * n for _ in range(n)]
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            if dc != 1:  # the table holds the constants times dc
-                a = a / dc
-            for j in range(n):
-                for k, c in self.algebra._mul_table[i][j]:
-                    rows[k][j] = rows[k][j] + a * c
-        return FieldMatrix(rows)
+        alg = self.algebra
+        if alg.scalar_mode != RATIONAL:
+            return FieldMatrix(_left_rows(alg._mul_table, self.coords, 0.0))
+        # the table holds the constants times _dc
+        d, xa = cleared(self.coords)
+        den = d * alg._dc
+        return FieldMatrix([[Fraction(v, den) for v in row]
+                            for row in _left_rows(alg._mul_table, xa, 0)])
 
     def right_matrix(self) -> FieldMatrix:
         """R with R @ coords(x) = coords(x * self) for every x."""
@@ -485,19 +474,28 @@ class Element:
     def inverse(self) -> "Element":
         """Two-sided inverse, by solving L(self) y = e0 and verifying y*self.
 
-        Works in any algebra expressible by structure constants, operator
-        tensors in `Algebra.envelope()` included; raises NotInvertible when
-        L(self) y = e0 has no solution or the candidate fails the two-sided
-        check.
+        In rational mode no `Fraction` matrix is formed: self = xa/da over
+        the table scaled by _dc gives L(self) = L(xa)/(da*_dc), so the
+        integer system L(xa) y = da*_dc*e0 goes to fraction-free elimination
+        (`linalg.solve_integer`).  Works in any algebra expressible by
+        structure constants, operator tensors in `Algebra.envelope()`
+        included; raises NotInvertible when L(self) y = e0 has no solution
+        or the candidate fails the two-sided check.
         """
         if self.is_zero():
             raise NotInvertible("zero element has no inverse")
-        one = self.algebra.one()
-        sol = row_reduce(self.left_matrix(), list(one.coords))
+        alg = self.algebra
+        one = alg.one()
+        if alg.scalar_mode == RATIONAL:
+            da, xa = cleared(self.coords)
+            sol = solve_integer(_left_rows(alg._mul_table, xa, 0),
+                                [da * alg._dc] + [0] * (alg.dim - 1))
+        else:
+            sol = row_reduce(self.left_matrix(), list(one.coords))
         if sol.kind == INCONSISTENT:
             raise NotInvertible(f"left regular matrix of {self} is singular")
-        y = Element(self.algebra, sol.particular, _validated=True)
-        if self.algebra.scalar_mode == RATIONAL:
+        y = Element(alg, sol.particular, _validated=True)
+        if alg.scalar_mode == RATIONAL:
             ok = (self * y == one) and (y * self == one)
         else:
             ok = ((self * y - one).is_zero(FLOAT_CHECK_TOL)
@@ -543,14 +541,69 @@ class Element:
 _ZERO = Fraction(0)
 
 
-def _cleared(coords):
-    """(d, numerators): the exact coordinates as integers over their least
-    common denominator d."""
-    pairs = [c.as_integer_ratio() for c in coords]
-    d = math.lcm(*[q for _, q in pairs])
-    if d == 1:
-        return 1, [p for p, _ in pairs]
-    return d, [p * (d // q) for p, q in pairs]
+class ClearedRing:
+    """Exact elements of one algebra as cleared entries (d, numerators),
+    worth numerators/d, with d > 0 and gcd(d, numerators) = 1 as `cleared`
+    returns them, so that equal values have equal entries.
+
+    Exact `solvers.nc_row_reduce` hands this ring to `linalg.eliminate`:
+    each entry is cleared once per elimination, pivot divisions and row
+    updates run on integers, and `Element`s are built only at extraction.
+    """
+
+    __slots__ = ("algebra", "zero")
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+        self.zero = (1, [0] * algebra.dim)
+
+    @staticmethod
+    def clear(x: Element) -> tuple:
+        return cleared(x.coords)
+
+    def element(self, entry) -> Element:
+        d, nums = entry
+        return Element(self.algebra, [Fraction(v, d) if v else _ZERO for v in nums],
+                       _validated=True)
+
+    @staticmethod
+    def is_zero(entry) -> bool:
+        return not any(entry[1])
+
+    def _reduced(self, d, nums):
+        g = math.gcd(d, *nums)
+        return (d, nums) if g == 1 else (d // g, [v // g for v in nums])
+
+    def divider(self, pivot):
+        """v -> pivot^-1 v, through `Element.inverse`."""
+        alg = self.algebra
+        di, xi = cleared(self.element(pivot).inverse().coords)
+        return lambda v: self._reduced(di * v[0] * alg._dc,
+                                       _product(alg._mul_table, xi, v[1], 0))
+
+    def update(self, a, f, g):
+        """a - f*g, over the lcm of the two denominators."""
+        alg = self.algebra
+        (da, xa), (df, xf), (dg, xg) = a, f, g
+        dp = df * dg * alg._dc
+        den = math.lcm(da, dp)
+        sa, sp = den // da, den // dp
+        return self._reduced(den, [x * sa - p * sp for x, p in
+                                   zip(xa, _product(alg._mul_table, xf, xg, 0))])
+
+
+def _left_rows(table, xa, zero):
+    """Rows of L(a) through a sparse table, for a's coordinates xa: floats
+    in float mode, integers in rational mode (the table's scale included)."""
+    n = len(xa)
+    rows = [[zero] * n for _ in range(n)]
+    for i, a in enumerate(xa):
+        if a == 0:
+            continue
+        for j in range(n):
+            for k, c in table[i][j]:
+                rows[k][j] = rows[k][j] + a * c
+    return rows
 
 
 def _product(table, xa, xb, zero):

@@ -8,6 +8,7 @@ printed), 2 = usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -69,7 +70,8 @@ def _sort_unknowns(names) -> list:
         # the name itself breaks ties such as x / x0 and x1 / x01, which
         # would otherwise follow set order, that is the hash seed
         suffix = name[1:] if name.startswith("x") else name
-        if suffix.isdigit() or suffix == "":
+        # isdecimal, not isdigit: "²" is a digit that int() rejects
+        if suffix.isdecimal() or suffix == "":
             return 0, int(suffix or 0), name
         return 1, 0, name
 
@@ -303,7 +305,11 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `run` call of a process and
+    reused: parsing leaves it unchanged, and `--x` appends to a copy of its
+    default."""
     top = argparse.ArgumentParser(
         prog="ncalg",
         description="Solve linear and polynomial equations over a "

@@ -3,8 +3,10 @@
 `eliminate` is the only Gauss-Jordan sweep: scalar systems (`row_reduce`,
 `rank`, `pivot_columns`, hence `Element.inverse`) and algebra-valued systems
 (`solvers.nc_row_reduce`) differ only in the zero test, the pivot inverse,
-the pivot order and (exact algebra elements only) the fused row update they
-hand it.  Exact `Fraction` mode takes the first nonzero entry scanning
+the pivot order and the row step they hand it.  Exact scalars run
+fraction-free on integers: rows are cleared of denominators once, every
+step keeps them integral (`fraction_free_step`), and one `Fraction` is built
+per output coordinate.  Exact mode takes the first nonzero entry scanning
 top-left to bottom-right so that outputs are reproducible; float mode takes
 the largest-magnitude pivot and treats anything at or below `zero_tol` as
 zero.
@@ -12,6 +14,7 @@ zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +26,8 @@ UNIQUE = "unique"
 PARAMETRIC = "parametric"
 INCONSISTENT = "inconsistent"
 UNVERIFIED_ENLARGED = "unverified_enlarged"
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class FieldMatrix:
@@ -131,22 +136,22 @@ class SolutionSet:
         return out
 
 
-def eliminate(rows, rhs, zero, is_zero, divider, magnitude=None,
-              update=None) -> list:
+def eliminate(rows, rhs, is_zero, divider, step, magnitude=None) -> list:
     """Gauss-Jordan elimination in place; the one sweep behind every solve.
 
-    Entries of `rows` (and of `rhs`, which may be None) are field scalars or
-    algebra elements; coefficients act from the left, so a pivot row is
-    left-divided by its pivot.  The ring enters only through `zero`, the zero
-    test `is_zero`, the pivot inverse `divider(pivot)`, a map v -> pivot^-1 v
-    that raises NotInvertible for a nonzero non-unit, the row update, and the
-    pivot order.  The update of entry a by factor f and pivot-row entry g is
-    a - f*g, written inline unless the ring supplies `update(a, f, g)` (exact
-    algebra elements do, as one integer pass).  The pivot is the first
-    usable entry down the column when `magnitude` is None (exact mode,
-    reproducible), else the usable entry of largest `magnitude`.  A column
-    whose nonzero entries are all non-invertible raises PivotNotInvertible.
-    Returns the pivots as (row, column) pairs in echelon order.
+    Entries of `rows` (and of `rhs`, which may be None) are scalars or
+    algebra elements; coefficients act from the left.  The sweep owns the
+    column loop, the pivot search and the row swap.  The ring enters only
+    through the zero test `is_zero`, the pivot inverse `divider(pivot)`,
+    which returns the map v -> pivot^-1 v or raises NotInvertible for a
+    nonzero non-unit, the pivot order, and the row `step(rows, rhs, r, c,
+    divide)` that clears column c with the pivot in row r
+    (`divide_and_subtract` over a field or an algebra, `fraction_free_step`
+    over the integers).  The pivot is the first usable entry down the column
+    when `magnitude` is None (exact mode, reproducible), else the usable
+    entry of largest `magnitude`.  A column whose nonzero entries are all
+    non-invertible raises PivotNotInvertible.  Returns the pivots as
+    (row, column) pairs in echelon order.
     """
     m = len(rows)
     pivots = []
@@ -174,18 +179,30 @@ def eliminate(rows, rhs, zero, is_zero, divider, magnitude=None,
             continue
         s, divide = pick
         rows[r], rows[s] = rows[s], rows[r]
-        prow = rows[r] = [divide(v) for v in rows[r]]
         if rhs is not None:
             rhs[r], rhs[s] = rhs[s], rhs[r]
+        step(rows, rhs, r, c, divide)
+        pivots.append((r, c))
+    return pivots
+
+
+def divide_and_subtract(zero, is_zero, update=None):
+    """The row step over a field or an algebra: left-divide the pivot row by
+    its pivot, then subtract f times it from every other row whose entry f
+    in the pivot column is nonzero.  The update of entry a by pivot-row
+    entry g is a - f*g, written inline unless the ring supplies
+    `update(a, f, g)`."""
+    def step(rows, rhs, r, c, divide):
+        prow = rows[r] = [divide(v) for v in rows[r]]
+        if rhs is not None:
             rhs[r] = divide(rhs[r])
         # skipping exact zeros in the pivot row is a large win on the sparse
         # systems built from structure constants
         support = [u for u, v in enumerate(prow) if v != zero]
-        for t in range(m):
-            factor = rows[t][c]
+        for t, row in enumerate(rows):
+            factor = row[c]
             if t == r or is_zero(factor):
                 continue
-            row = rows[t]
             if update is None:
                 for u in support:
                     row[u] = row[u] - factor * prow[u]
@@ -196,8 +213,36 @@ def eliminate(rows, rhs, zero, is_zero, divider, magnitude=None,
                     row[u] = update(row[u], factor, prow[u])
                 if rhs is not None:
                     rhs[t] = update(rhs[t], factor, rhs[r])
-        pivots.append((r, c))
-    return pivots
+    return step
+
+
+def fraction_free_step():
+    """The row step of exact elimination on integer rows: one-step
+    fraction-free Gauss-Jordan (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 1968).
+
+    With pivot p in row r, column c, and q the previous pivot (1 at first),
+    every other row becomes (p*row - f*pivot row) / q, f being its entry in
+    column c, rows with f = 0 included.  Every entry is then, up to sign, a
+    minor of the input, so each division is exact.  The pivot row is kept,
+    and at the end every pivot entry equals the last pivot.  Holds q, so a step serves one
+    elimination.
+    """
+    previous = 1
+
+    def step(rows, rhs, r, c, _divide):
+        nonlocal previous
+        q, prow = previous, rows[r]
+        p = prow[c]
+        for t, row in enumerate(rows):
+            f = row[c]
+            if t == r or (f == 0 and p == q):
+                continue
+            rows[t] = [(p * a - f * g) // q for a, g in zip(row, prow)]
+            if rhs is not None:
+                rhs[t] = (p * rhs[t] - f * rhs[r]) // q
+        previous = p
+    return step
 
 
 def solution_set(rows, rhs, pivots, zero, one, is_zero) -> tuple:
@@ -224,37 +269,79 @@ def solution_set(rows, rhs, pivots, zero, one, is_zero) -> tuple:
     return kind, particular, nullspace, [f"C{k}" for k in range(len(nullspace))]
 
 
-def _scalar_ring(exact: bool, zero_tol: float) -> dict:
+def _is_zero_exact(v):
+    return v == 0
+
+
+def _integer_ring() -> dict:
+    # a nonzero integer pivot is always usable, and never divided by
+    return dict(is_zero=_is_zero_exact, divider=lambda p: None,
+                step=fraction_free_step())
+
+
+def _float_ring(zero_tol: float) -> dict:
+    def is_zero(v):
+        return abs(v) <= zero_tol
+
     # dividing by the pivot, rather than multiplying by its reciprocal, keeps
     # float results correctly rounded
-    ring = dict(divider=lambda p: lambda v: v / p)
-    if exact:
-        return dict(ring, zero=Fraction(0), is_zero=lambda v: v == 0)
-    return dict(ring, zero=0.0, is_zero=lambda v: abs(v) <= zero_tol,
-                magnitude=abs)
+    return dict(is_zero=is_zero, divider=lambda p: lambda v: v / p,
+                step=divide_and_subtract(0.0, is_zero), magnitude=abs)
+
+
+def cleared(values):
+    """(d, numerators): exact scalars as integers over their least common
+    denominator d."""
+    pairs = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in pairs])
+    if d == 1:
+        return 1, [p for p, _ in pairs]
+    return d, [p * (d // q) for p, q in pairs]
+
+
+def solve_integer(rows, rhs) -> SolutionSet:
+    """Solve the integer system rows x = rhs exactly, by fraction-free
+    elimination in place; the solution set has `Fraction` values."""
+    pivots = eliminate(rows, rhs, **_integer_ring())
+    found = len(pivots)
+    last = rows[found - 1][pivots[-1][1]] if pivots else 1
+
+    def value(v):  # every pivot entry is the last pivot
+        return Fraction(v, last) if v else _ZERO
+
+    # the solution set reads only the pivot rows, and every right-hand side
+    rows[:found] = [[value(v) for v in row] for row in rows[:found]]
+    return SolutionSet(*solution_set(rows, [value(b) for b in rhs], pivots,
+                                     _ZERO, _ONE, _is_zero_exact))
 
 
 def row_reduce(matrix: FieldMatrix, rhs, zero_tol: float = DEFAULT_ZERO_TOL) -> SolutionSet:
     """Solve M x = rhs, classifying the solution set completely.
 
     Inconsistency is a result kind, not an error.  Free columns receive
-    generated parameter names C0, C1, ...
+    generated parameter names C0, C1, ...  Exact systems are solved on
+    integers: each augmented row is scaled by the lcm of its denominators,
+    which changes neither the solution set nor the pivots.
     """
     if matrix.rows != len(rhs):
         raise ValueError("rhs length must match row count")
-    exact = matrix.is_exact() and not any(isinstance(v, float) for v in rhs)
-    ring = _scalar_ring(exact, zero_tol)
+    if matrix.is_exact() and not any(isinstance(v, float) for v in rhs):
+        rows = [cleared(row + (b,))[1] for row, b in zip(matrix.entries, rhs)]
+        return solve_integer(rows, [row.pop() for row in rows])
+    ring = _float_ring(zero_tol)
     rows, b = [list(r) for r in matrix.entries], list(rhs)
     pivots = eliminate(rows, b, **ring)
-    one = Fraction(1) if exact else 1.0
-    return SolutionSet(*solution_set(rows, b, pivots, ring["zero"], one, ring["is_zero"]))
+    return SolutionSet(*solution_set(rows, b, pivots, 0.0, 1.0, ring["is_zero"]))
 
 
 def pivot_columns(matrix: FieldMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> list:
     """Columns that get a pivot; in exact mode these are exactly the columns
     independent of the columns before them."""
-    ring = _scalar_ring(matrix.is_exact(), zero_tol)
-    return [c for _, c in eliminate([list(r) for r in matrix.entries], None, **ring)]
+    if matrix.is_exact():
+        rows, ring = [cleared(r)[1] for r in matrix.entries], _integer_ring()
+    else:
+        rows, ring = [list(r) for r in matrix.entries], _float_ring(zero_tol)
+    return [c for _, c in eliminate(rows, None, **ring)]
 
 
 def rank(matrix: FieldMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> int:

@@ -9,8 +9,10 @@ Two independent routes are implemented and cross-checked:
   obtaining an enlarged algebra-valued linear system in the unknowns
   x^j e_p, and runs Gauss-Jordan elimination with left division by pivots.
   The sweep is `linalg.eliminate`, the same one that solve_field runs over
-  the scalars; only the pivot inverse (`Element.inverse`) and, in exact
-  mode, the fused row update (`Element.minus_product`) differ.
+  the scalars; only the entries and the pivot inverse (`Element.inverse`)
+  differ.  In exact mode the sweep runs on `ClearedRing` entries, with
+  `ClearedRing.update` as the row update, and `Element`s are built only
+  when the solution set is read.
   A solution of the enlarged system need NOT solve the original equation
   when the operator is singular, so every candidate is verified by
   substitution before it is reported; a failing candidate is returned with
@@ -26,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, Element, RATIONAL, element_from_json, element_to_json
+from .algebra import (Algebra, ClearedRing, Element, RATIONAL, element_from_json,
+                      element_to_json)
 from .errors import AlgebraMismatch, PivotNotInvertible, QuasideterminantUndefined
 from .linalg import (
     DEFAULT_ZERO_TOL,
@@ -35,6 +38,7 @@ from .linalg import (
     PARAMETRIC,
     UNIQUE,
     UNVERIFIED_ENLARGED,
+    divide_and_subtract,
     eliminate,
     pivot_columns,
     row_reduce,
@@ -284,29 +288,38 @@ def nc_row_reduce(amat, brhs) -> NCSolutionSet:
     """Gauss-Jordan elimination over the algebra, dividing rows on the left
     by their pivots.
 
-    This is `linalg.eliminate` with `Element.inverse` as the pivot inverse:
-    in exact mode the pivot is the first invertible entry scanning down the
-    column and rows are updated by the fused `Element.minus_product`, in
-    float mode the pivot is the invertible entry of largest norm.  A column
-    whose nonzero entries are all non-invertible raises PivotNotInvertible
-    (only possible outside division algebras).
+    This is `linalg.eliminate` with `Element.inverse` as the pivot inverse.
+    In exact mode the pivot is the first invertible entry scanning down the
+    column, and the sweep runs on `ClearedRing` entries: every entry is
+    cleared to integer numerators once, the pivot divisions and the row
+    updates a - f*g (`ClearedRing.update`) stay on integers, and
+    `Element`s are built again only for the rows and right-hand sides that
+    the solution set reads.  In float mode the pivot is the invertible entry
+    of largest norm.  A column whose nonzero entries are all non-invertible
+    raises PivotNotInvertible (only possible outside division algebras).
     """
-    rows = [list(r) for r in amat]
-    rhs = list(brhs)
-    if not rows:
+    if not amat:
         raise ValueError("empty system")
-    alg = rhs[0].algebra
-    exact = alg.scalar_mode == RATIONAL
+    alg = brhs[0].algebra
+    zero, one = alg.zero(), alg.one()
+    if alg.scalar_mode != RATIONAL:
+        rows, rhs = [list(r) for r in amat], list(brhs)
 
-    def is_zero(e):
-        return e.is_zero() if exact else e.is_zero(DEFAULT_ZERO_TOL)
+        def is_zero(e):
+            return e.is_zero(DEFAULT_ZERO_TOL)
 
-    pivots = eliminate(rows, rhs, alg.zero(), is_zero,
-                       lambda pivot: pivot.inverse().__mul__,
-                       None if exact else Element.norm,
-                       Element.minus_product if exact else None)
-    return NCSolutionSet(
-        *solution_set(rows, rhs, pivots, alg.zero(), alg.one(), is_zero))
+        pivots = eliminate(rows, rhs, is_zero, lambda pivot: pivot.inverse().__mul__,
+                           divide_and_subtract(zero, is_zero), Element.norm)
+        return NCSolutionSet(*solution_set(rows, rhs, pivots, zero, one, is_zero))
+    ring = ClearedRing(alg)
+    rows = [[ring.clear(e) for e in row] for row in amat]
+    rhs = [ring.clear(b) for b in brhs]
+    pivots = eliminate(rows, rhs, ring.is_zero, ring.divider,
+                       divide_and_subtract(ring.zero, ring.is_zero, ring.update))
+    # the solution set reads only the pivot rows, and every right-hand side
+    rows[:len(pivots)] = [[ring.element(e) for e in row] for row in rows[:len(pivots)]]
+    rhs = [ring.element(b) for b in rhs]
+    return NCSolutionSet(*solution_set(rows, rhs, pivots, zero, one, Element.is_zero))
 
 
 # ---------------------------------------------------------------------------

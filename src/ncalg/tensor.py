@@ -5,8 +5,10 @@ Its coordinates f[i][j] make it an `Element` of the derived algebra
 `Algebra.envelope()` = A (x) A^op, whose product is composition of the maps.
 So composition is multiplication there and inversion is `Element.inverse`;
 that element (and the envelope) is built on first use, and everything else
-reads the flat coordinates.  `apply` stays an independent triple-product
-evaluation, and simple pairs (a, b) given at construction are kept for display.
+reads the flat coordinates.  Simple pairs (a, b) given at construction are
+kept, for display and for `apply`, which evaluates sum_s a_s x b_s over
+them: the equation's own terms, independent of `operator_matrix` and of
+`Algebra.pair_products`.
 """
 
 from __future__ import annotations
@@ -107,19 +109,13 @@ class TensorOp:
     # -- action, composition, vectorization ------------------------------------
 
     def apply(self, x: Element) -> Element:
-        """Evaluate sum_ij f[i][j] e_i x e_j by explicit triple products."""
+        """Evaluate sum_s a_s x b_s over `simple_pairs()`: the pairs given at
+        construction, else e_i (x) row_i, two products per pair."""
         if x.algebra != self.algebra:
             raise AlgebraMismatch("tensor and argument over different algebras")
-        alg = self.algebra
-        total = alg.zero()
-        for i, row in enumerate(self.coeff):
-            if all(v == 0 for v in row):
-                continue
-            left = alg.basis(i) * x
-            for j, v in enumerate(row):
-                if v == 0:
-                    continue
-                total = total + v * (left * alg.basis(j))
+        total = self.algebra.zero()
+        for a, b in self.simple_pairs():
+            total = total + a * x * b
         return total
 
     def compose(self, other: "TensorOp") -> "TensorOp":

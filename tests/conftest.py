@@ -1,8 +1,17 @@
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 import ncalg as nc
+
+# "ci" is deterministic (the same examples on every run, so a CI failure
+# reproduces locally) and small enough for the tier-1 run.  It is selected
+# by HYPOTHESIS_PROFILE, and is the default.
+settings.register_profile("ci", derandomize=True, database=None, max_examples=40,
+                          deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 @pytest.fixture(scope="session")

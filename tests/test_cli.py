@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import ncalg as nc
+from ncalg import cli
 from ncalg.cli import _sort_unknowns, run
 
 DATA = Path(__file__).parent / "data"
@@ -118,6 +119,12 @@ class TestSolve:
         assert _sort_unknowns(["x01", "x1"]) == _sort_unknowns(["x1", "x01"])
         assert _sort_unknowns(["y", "x10", "x2", "x", "x1"]) == \
             ["x", "x1", "x2", "x10", "y"]
+
+    def test_unknown_with_non_ascii_digit_suffix(self, capsys):
+        # "²".isdigit() is true, but int("²") raises
+        code, out, err = invoke(capsys, "solve", "x² = 1")
+        assert (code, out, err) == (0, "x² = 1\n", "")
+        assert _sort_unknowns(["x²", "x2", "x", "x1"]) == ["x", "x1", "x2", "x²"]
 
     def test_unknown_order_independent_of_hash_seed(self):
         outputs = set()
@@ -384,3 +391,28 @@ class TestUsage:
             env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "status: converged" in done.stdout
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ("check", EXAMPLE_UNIQUE, "--x", "-1/2 - 1/2j"),
+        ("check", EXAMPLE_UNIQUE, "--x", "1"),
+        ("check", EXAMPLE_UNIQUE),
+        ("solve", EXAMPLE_UNIQUE),
+        ("newton", EXAMPLE_NEWTON, "--x0", "1+j"),
+        ("solve", "--output", "json", EXAMPLE_SPURIOUS),
+        ("newton", "--bogus", "x = 1"),
+    ]
+
+    def outputs(self, capsys):
+        return [invoke(capsys, *argv) for argv in self.SEQUENCE]
+
+    def test_consecutive_runs_match_fresh_parsers(self, capsys, monkeypatch):
+        reused = self.outputs(capsys)
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert cli._build_parser() is not cli._build_parser()
+        assert self.outputs(capsys) == reused
+        # the --x values of one call never reach the next
+        assert [code for code, _, _ in reused] == [0, 1, 2, 0, 0, 1, 2]
+        assert "got 0" in reused[2][2]
