@@ -11,6 +11,7 @@ freely across threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -21,7 +22,8 @@ from .errors import (
     NotInvertible,
     UnitLawViolation,
 )
-from .linalg import INCONSISTENT, FieldMatrix, cleared, row_reduce, solve_integer
+from .linalg import (INCONSISTENT, FieldMatrix, _integer_ring, cleared, eliminate,
+                     row_reduce)
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -42,7 +44,7 @@ class Algebra:
     `_mul_table[i][j]` lists the (k, C[i][j][k] * _dc).  In float mode `_dc`
     is 1 and the entries are the float constants.  In rational mode `_dc` is
     the common denominator of the constants and the entries are Python ints,
-    so exact products run on integer numerators (see `Element.__mul__`).
+    so exact products run on integer numerators (see `_integer_product`).
     Validation, `pair_products()` and `envelope()` all read this table; the
     dense `constants` are derived from it on request.  The derived algebra
     `envelope()` skips both checks and has no `constants` (None).
@@ -50,7 +52,7 @@ class Algebra:
 
     __slots__ = ("name", "dim", "basis_names", "scalar_mode", "_mul_table",
                  "_dc", "_derived", "_name_to_index", "_basis_cache",
-                 "_pair_products", "_envelope")
+                 "_pair_products", "_envelope", "_kernel")
 
     def __init__(self, constants, basis_names=None, scalar_mode=RATIONAL, name=None):
         if scalar_mode not in (RATIONAL, FLOAT):
@@ -132,6 +134,24 @@ class Algebra:
         )
         self._pair_products = None
         self._envelope = None
+        self._kernel = None
+
+    def _integer_product(self):
+        """The map (xa, xb) -> integer numerators, over _dc, of the product
+        of integer coordinate vectors xa and xb; rational mode only.
+
+        A validated algebra's table is compiled into one straight-line
+        kernel on first use, shared by every equal table in the process
+        (`_compiled_product`).  `envelope()` keeps the sparse loop
+        `_product`: its table has nnz(table)**2 entries, whose compiled
+        kernel would cost more memory than it saves time, and in
+        `solvers.build_richardson` one operand has a single nonzero
+        coordinate, which the loop skips to.
+        """
+        if self._kernel is None:
+            self._kernel = (functools.partial(_product, self._mul_table, zero=0)
+                            if self._derived else _compiled_product(self._mul_table))
+        return self._kernel
 
     def envelope(self) -> "Algebra":
         """A (x) A^op, the algebra of operator tensors, built once and cached.
@@ -336,8 +356,9 @@ class Element:
     """A vector of coordinates over the algebra's basis, with ring arithmetic.
 
     In rational mode products run on integers: each operand is cleared to
-    integer numerators over the lcm of its denominators, multiplied through
-    the integer table, and one `Fraction` is built per output coordinate.
+    integer numerators over the lcm of its denominators, multiplied by the
+    algebra's integer kernel (`Algebra._integer_product`), and one
+    `Fraction` is built per output coordinate.
     """
 
     __slots__ = ("algebra", "coords")
@@ -404,20 +425,9 @@ class Element:
             db, xb = cleared(other.coords)
             den = da * db * alg._dc
             return Element(alg, [Fraction(v, den) if v else _ZERO
-                                 for v in _product(alg._mul_table, xa, xb, 0)],
+                                 for v in alg._integer_product()(xa, xb)],
                            _validated=True)
         return self.scale(other)
-
-    def minus_product(self, f: "Element", g: "Element") -> "Element":
-        """self - f*g in one pass: the row update of exact elimination.
-
-        Rational mode only.  `ClearedRing.update` on the three operands
-        cleared to integers, so each coordinate costs one `Fraction`
-        instead of a product and a difference.
-        """
-        ring = ClearedRing(self.algebra)
-        return ring.element(ring.update(ring.clear(self), ring.clear(f),
-                                        ring.clear(g)))
 
     def __rmul__(self, other):
         # scalars commute with everything, so left and right scaling agree
@@ -472,35 +482,27 @@ class Element:
     # -- inverse and norm ------------------------------------------------------
 
     def inverse(self) -> "Element":
-        """Two-sided inverse, by solving L(self) y = e0 and verifying y*self.
+        """Two-sided inverse; raises NotInvertible when there is none.
 
-        In rational mode no `Fraction` matrix is formed: self = xa/da over
-        the table scaled by _dc gives L(self) = L(xa)/(da*_dc), so the
-        integer system L(xa) y = da*_dc*e0 goes to fraction-free elimination
-        (`linalg.solve_integer`).  Works in any algebra expressible by
-        structure constants, operator tensors in `Algebra.envelope()`
-        included; raises NotInvertible when L(self) y = e0 has no solution
-        or the candidate fails the two-sided check.
+        In rational mode this is `ClearedRing.inverse` on integers, and one
+        `Fraction` is built per coordinate.  In float mode L(self) y = e0 is
+        solved by `row_reduce` and y is checked on both sides within
+        FLOAT_CHECK_TOL.  Works in any algebra expressible by structure
+        constants, operator tensors in `Algebra.envelope()` included.
         """
         if self.is_zero():
             raise NotInvertible("zero element has no inverse")
         alg = self.algebra
-        one = alg.one()
         if alg.scalar_mode == RATIONAL:
-            da, xa = cleared(self.coords)
-            sol = solve_integer(_left_rows(alg._mul_table, xa, 0),
-                                [da * alg._dc] + [0] * (alg.dim - 1))
-        else:
-            sol = row_reduce(self.left_matrix(), list(one.coords))
+            ring = ClearedRing(alg)
+            return ring.element(ring.inverse(cleared(self.coords)))
+        one = alg.one()
+        sol = row_reduce(self.left_matrix(), list(one.coords))
         if sol.kind == INCONSISTENT:
             raise NotInvertible(f"left regular matrix of {self} is singular")
         y = Element(alg, sol.particular, _validated=True)
-        if alg.scalar_mode == RATIONAL:
-            ok = (self * y == one) and (y * self == one)
-        else:
-            ok = ((self * y - one).is_zero(FLOAT_CHECK_TOL)
-                  and (y * self - one).is_zero(FLOAT_CHECK_TOL))
-        if not ok:
+        if not ((self * y - one).is_zero(FLOAT_CHECK_TOL)
+                and (y * self - one).is_zero(FLOAT_CHECK_TOL)):
             raise NotInvertible(f"{self} has no two-sided inverse")
         return y
 
@@ -547,15 +549,17 @@ class ClearedRing:
     returns them, so that equal values have equal entries.
 
     Exact `solvers.nc_row_reduce` hands this ring to `linalg.eliminate`:
-    each entry is cleared once per elimination, pivot divisions and row
-    updates run on integers, and `Element`s are built only at extraction.
+    each entry is cleared once per elimination, and the pivot inverses, the
+    pivot divisions and the row updates all run on integers, through the
+    algebra's integer kernel.  `Element`s are built only at extraction.
     """
 
-    __slots__ = ("algebra", "zero")
+    __slots__ = ("algebra", "zero", "product")
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
         self.zero = (1, [0] * algebra.dim)
+        self.product = algebra._integer_product()
 
     @staticmethod
     def clear(x: Element) -> tuple:
@@ -574,22 +578,49 @@ class ClearedRing:
         g = math.gcd(d, *nums)
         return (d, nums) if g == 1 else (d // g, [v // g for v in nums])
 
+    def inverse(self, entry):
+        """The two-sided inverse of a nonzero entry, as an entry.
+
+        a = nums/d over the table scaled by _dc has L(a) = L(nums)/(d*_dc),
+        so the integer system L(nums) y = d*_dc*e0 goes to fraction-free
+        elimination, and y is read off the pivot rows as integers over the
+        last pivot.  Raises NotInvertible when the system has no solution,
+        or when y fails the two-sided check a*y = y*a = 1, made on integers.
+        """
+        d, nums = entry
+        alg, n = self.algebra, len(nums)
+        rows = _left_rows(alg._mul_table, nums, 0)
+        rhs = [d * alg._dc] + [0] * (n - 1)
+        pivots = eliminate(rows, rhs, **_integer_ring())
+        if any(rhs[len(pivots):]):
+            raise NotInvertible(
+                f"left regular matrix of {self.element(entry)} is singular")
+        xi = [0] * n
+        for r, c in pivots:
+            xi[c] = rhs[r]
+        last = rows[r][c]  # every pivot entry equals the last pivot
+        if last < 0:
+            last, xi = -last, [-v for v in xi]
+        di, xi = self._reduced(last, xi)
+        one = [d * di * alg._dc] + [0] * (n - 1)
+        if self.product(nums, xi) != one or self.product(xi, nums) != one:
+            raise NotInvertible(f"{self.element(entry)} has no two-sided inverse")
+        return di, xi
+
     def divider(self, pivot):
-        """v -> pivot^-1 v, through `Element.inverse`."""
-        alg = self.algebra
-        di, xi = cleared(self.element(pivot).inverse().coords)
-        return lambda v: self._reduced(di * v[0] * alg._dc,
-                                       _product(alg._mul_table, xi, v[1], 0))
+        """v -> pivot^-1 v; raises NotInvertible."""
+        di, xi = self.inverse(pivot)
+        scale, product = di * self.algebra._dc, self.product
+        return lambda v: self._reduced(scale * v[0], product(xi, v[1]))
 
     def update(self, a, f, g):
         """a - f*g, over the lcm of the two denominators."""
-        alg = self.algebra
         (da, xa), (df, xf), (dg, xg) = a, f, g
-        dp = df * dg * alg._dc
+        dp = df * dg * self.algebra._dc
         den = math.lcm(da, dp)
         sa, sp = den // da, den // dp
-        return self._reduced(den, [x * sa - p * sp for x, p in
-                                   zip(xa, _product(alg._mul_table, xf, xg, 0))])
+        return self._reduced(den, [x * sa - p * sp
+                                   for x, p in zip(xa, self.product(xf, xg))])
 
 
 def _left_rows(table, xa, zero):
@@ -604,6 +635,30 @@ def _left_rows(table, xa, zero):
             for k, c in table[i][j]:
                 rows[k][j] = rows[k][j] + a * c
     return rows
+
+
+@functools.lru_cache
+def _compiled_product(table):
+    """The product of integer coordinate vectors through an integer sparse
+    table, as one straight-line function compiled from it: output k is the
+    signed sum of c*ai*bj over the cells (i, j) holding (k, c), in i-then-j
+    order.  The source is built from int indices and int constants only."""
+    n = len(table)
+    sums = [[] for _ in range(n)]
+    for i, plane in enumerate(table):
+        for j, cell in enumerate(plane):
+            for k, c in cell:
+                assert type(k) is int and type(c) is int
+                factor = "" if abs(c) == 1 else f"{abs(c)}*"
+                sums[k].append(f"{'-' if c < 0 else '+'} {factor}a{i}*b{j}")
+    entries = ", ".join(" ".join(terms).removeprefix("+ ") or "0" for terms in sums)
+    source = (f"def product(xa, xb):\n"
+              f"    {''.join(f'a{i}, ' for i in range(n))}= xa\n"
+              f"    {''.join(f'b{i}, ' for i in range(n))}= xb\n"
+              f"    return [{entries}]\n")
+    scope = {}
+    exec(compile(source, "<ncalg product kernel>", "exec"), scope)
+    return scope["product"]
 
 
 def _product(table, xa, xb, zero):

@@ -1,7 +1,7 @@
 """Dense linear algebra, and the one elimination kernel of the package.
 
 `eliminate` is the only Gauss-Jordan sweep: scalar systems (`row_reduce`,
-`rank`, `pivot_columns`, hence `Element.inverse`) and algebra-valued systems
+`rank`, `pivot_columns` and the pivot inverses) and algebra-valued systems
 (`solvers.nc_row_reduce`) differ only in the zero test, the pivot inverse,
 the pivot order and the row step they hand it.  Exact scalars run
 fraction-free on integers: rows are cleared of denominators once, every

@@ -9,12 +9,13 @@ Two independent routes are implemented and cross-checked:
   obtaining an enlarged algebra-valued linear system in the unknowns
   x^j e_p, and runs Gauss-Jordan elimination with left division by pivots.
   The sweep is `linalg.eliminate`, the same one that solve_field runs over
-  the scalars; only the entries and the pivot inverse (`Element.inverse`)
-  differ.  In exact mode the sweep runs on `ClearedRing` entries, with
-  `ClearedRing.update` as the row update, and `Element`s are built only
-  when the solution set is read.
+  the scalars; only the entries and the pivot inverse differ.  In exact
+  mode the sweep runs on `ClearedRing` entries, with `ClearedRing.inverse`
+  as the pivot inverse and `ClearedRing.update` as the row update, and
+  `Element`s are built only when the solution set is read.
   A solution of the enlarged system need NOT solve the original equation
-  when the operator is singular, so every candidate is verified by
+  when the operator is singular (outside central simple algebras, not
+  always even when it is invertible), so every candidate is verified by
   substitution before it is reported; a failing candidate is returned with
   kind UNVERIFIED_ENLARGED instead of being silently trusted.
 
@@ -184,8 +185,12 @@ class AlgebraSolution:
     x + sum_k t_k * nullspace[k] (scalar parameters t_k) consists of verified
     solutions.  UNVERIFIED_ENLARGED means the enlarged system produced the
     candidate x but substitution into the original system left the recorded
-    residuals; this happens exactly when the operator is singular and the
-    enlarged solution does not project onto a true solution.
+    residuals: the enlarged solution did not project onto a true solution.
+    Over a central simple algebra (the quaternions, matrix algebras) that
+    happens only when the operator is singular.  Over other algebras it can
+    happen for an invertible operator too: over the complex numbers
+    u*x + x*u = 1 has the unique solution x = -u/2, yet the enlarged
+    candidate is x = -u.
     """
 
     kind: str
@@ -288,15 +293,17 @@ def nc_row_reduce(amat, brhs) -> NCSolutionSet:
     """Gauss-Jordan elimination over the algebra, dividing rows on the left
     by their pivots.
 
-    This is `linalg.eliminate` with `Element.inverse` as the pivot inverse.
+    This is `linalg.eliminate` with left division by the pivot's inverse.
     In exact mode the pivot is the first invertible entry scanning down the
     column, and the sweep runs on `ClearedRing` entries: every entry is
-    cleared to integer numerators once, the pivot divisions and the row
-    updates a - f*g (`ClearedRing.update`) stay on integers, and
-    `Element`s are built again only for the rows and right-hand sides that
-    the solution set reads.  In float mode the pivot is the invertible entry
-    of largest norm.  A column whose nonzero entries are all non-invertible
-    raises PivotNotInvertible (only possible outside division algebras).
+    cleared to integer numerators once, the pivot inverses
+    (`ClearedRing.inverse`), the pivot divisions and the row updates
+    a - f*g (`ClearedRing.update`) stay on integers, and `Element`s are
+    built again only for the rows and right-hand sides that the solution
+    set reads.  In float mode the pivot is the invertible entry of largest
+    norm, inverted by `Element.inverse`.  A column whose nonzero entries
+    are all non-invertible raises PivotNotInvertible (only possible outside
+    division algebras).
     """
     if not amat:
         raise ValueError("empty system")

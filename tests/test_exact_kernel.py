@@ -1,8 +1,9 @@
 """Exact arithmetic on integer numerators.
 
-Products, the fused row update `minus_product` and the algebra-valued
-elimination are checked against naive `Fraction` loops over the structure
-constants as the builders passed them in (not the algebra's own table).
+The compiled product kernels, products, the fused row update
+`ClearedRing.update` and the algebra-valued elimination are checked against
+naive `Fraction` loops over the structure constants as the builders passed
+them in (not the algebra's own table).
 Float mode is checked bit for bit against the same loops.  Norms and Newton
 runs on numbers beyond the float range end in a value or a named status.
 """
@@ -15,6 +16,8 @@ from fractions import Fraction
 import pytest
 
 import ncalg as nc
+from ncalg import algebra as algebra_module
+from ncalg.algebra import ClearedRing
 from ncalg.cli import run
 from ncalg.newton import BIT_BUDGET, DIVERGED, GeneralizedPolynomial, newton_solve
 from ncalg.solvers import nc_row_reduce
@@ -186,19 +189,73 @@ class TestIntegerProduct:
             assert all(type(c) is Fraction for c in product.coords)
 
 
+class TestCompiledKernel:
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_matches_naive_product(self, name, rng):
+        alg, C = built(name)
+        n, kernel = alg.dim, alg._integer_product()
+        assert kernel is algebra_module._compiled_product(alg._mul_table)
+
+        def vectors():
+            yield [0] * n
+            for k in range(n):  # sparse: one nonzero coordinate
+                yield [rng.choice((-1, 1)) * rng.getrandbits(280) if t == k else 0
+                       for t in range(n)]
+            for _ in range(4):  # 280-bit numerators, a quarter of them zero
+                yield [big_scalar(rng).numerator for _ in range(n)]
+        for xa in vectors():
+            for xb in vectors():
+                got = kernel(xa, xb)
+                assert got == [v * alg._dc for v in naive_product(C, xa, xb)]
+                assert all(type(v) is int for v in got)
+
+    def test_shared_by_equal_algebras(self):
+        first, second = built("H/2")[0], built("H/2")[0]
+        assert first is not second and first == second
+        assert first._integer_product() is second._integer_product()
+        assert matrix_algebra(2)._integer_product() is not first._integer_product()
+
+    def test_float_and_envelope_keep_the_sparse_loop(self, rng):
+        calls, product = [], algebra_module._product
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return product(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algebra_module, "_product", counted)
+            H = nc.quaternion_algebra()
+            x = rand_exact(H, rng)
+            x * x
+            assert calls == []
+            F = nc.quaternion_algebra(nc.FLOAT)
+            F.basis(1) * F.basis(2)
+            assert calls == [4]
+            env = H.envelope()
+            assert env._integer_product().func is counted
+            env.basis(3) * env.one()
+            assert calls == [4, 16]
+
+
 class TestFusedUpdate:
     @pytest.mark.parametrize("name", list(BUILDERS))
     def test_equals_difference_of_product(self, name, rng):
         alg, C = built(name)
+        ring = ClearedRing(alg)
+
+        def update(a, f, g):
+            entry = ring.update(ring.clear(a), ring.clear(f), ring.clear(g))
+            fused = ring.element(entry)
+            assert entry == ring.clear(fused)  # reduced, as `cleared` gives it
+            return fused
         for _ in range(6):
             a, f, g = (rand_exact(alg, rng) for _ in range(3))
-            fused = a.minus_product(f, g)
+            fused = update(a, f, g)
             product = naive_product(C, f.coords, g.coords)
             assert list(fused.coords) == [x - y for x, y in zip(a.coords, product)]
             assert fused == a - f * g
             assert all(type(c) is Fraction for c in fused.coords)
-        assert a.minus_product(f, alg.zero()) == a
-        assert a.minus_product(alg.one(), a).is_zero()
+        assert update(a, f, alg.zero()) == a
+        assert update(a, alg.one(), a).is_zero()
 
     def test_exact_elimination_matches_written_out_sweep(self, rng):
         # the fused update must reach every cell and the right-hand side

@@ -3,9 +3,10 @@
 Exact `row_reduce`, `rank` and `pivot_columns` are checked against sympy's
 `Matrix.rref`, and on the same inputs every step of the fraction-free
 sweep is checked to divide exactly, keep integers and leave every pivot
-entry equal to the last.  Exact `Element.inverse` is checked against a
-written-out `Fraction` sweep over the structure constants, zero divisors
-included, and `TensorOp.apply` against the operator matrix.
+entry equal to the last.  Exact `Element.inverse`, and the pivot inverse
+of the algebra-valued elimination (`ClearedRing.divider`), are checked
+against a written-out `Fraction` sweep over the structure constants, zero
+divisors included, and `TensorOp.apply` against the operator matrix.
 """
 
 from fractions import Fraction
@@ -16,6 +17,8 @@ from hypothesis import given, strategies as st
 
 import ncalg as nc
 from ncalg import linalg
+from ncalg.algebra import ClearedRing
+from ncalg.solvers import nc_row_reduce
 from helpers import algebra_from_data, clifford_algebra, matrix_algebra
 
 BUILDERS = {
@@ -216,19 +219,38 @@ class TestExactInverse:
                 assert fraction_sweep_inverse(w) is None
                 with pytest.raises(nc.NotInvertible):
                     w.inverse()
+                ring = ClearedRing(alg)
+                with pytest.raises(nc.NotInvertible):
+                    ring.divider(ring.clear(w))
 
-    @given(name=st.sampled_from(list(BUILDERS)), coords=elements)
-    def test_equals_fraction_sweep(self, name, coords):
+    @pytest.mark.parametrize("name", list(ZERO_DIVISORS))
+    def test_column_of_zero_divisors_blocks_elimination(self, name):
+        alg = ALGEBRAS[name, nc.RATIONAL]
+        column = [alg.element(coords).scale(Fraction(-3, 7))
+                  for coords in ZERO_DIVISORS[name]]
+        with pytest.raises(nc.PivotNotInvertible):
+            nc_row_reduce([[z, alg.one()] for z in column], [alg.one()] * len(column))
+
+    @given(name=st.sampled_from(list(BUILDERS)), coords=elements, other=elements)
+    def test_equals_fraction_sweep(self, name, coords, other):
         alg = ALGEBRAS[name, nc.RATIONAL]
         a = alg.element(coords[:alg.dim])
         if a.is_zero():
             return
         expected = fraction_sweep_inverse(a)
+        ring = ClearedRing(alg)
         if expected is None:
             with pytest.raises(nc.NotInvertible):
                 a.inverse()
+            with pytest.raises(nc.NotInvertible):
+                ring.divider(ring.clear(a))
         else:
             assert repr(a.inverse().coords) == repr(expected.coords)
+            assert ring.inverse(ring.clear(a)) == linalg.cleared(expected.coords)
+            divide = ring.divider(ring.clear(a))
+            assert divide(ring.clear(alg.one())) == linalg.cleared(expected.coords)
+            b = alg.element(other[:alg.dim])
+            assert ring.element(divide(ring.clear(b))) == expected * b
 
 
 class TestApply:
