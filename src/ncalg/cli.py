@@ -21,8 +21,6 @@ from .algebra import (
 )
 from .errors import (
     AlgebraError,
-    DegreeLimitExceeded,
-    EquationSyntaxError,
     NonlinearTerm,
     NotInvertible,
     PivotNotInvertible,
@@ -49,14 +47,6 @@ from .parser import (
 )
 from .solvers import SylvesterSystem, residuals_vanish, solve_field, solve_richardson
 from .tensor import TensorOp
-
-_USAGE_ERRORS = (
-    EquationSyntaxError,
-    UnknownSymbol,
-    NonlinearTerm,
-    DegreeLimitExceeded,
-)
-
 
 def _load_algebra(source: str, scalar_mode: str) -> Algebra:
     if source == "quaternion":
@@ -369,21 +359,20 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PivotNotInvertible, NotInvertible, SingularTensor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except AlgebraError as exc:
+    except (AlgebraError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
+    """The process entry point.  Exact answers may run to any number of
+    digits, so it lifts Python's limit on int-str conversion (4300 digits by
+    default); `run`, also called in-process, sets nothing process-wide."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run())
 
 

@@ -53,4 +53,5 @@ class UnknownSymbol(AlgebraError):
 
 
 class DegreeLimitExceeded(AlgebraError):
-    """Polynomial normalization exceeded the configured degree bound."""
+    """Polynomial normalization exceeded the degree bound
+    `parser.MAX_DEGREE`."""

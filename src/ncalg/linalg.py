@@ -8,8 +8,8 @@ fraction-free on integers: rows are cleared of denominators once, every
 step keeps them integral (`fraction_free_step`), and one `Fraction` is built
 per output coordinate.  Exact mode takes the first nonzero entry scanning
 top-left to bottom-right so that outputs are reproducible; float mode takes
-the largest-magnitude pivot and treats anything at or below `zero_tol` as
-zero.
+the largest-magnitude pivot and treats anything at or below
+`DEFAULT_ZERO_TOL` as zero.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ class FieldMatrix:
         self.entries = entries
 
     @classmethod
-    def identity(cls, n: int, one=Fraction(1), zero=Fraction(0)) -> "FieldMatrix":
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(cls, n: int) -> "FieldMatrix":
+        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, zero=Fraction(0)) -> "FieldMatrix":
-        return cls([[zero] * cols for _ in range(rows)])
+    def zeros(cls, rows: int, cols: int) -> "FieldMatrix":
+        return cls([[_ZERO] * cols for _ in range(rows)])
 
     def __eq__(self, other):
         return (
@@ -114,8 +114,11 @@ class SolutionSet:
     """Complete description of the solutions of M x = rhs.
 
     kind is one of UNIQUE / PARAMETRIC / INCONSISTENT.  When consistent, the
-    full solution set is `particular + sum_k t_k * nullspace_basis[k]` with the
-    parameters t_k (named free_names[k]) ranging over the scalar field.
+    full solution set is `particular + sum_k nullspace_basis[k] * t_k`, the
+    parameters t_k being named free_names[k].  Over the scalars (`row_reduce`)
+    the t_k range over the field; over an algebra (`solvers.nc_row_reduce`,
+    coefficients on the left of the unknowns) they range over the whole
+    algebra and multiply their direction entrywise from the right.
     """
 
     kind: str
@@ -124,7 +127,10 @@ class SolutionSet:
     free_names: list
 
     def assignment(self, params) -> list:
-        """Evaluate the family at concrete parameter values."""
+        """Evaluate the family at concrete parameter values, each t
+        multiplying its direction from the right as v * t: for scalars the
+        same value as t * v, for algebra-valued constants the right
+        multiplication that the enlarged family needs."""
         if self.particular is None:
             raise ValueError("inconsistent system has no solutions")
         if len(params) != len(self.nullspace_basis):
@@ -132,7 +138,7 @@ class SolutionSet:
         out = list(self.particular)
         for t, vec in zip(params, self.nullspace_basis):
             for pos, v in enumerate(vec):
-                out[pos] = out[pos] + t * v
+                out[pos] = out[pos] + v * t
         return out
 
 
@@ -245,12 +251,12 @@ def fraction_free_step():
     return step
 
 
-def solution_set(rows, rhs, pivots, zero, one, is_zero) -> tuple:
-    """(kind, particular, nullspace, free names) of a system reduced by
-    `eliminate`: zero rows with a nonzero right-hand side make it
-    inconsistent; otherwise free columns become parameters C0, C1, ..."""
+def solution_set(rows, rhs, pivots, zero, one, is_zero) -> SolutionSet:
+    """The solution set of a system reduced by `eliminate`: zero rows with a
+    nonzero right-hand side make it inconsistent; otherwise free columns
+    become parameters C0, C1, ..."""
     if any(not is_zero(rhs[s]) for s in range(len(pivots), len(rows))):
-        return INCONSISTENT, None, [], []
+        return SolutionSet(INCONSISTENT, None, [], [])
     cols = len(rows[0])
     particular = [zero] * cols
     for r, c in pivots:
@@ -266,7 +272,8 @@ def solution_set(rows, rhs, pivots, zero, one, is_zero) -> tuple:
             vec[c] = -rows[r][fc]
         nullspace.append(vec)
     kind = PARAMETRIC if nullspace else UNIQUE
-    return kind, particular, nullspace, [f"C{k}" for k in range(len(nullspace))]
+    return SolutionSet(kind, particular, nullspace,
+                       [f"C{k}" for k in range(len(nullspace))])
 
 
 def _is_zero_exact(v):
@@ -279,14 +286,15 @@ def _integer_ring() -> dict:
                 step=fraction_free_step())
 
 
-def _float_ring(zero_tol: float) -> dict:
-    def is_zero(v):
-        return abs(v) <= zero_tol
+def _is_zero_float(v):
+    return abs(v) <= DEFAULT_ZERO_TOL
 
-    # dividing by the pivot, rather than multiplying by its reciprocal, keeps
-    # float results correctly rounded
-    return dict(is_zero=is_zero, divider=lambda p: lambda v: v / p,
-                step=divide_and_subtract(0.0, is_zero), magnitude=abs)
+
+# dividing by the pivot, rather than multiplying by its reciprocal, keeps
+# float results correctly rounded; the step holds no state, so one ring
+# serves every float elimination
+_FLOAT_RING = dict(is_zero=_is_zero_float, divider=lambda p: lambda v: v / p,
+                   step=divide_and_subtract(0.0, _is_zero_float), magnitude=abs)
 
 
 def cleared(values):
@@ -311,11 +319,11 @@ def solve_integer(rows, rhs) -> SolutionSet:
 
     # the solution set reads only the pivot rows, and every right-hand side
     rows[:found] = [[value(v) for v in row] for row in rows[:found]]
-    return SolutionSet(*solution_set(rows, [value(b) for b in rhs], pivots,
-                                     _ZERO, _ONE, _is_zero_exact))
+    return solution_set(rows, [value(b) for b in rhs], pivots, _ZERO, _ONE,
+                        _is_zero_exact)
 
 
-def row_reduce(matrix: FieldMatrix, rhs, zero_tol: float = DEFAULT_ZERO_TOL) -> SolutionSet:
+def row_reduce(matrix: FieldMatrix, rhs) -> SolutionSet:
     """Solve M x = rhs, classifying the solution set completely.
 
     Inconsistency is a result kind, not an error.  Free columns receive
@@ -328,22 +336,21 @@ def row_reduce(matrix: FieldMatrix, rhs, zero_tol: float = DEFAULT_ZERO_TOL) -> 
     if matrix.is_exact() and not any(isinstance(v, float) for v in rhs):
         rows = [cleared(row + (b,))[1] for row, b in zip(matrix.entries, rhs)]
         return solve_integer(rows, [row.pop() for row in rows])
-    ring = _float_ring(zero_tol)
     rows, b = [list(r) for r in matrix.entries], list(rhs)
-    pivots = eliminate(rows, b, **ring)
-    return SolutionSet(*solution_set(rows, b, pivots, 0.0, 1.0, ring["is_zero"]))
+    pivots = eliminate(rows, b, **_FLOAT_RING)
+    return solution_set(rows, b, pivots, 0.0, 1.0, _is_zero_float)
 
 
-def pivot_columns(matrix: FieldMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> list:
+def pivot_columns(matrix: FieldMatrix) -> list:
     """Columns that get a pivot; in exact mode these are exactly the columns
     independent of the columns before them."""
     if matrix.is_exact():
         rows, ring = [cleared(r)[1] for r in matrix.entries], _integer_ring()
     else:
-        rows, ring = [list(r) for r in matrix.entries], _float_ring(zero_tol)
+        rows, ring = [list(r) for r in matrix.entries], _FLOAT_RING
     return [c for _, c in eliminate(rows, None, **ring)]
 
 
-def rank(matrix: FieldMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
+def rank(matrix: FieldMatrix) -> int:
     """Row rank, using the same pivoting rules as row_reduce."""
-    return len(pivot_columns(matrix, zero_tol))
+    return len(pivot_columns(matrix))

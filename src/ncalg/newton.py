@@ -26,6 +26,10 @@ BIT_BUDGET = "bit_budget"
 #: or residual: about 2466 digits, so every recorded row stays printable
 MAX_BITS = 8192
 
+#: a step blows up when its residual norm exceeds this multiple of the
+#: initial residual norm
+_DIVERGENCE_FACTOR = 1e12
+
 #: consecutive blow-up steps before a run is declared divergent
 _DIVERGENCE_STREAK = 5
 
@@ -149,14 +153,6 @@ def _merge_and_sort(algebra: Algebra, monomials):
     return [tuple(m) for m in sorted(merged, key=key)]
 
 
-def poly_eval(p: GeneralizedPolynomial, x: Element) -> Element:
-    return p.evaluate(x)
-
-
-def poly_derivative_at(p: GeneralizedPolynomial, x0: Element) -> TensorOp:
-    return p.derivative_at(x0)
-
-
 def poly_to_json(p: GeneralizedPolynomial) -> dict:
     """{"monomials": [[coeff, coeff, ...], ...]} with coordinate-array coeffs."""
     from .algebra import element_to_json
@@ -184,7 +180,6 @@ def poly_from_json(algebra: Algebra, data) -> GeneralizedPolynomial:
 class NewtonConfig:
     tol: float = 1e-9
     max_iter: int = 50
-    divergence_factor: float = 1e12
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -228,7 +223,7 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
     matrix of the derivative D at x_k and sets x_{k+1} = x_k + delta.  The
     run stops on residual norm < tol, on a singular operator matrix (even
     with a consistent system), after max_iter steps, or as DIVERGED once the
-    residual exceeds divergence_factor times the initial residual for five
+    residual exceeds _DIVERGENCE_FACTOR times the initial residual for five
     consecutive steps or its norm is not finite (inf, or NaN in float mode).
     In rational mode, where digit lengths roughly double every step, it also
     stops (BIT_BUDGET) before recording an iterate or residual with a
@@ -255,7 +250,7 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
         if rnorm < cfg.tol:
             trace.status = CONVERGED
             return trace
-        if initial_norm > 0 and rnorm > cfg.divergence_factor * initial_norm:
+        if initial_norm > 0 and rnorm > _DIVERGENCE_FACTOR * initial_norm:
             streak += 1
             if streak >= _DIVERGENCE_STREAK:
                 trace.status = DIVERGED

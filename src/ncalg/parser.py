@@ -9,10 +9,11 @@ Grammar (whitespace-insensitive, columns are 1-based):
     power    := atom ("^" INTEGER)?
     atom     := NUMBER | NAME | "(" expr ")"
 
-NUMBER is an integer "2", a fraction "1/2", or (float mode only) a decimal
-like "0.5" with an optional exponent.  A "*" is required between non-numeric
-factors; juxtaposition is only legal right after a numeric literal ("2i",
-"3/2k", "2(1+i)").  Unary minus binds tighter than "+" and looser than "*".
+NUMBER is an integer "2", a fraction "1/2" (a zero denominator is a syntax
+error), or (float mode only) a decimal like "0.5" with an optional exponent.
+A "*" is required between non-numeric factors; juxtaposition is only legal
+right after a numeric literal ("2i", "3/2k", "2(1+i)").  Unary minus binds
+tighter than "+" and looser than "*".
 NAMEs are resolved against the algebra's basis; anything else is treated as
 an unknown and validated when the equation is normalized.
 """
@@ -39,45 +40,38 @@ from .solvers import SylvesterSystem
 @dataclass(frozen=True)
 class Lit:
     value: object          # Fraction, or float in float mode
-    col: int = 0
 
 
 @dataclass(frozen=True)
 class BasisUnit:
     name: str
     index: int
-    col: int = 0
 
 
 @dataclass(frozen=True)
 class Unknown:
     name: str
-    col: int = 0
 
 
 @dataclass(frozen=True)
 class Neg:
     operand: object
-    col: int = 0
 
 
 @dataclass(frozen=True)
 class Sum:
     terms: tuple
-    col: int = 0
 
 
 @dataclass(frozen=True)
 class Product:
     factors: tuple         # order is meaningful: the algebra does not commute
-    col: int = 0
 
 
 @dataclass(frozen=True)
 class Power:
     base: object
     exponent: int
-    col: int = 0
 
 
 def expr_to_text(node) -> str:
@@ -150,7 +144,11 @@ def _tokenize(text: str, float_ok: bool):
                 j += 1
                 while j < size and text[j].isdigit():
                     j += 1
-                value = Fraction(text[i:j])
+                try:
+                    value = Fraction(text[i:j])
+                except ZeroDivisionError:
+                    raise EquationSyntaxError(
+                        f"zero denominator in '{text[i:j]}'", col) from None
             elif is_decimal:
                 if not float_ok:
                     raise EquationSyntaxError(
@@ -215,15 +213,15 @@ class _Parser:
         while self.at_op("+", "-"):
             op = self.advance()
             term = self.parse_term()
-            terms.append(Neg(term, op.col) if op.text == "-" else term)
+            terms.append(Neg(term) if op.text == "-" else term)
         if len(terms) == 1:
             return terms[0]
-        return Sum(tuple(terms), terms[0].col)
+        return Sum(tuple(terms))
 
     def parse_term(self):
         if self.at_op("-"):
-            tok = self.advance()
-            return Neg(self.parse_term(), tok.col)
+            self.advance()
+            return Neg(self.parse_term())
         return self.parse_product()
 
     def parse_product(self):
@@ -244,7 +242,7 @@ class _Parser:
             break
         if len(factors) == 1:
             return factors[0]
-        return Product(tuple(factors), factors[0].col)
+        return Product(tuple(factors))
 
     def parse_power(self):
         base = self.parse_atom()
@@ -258,20 +256,20 @@ class _Parser:
                     tok.col if tok.kind != "END" else caret.col,
                 )
             self.advance()
-            return Power(base, int(tok.value), base.col)
+            return Power(base, int(tok.value))
         return base
 
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
-            return Lit(tok.value, tok.col)
+            return Lit(tok.value)
         if tok.kind == "NAME":
             self.advance()
             index = self.algebra.basis_index(tok.text)
             if index is not None:
-                return BasisUnit(tok.text, index, tok.col)
-            return Unknown(tok.text, tok.col)
+                return BasisUnit(tok.text, index)
+            return Unknown(tok.text)
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
             inner = self.parse_expr()
@@ -420,8 +418,11 @@ def normalize_linear(algebra: Algebra, equations, unknowns) -> SylvesterSystem:
 
 # -- polynomial normalization ------------------------------------------------------
 
+#: the largest polynomial degree `normalize_poly` accepts
+MAX_DEGREE = 8
 
-def _poly_walk(node, algebra: Algebra, unknown: str, max_degree: int):
+
+def _poly_walk(node, algebra: Algebra, unknown: str):
     """Returns a list of monomial coefficient lists."""
     if isinstance(node, Lit):
         return [[algebra.coerce(node.value) * algebra.one()]]
@@ -434,56 +435,52 @@ def _poly_walk(node, algebra: Algebra, unknown: str, max_degree: int):
     if isinstance(node, Neg):
         return [
             [-mono[0]] + mono[1:]
-            for mono in _poly_walk(node.operand, algebra, unknown, max_degree)
+            for mono in _poly_walk(node.operand, algebra, unknown)
         ]
     if isinstance(node, Sum):
         out = []
         for term in node.terms:
-            out.extend(_poly_walk(term, algebra, unknown, max_degree))
+            out.extend(_poly_walk(term, algebra, unknown))
         return out
     if isinstance(node, Product):
-        total = _poly_walk(node.factors[0], algebra, unknown, max_degree)
+        total = _poly_walk(node.factors[0], algebra, unknown)
         for factor in node.factors[1:]:
-            total = _poly_product(
-                total,
-                _poly_walk(factor, algebra, unknown, max_degree),
-                max_degree,
-            )
+            total = _poly_product(total, _poly_walk(factor, algebra, unknown))
         return total
     if isinstance(node, Power):
-        base = _poly_walk(node.base, algebra, unknown, max_degree)
+        base = _poly_walk(node.base, algebra, unknown)
         total = base
         for _ in range(node.exponent - 1):
-            total = _poly_product(total, base, max_degree)
+            total = _poly_product(total, base)
         return total
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _poly_product(lhs, rhs, max_degree: int):
+def _poly_product(lhs, rhs):
     out = []
     for a in lhs:
         for b in rhs:
             degree = (len(a) - 1) + (len(b) - 1)
-            if degree > max_degree:
+            if degree > MAX_DEGREE:
                 raise DegreeLimitExceeded(
-                    f"polynomial degree {degree} exceeds the bound {max_degree}"
+                    f"polynomial degree {degree} exceeds the bound {MAX_DEGREE}"
                 )
             # adjacent constants at the junction merge into one
             out.append(a[:-1] + [a[-1] * b[0]] + b[1:])
     return out
 
 
-def normalize_poly(algebra: Algebra, equation, unknown: str,
-                   max_degree: int = 8):
+def normalize_poly(algebra: Algebra, equation, unknown: str):
     """Turn a parsed equation into (GeneralizedPolynomial, target element).
 
     The left side becomes the polynomial; a constant right side becomes the
     target.  Unknown-dependent terms on the right are moved to the left
-    first, so only the constant part remains as the target.
+    first, so only the constant part remains as the target.  A degree above
+    MAX_DEGREE raises DegreeLimitExceeded.
     """
     lhs, rhs = equation
-    poly = _poly_walk(lhs, algebra, unknown, max_degree)
-    rhs_monos = _poly_walk(rhs, algebra, unknown, max_degree)
+    poly = _poly_walk(lhs, algebra, unknown)
+    rhs_monos = _poly_walk(rhs, algebra, unknown)
     target = algebra.zero()
     for mono in rhs_monos:
         if len(mono) == 1:

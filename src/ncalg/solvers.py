@@ -39,6 +39,7 @@ from .linalg import (
     PARAMETRIC,
     UNIQUE,
     UNVERIFIED_ENLARGED,
+    SolutionSet,
     divide_and_subtract,
     eliminate,
     pivot_columns,
@@ -162,22 +163,6 @@ class RichardsonSystem:
 
 
 @dataclass
-class NCSolutionSet:
-    """Solutions of an algebra-valued linear system M x = b (coefficients on
-    the left of the unknowns).
-
-    When consistent, the full set is particular + sum_k nullspace[k] * c_k
-    where each free constant c_k ranges over the whole algebra and multiplies
-    its direction vector entrywise FROM THE RIGHT.
-    """
-
-    kind: str
-    particular: list | None
-    nullspace: list
-    free_names: list
-
-
-@dataclass
 class AlgebraSolution:
     """Result of a system solve, mapped back to algebra elements.
 
@@ -289,9 +274,10 @@ def build_richardson(system: SylvesterSystem) -> RichardsonSystem:
     return RichardsonSystem(alg, system.m_eq, system.m_unk, amat, brhs)
 
 
-def nc_row_reduce(amat, brhs) -> NCSolutionSet:
+def nc_row_reduce(amat, brhs) -> SolutionSet:
     """Gauss-Jordan elimination over the algebra, dividing rows on the left
-    by their pivots.
+    by their pivots.  In the solution set the free constants range over the
+    whole algebra and multiply their directions from the right.
 
     This is `linalg.eliminate` with left division by the pivot's inverse.
     In exact mode the pivot is the first invertible entry scanning down the
@@ -317,7 +303,7 @@ def nc_row_reduce(amat, brhs) -> NCSolutionSet:
 
         pivots = eliminate(rows, rhs, is_zero, lambda pivot: pivot.inverse().__mul__,
                            divide_and_subtract(zero, is_zero), Element.norm)
-        return NCSolutionSet(*solution_set(rows, rhs, pivots, zero, one, is_zero))
+        return solution_set(rows, rhs, pivots, zero, one, is_zero)
     ring = ClearedRing(alg)
     rows = [[ring.clear(e) for e in row] for row in amat]
     rhs = [ring.clear(b) for b in brhs]
@@ -326,7 +312,7 @@ def nc_row_reduce(amat, brhs) -> NCSolutionSet:
     # the solution set reads only the pivot rows, and every right-hand side
     rows[:len(pivots)] = [[ring.element(e) for e in row] for row in rows[:len(pivots)]]
     rhs = [ring.element(b) for b in rhs]
-    return NCSolutionSet(*solution_set(rows, rhs, pivots, zero, one, Element.is_zero))
+    return solution_set(rows, rhs, pivots, zero, one, Element.is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +386,7 @@ def solve_richardson(system: SylvesterSystem) -> AlgebraSolution:
 
     extracted = [
         [vec[j * n] for j in range(system.m_unk)]
-        for vec in enlarged.nullspace
+        for vec in enlarged.nullspace_basis
     ]
     tol = 0.0 if alg.scalar_mode == RATIONAL else DEFAULT_ZERO_TOL
     nonzero = [d for d in extracted if not all(e.is_zero(tol) for e in d)]

@@ -100,11 +100,11 @@ class TensorOp:
     def __repr__(self):
         return f"TensorOp({self.to_text()})"
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self._coords)
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self._coords)
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return (self.element - 1).is_zero(tol)
+    def is_identity(self) -> bool:
+        return (self.element - 1).is_zero()
 
     # -- action, composition, vectorization ------------------------------------
 

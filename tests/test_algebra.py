@@ -189,6 +189,16 @@ class TestConstruction:
         with pytest.raises(TypeError):
             hq.element([0.5, 0, 0, 0])
 
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_zero_denominator_named(self, mode):
+        alg = nc.quaternion_algebra(mode)
+        with pytest.raises(ValueError, match="zero denominator in scalar '-1/0'"):
+            alg.element(["-1/0", 0, 0, 0])
+        C = complex_constants()
+        C[1][1][0] = "-1/0"
+        with pytest.raises(ValueError, match="'-1/0'"):
+            nc.make_algebra(C, scalar_mode=mode)
+
     def test_float_mode_accepts_everything(self, hq_float):
         x = hq_float.element([0.5, "1/2", 1, Fraction(1, 4)])
         assert x.coords == (0.5, 0.5, 1.0, 0.25)

@@ -383,6 +383,38 @@ class TestUsage:
                               "x = 1")
         assert code == 2
 
+    def test_zero_denominators_exit_2(self, capsys, tmp_path):
+        table = json.loads((DATA / "complex_algebra.json").read_text())
+        table["constants"][1][1][0] = "-1/0"
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(table))
+        for argv in (["solve", "x = 1/0"],
+                     ["check", "--x", "1/0", "x = 1"],
+                     ["newton", "--x0", "1/0", "x^2 = 2"],
+                     ["solve", "--scalar", "float", "x = 3/0"],
+                     ["solve", "--algebra", str(broken), "u*x = 1"]):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: zero denominator in "), argv
+            assert err.count("\n") == 1, argv
+
+    def test_exact_answer_beyond_4300_digits(self):
+        # the entry point lifts Python's int-to-str limit, so the answer
+        # prints, and reads back in to check
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        equation = "(2/3 + 5/7*i - 3/11*j)^1024*x = 1"
+
+        def ncalg(*argv):
+            return subprocess.run([sys.executable, "-m", "ncalg", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+        done = ncalg("solve", equation)
+        assert done.returncode == 0, done.stderr
+        answer = done.stdout.strip().removeprefix("x = ")
+        assert len(answer) > 4300
+        done = ncalg("check", "--x", answer, equation)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "ok"
+
     def test_python_dash_m_runs_the_cli(self):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
         done = subprocess.run(

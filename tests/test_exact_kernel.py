@@ -3,7 +3,8 @@
 The compiled product kernels, products, the fused row update
 `ClearedRing.update` and the algebra-valued elimination are checked against
 naive `Fraction` loops over the structure constants as the builders passed
-them in (not the algebra's own table).
+them in (not the algebra's own table).  Exact inverses, computed from
+a*y = 1 alone, are checked on both sides.
 Float mode is checked bit for bit against the same loops.  Norms and Newton
 runs on numbers beyond the float range end in a value or a named status.
 """
@@ -14,6 +15,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import ncalg as nc
 from ncalg import algebra as algebra_module
@@ -266,8 +268,26 @@ class TestFusedUpdate:
             rows, rhs, pivots = reference_nc_row_reduce(amat, brhs)
             expected = nc.linalg.solution_set(rows, rhs, pivots, H.zero(), H.one(),
                                               lambda e: e.is_zero())
-            got = nc_row_reduce(amat, brhs)
-            assert (got.kind, got.particular, got.nullspace) == expected[:3]
+            assert nc_row_reduce(amat, brhs) == expected
+
+
+class TestExactInverse:
+    EXACT = {name: build(nc.RATIONAL) for name, build in BUILDERS.items()}
+    scalars = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                        st.fractions(min_value=-4, max_value=4, max_denominator=12))
+
+    @given(name=st.sampled_from(list(BUILDERS)), data=st.data())
+    def test_two_sided(self, name, data):
+        # `ClearedRing.inverse` solves a*y = 1 only: y*a = 1 must follow
+        alg = self.EXACT[name]
+        a = alg.element(data.draw(st.lists(self.scalars, min_size=alg.dim,
+                                           max_size=alg.dim)))
+        try:
+            y = a.inverse()
+        except nc.NotInvertible:
+            assume(False)
+        assert a * y == alg.one()
+        assert y * a == alg.one()
 
 
 class TestFloatModeUnchanged:
@@ -291,13 +311,13 @@ class TestFloatModeUnchanged:
             amat = [[entry() for _ in range(m_cols)] for _ in range(m_rows)]
             brhs = [entry() for _ in range(m_rows)]
             rows, rhs, pivots = reference_nc_row_reduce(amat, brhs)
-            kind, particular, nullspace, _ = nc.linalg.solution_set(
+            expected = nc.linalg.solution_set(
                 rows, rhs, pivots, H.zero(), H.one(), lambda e: e.is_zero(1e-12))
             got = nc_row_reduce(amat, brhs)
-            assert got.kind == kind
-            assert coords_repr(got.particular) == coords_repr(particular)
-            assert [coords_repr(v) for v in got.nullspace] == \
-                [coords_repr(v) for v in nullspace]
+            assert got.kind == expected.kind
+            assert coords_repr(got.particular) == coords_repr(expected.particular)
+            assert [coords_repr(v) for v in got.nullspace_basis] == \
+                [coords_repr(v) for v in expected.nullspace_basis]
 
     def test_norms_bit_identical(self, rng):
         H = nc.quaternion_algebra(nc.FLOAT)

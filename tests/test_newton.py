@@ -252,14 +252,14 @@ class TestNewton:
         assert len(trace.iterates) == 3
 
     def test_divergence_streak(self, hq_float):
-        # x^2 from 1 halves the root estimate each step: with an absurdly
-        # small divergence factor every step counts as a blow-up
+        # x^2 = 1 from 1e-9: the first step jumps to about 5e8, and the
+        # residual stays above 1e12 times the initial one while the iterate
+        # halves, for the five steps of the streak
         one = hq_float.one()
         p = GeneralizedPolynomial(hq_float, [[one, one, one]])
-        trace = newton_solve(
-            p, hq_float.zero(), one,
-            NewtonConfig(tol=1e-30, max_iter=50, divergence_factor=1e-9))
+        trace = newton_solve(p, one, one.scale(1e-9))
         assert trace.status == DIVERGED
+        assert len(trace.iterates) == 6
 
     def test_residuals_recomputed(self, hq_float):
         one, i, j, k = (hq_float.basis(t) for t in range(4))

@@ -115,6 +115,13 @@ class TestGrammar:
         with pytest.raises(nc.EquationSyntaxError):
             parse_expression("x^(2)", hq)
 
+    def test_zero_denominator(self, hq, hq_float):
+        for alg, text in ((hq, "x = 1/0"), (hq_float, "x = 3/00")):
+            with pytest.raises(nc.EquationSyntaxError) as err:
+                parse_equation(text, alg)
+            assert err.value.column == 5
+            assert "zero denominator in '" in str(err.value)
+
     def test_equation_needs_one_equals(self, hq):
         with pytest.raises(nc.EquationSyntaxError):
             parse_equation("x + 1", hq)
@@ -247,8 +254,8 @@ class TestNormalizePoly:
         pair = parse_equation("x^9 = 0", hq)
         with pytest.raises(nc.DegreeLimitExceeded):
             normalize_poly(hq, pair, "x")
-        poly, _ = normalize_poly(hq, pair, "x", max_degree=9)
-        assert poly.degree == 9
+        poly, _ = normalize_poly(hq, parse_equation("x^8 = 0", hq), "x")
+        assert poly.degree == 8
 
     def test_wrong_unknown(self, hq):
         pair = parse_equation("y^2 = 0", hq)

@@ -161,12 +161,10 @@ class TestNCRowReduce:
         rich = build_richardson(example_23)
         enl = nc_row_reduce(rich.amat, rich.brhs)
         assert enl.kind == nc.PARAMETRIC
-        assert len(enl.nullspace) == 2
+        assert len(enl.nullspace_basis) == 2
         for _ in range(5):
-            cs = [rand_element(hq, rng) for _ in enl.nullspace]
-            vec = list(enl.particular)
-            for direction, c in zip(enl.nullspace, cs):
-                vec = [v + d * c for v, d in zip(vec, direction)]
+            cs = [rand_element(hq, rng) for _ in enl.nullspace_basis]
+            vec = enl.assignment(cs)
             assert all(r.is_zero() for r in enlarged_matvec(rich, vec))
 
     def test_published_family_is_inside(self, hq, units, example_23):
