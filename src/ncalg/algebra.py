@@ -719,7 +719,23 @@ def format_coords(coords, basis_names) -> str:
 # -- JSON form -----------------------------------------------------------------
 #
 # {"name": ..., "dim": n, "basis": [...],
-#  "constants": n*n*n nested array of "p/q" strings (numbers also accepted)}
+#  "constants": n*n*n nested array of "p/q" strings (integers also accepted;
+#  floats only in float mode)}
+
+
+def reject_json_floats(data, scalar_mode):
+    """Return `data`, a JSON scalar or nested array of them, after checking
+    it holds no float in rational mode.  The JSON readers call this, so a
+    float there raises a ValueError naming it (the CLI's exit 2), while
+    `coerce` keeps raising TypeError for library callers."""
+    if scalar_mode == RATIONAL:
+        if isinstance(data, float):
+            raise ValueError(f"float scalar {data!r} in rational mode; "
+                             "use an integer, a 'p/q' string or float mode")
+        if isinstance(data, list):
+            for item in data:
+                reject_json_floats(item, scalar_mode)
+    return data
 
 
 def algebra_to_json(algebra: Algebra) -> dict:
@@ -741,7 +757,7 @@ def algebra_from_json(data, scalar_mode=RATIONAL) -> Algebra:
     if len(constants) != dim:
         raise ValueError("constants array does not match declared dim")
     return Algebra(
-        constants,
+        reject_json_floats(constants, scalar_mode),
         data.get("basis"),
         scalar_mode=scalar_mode,
         name=data.get("name"),
@@ -753,4 +769,4 @@ def element_to_json(x: Element) -> list:
 
 
 def element_from_json(algebra: Algebra, data) -> Element:
-    return Element(algebra, data)
+    return Element(algebra, reject_json_floats(data, algebra.scalar_mode))

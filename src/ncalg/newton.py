@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .algebra import RATIONAL, Algebra, Element
+from .algebra import RATIONAL, Algebra, Element, element_from_json, element_to_json
 from .errors import AlgebraMismatch
 from .linalg import UNIQUE, row_reduce
 from .tensor import TensorOp
@@ -155,8 +155,6 @@ def _merge_and_sort(algebra: Algebra, monomials):
 
 def poly_to_json(p: GeneralizedPolynomial) -> dict:
     """{"monomials": [[coeff, coeff, ...], ...]} with coordinate-array coeffs."""
-    from .algebra import element_to_json
-
     return {
         "monomials": [
             [element_to_json(c) for c in mono] for mono in p.monomials
@@ -165,8 +163,6 @@ def poly_to_json(p: GeneralizedPolynomial) -> dict:
 
 
 def poly_from_json(algebra: Algebra, data) -> GeneralizedPolynomial:
-    from .algebra import element_from_json
-
     return GeneralizedPolynomial(
         algebra,
         [
@@ -206,8 +202,6 @@ class NewtonTrace:
 
     def rows(self) -> list:
         """Trace as JSON-ready rows {k, x, residual, norm}."""
-        from .algebra import element_to_json
-
         return [
             {"k": k, "x": element_to_json(x), "residual": element_to_json(r),
              "norm": norm}

@@ -16,6 +16,13 @@ right after a numeric literal ("2i", "3/2k", "2(1+i)").  Unary minus binds
 tighter than "+" and looser than "*".
 NAMEs are resolved against the algebra's basis; anything else is treated as
 an unknown and validated when the equation is normalized.
+
+One walk, `_walk`, turns an AST into algebra data for every caller:
+`normalize_linear` (degree 1), `normalize_poly` (degree up to MAX_DEGREE)
+and `evaluate_constant`.  It returns the unknown-free part as one element
+and the rest as monomials c0*x*c1*...*cd that name the unknown in each slot.
+A parenthesized sum of constants stays one coefficient, and base^N takes
+O(log N) products by square-and-multiply.
 """
 
 from __future__ import annotations
@@ -282,28 +289,30 @@ class _Parser:
         )
 
 
-def parse_expression(text: str, algebra: Algebra):
-    """Parse a single expression (no '=')."""
+def _parse_all(text: str, algebra: Algebra, rule):
+    """Run `rule` on a fresh parser over `text` and require it to read all of it."""
     tokens = _tokenize(text, float_ok=algebra.scalar_mode != RATIONAL)
     parser = _Parser(tokens, algebra)
-    expr = parser.parse_expr()
+    result = rule(parser)
     tail = parser.peek()
     if tail.kind != "END":
         raise EquationSyntaxError(f"unexpected {tail.text!r}", tail.col)
-    return expr
+    return result
+
+
+def parse_expression(text: str, algebra: Algebra):
+    """Parse a single expression (no '=')."""
+    return _parse_all(text, algebra, _Parser.parse_expr)
 
 
 def parse_equation(text: str, algebra: Algebra):
     """Parse 'lhs = rhs' into a pair of ASTs."""
-    tokens = _tokenize(text, float_ok=algebra.scalar_mode != RATIONAL)
-    parser = _Parser(tokens, algebra)
-    lhs = parser.parse_expr()
-    parser.expect_op("=")
-    rhs = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "END":
-        raise EquationSyntaxError(f"unexpected {tail.text!r}", tail.col)
-    return lhs, rhs
+    def equation(parser):
+        lhs = parser.parse_expr()
+        parser.expect_op("=")
+        return lhs, parser.parse_expr()
+
+    return _parse_all(text, algebra, equation)
 
 
 def collect_unknowns(node) -> set:
@@ -320,174 +329,110 @@ def collect_unknowns(node) -> set:
     return set()
 
 
-# -- linear normalization -------------------------------------------------------
+# -- normalization ---------------------------------------------------------------
+
+#: the largest polynomial degree `normalize_poly` accepts
+MAX_DEGREE = 8
 
 
-class _LinForm:
-    """constant + sum over unknowns of pairs (a, b) meaning a * unknown * b."""
+def _walk(node, algebra: Algebra, unknowns, max_degree: int):
+    """The one walk from an AST to algebra data: (constant, monomials).
 
-    __slots__ = ("const", "terms")
-
-    def __init__(self, const: Element, terms=None):
-        self.const = const
-        self.terms = terms or {}
-
-    def __add__(self, other: "_LinForm") -> "_LinForm":
-        terms = {name: list(pairs) for name, pairs in self.terms.items()}
-        for name, pairs in other.terms.items():
-            terms.setdefault(name, []).extend(pairs)
-        return _LinForm(self.const + other.const, terms)
-
-    def negate(self) -> "_LinForm":
-        terms = {
-            name: [(-a, b) for a, b in pairs]
-            for name, pairs in self.terms.items()
-        }
-        return _LinForm(-self.const, terms)
-
-    def multiply(self, other: "_LinForm", node) -> "_LinForm":
-        if self.terms and other.terms:
-            raise NonlinearTerm(
-                f"product of unknowns in {expr_to_text(node)!r}"
-            )
-        if other.terms:
-            terms = {
-                name: [(self.const * a, b) for a, b in pairs]
-                for name, pairs in other.terms.items()
-            }
-            return _LinForm(self.const * other.const, terms)
-        terms = {
-            name: [(a, b * other.const) for a, b in pairs]
-            for name, pairs in self.terms.items()
-        }
-        return _LinForm(self.const * other.const, terms)
-
-
-def _linear_walk(node, algebra: Algebra, unknowns) -> _LinForm:
+    `constant` is the unknown-free part summed into one Element.  Each
+    monomial is (coefficients, names), meaning c0*names[0]*c1*...*cd, with
+    one unknown's name per slot.  Products distribute over sums, but a sum of
+    constants stays one coefficient.  Monomials of degree above `max_degree`
+    raise NonlinearTerm when it is 1, else DegreeLimitExceeded.
+    """
     if isinstance(node, Lit):
-        return _LinForm(algebra.coerce(node.value) * algebra.one())
+        return algebra.coerce(node.value) * algebra.one(), []
     if isinstance(node, BasisUnit):
-        return _LinForm(algebra.basis(node.index))
+        return algebra.basis(node.index), []
     if isinstance(node, Unknown):
         if node.name not in unknowns:
             raise UnknownSymbol(f"unknown symbol {node.name!r}")
-        return _LinForm(
-            algebra.zero(),
-            {node.name: [(algebra.one(), algebra.one())]},
-        )
+        return algebra.zero(), [((algebra.one(), algebra.one()), (node.name,))]
     if isinstance(node, Neg):
-        return _linear_walk(node.operand, algebra, unknowns).negate()
+        const, monos = _walk(node.operand, algebra, unknowns, max_degree)
+        return -const, [((-c[0],) + c[1:], names) for c, names in monos]
     if isinstance(node, Sum):
-        total = _linear_walk(node.terms[0], algebra, unknowns)
-        for term in node.terms[1:]:
-            total = total + _linear_walk(term, algebra, unknowns)
-        return total
+        parts = [_walk(term, algebra, unknowns, max_degree) for term in node.terms]
+        const = parts[0][0]
+        for term_const, _monos in parts[1:]:
+            const = const + term_const
+        return const, [mono for _const, monos in parts for mono in monos]
     if isinstance(node, Product):
-        total = _linear_walk(node.factors[0], algebra, unknowns)
+        # one factor at a time, so x*x*y with unknowns {x} fails as
+        # nonlinear before y is looked up
+        total = _walk(node.factors[0], algebra, unknowns, max_degree)
         for factor in node.factors[1:]:
-            total = total.multiply(
-                _linear_walk(factor, algebra, unknowns), node
-            )
+            total = _times(total, _walk(factor, algebra, unknowns, max_degree),
+                           node, max_degree)
         return total
     if isinstance(node, Power):
-        base = _linear_walk(node.base, algebra, unknowns)
+        # square-and-multiply: O(log N) products for base^N
+        base = _walk(node.base, algebra, unknowns, max_degree)
         total = base
-        for _ in range(node.exponent - 1):
-            total = total.multiply(base, node)
+        for bit in bin(node.exponent)[3:]:
+            total = _times(total, total, node, max_degree)
+            if bit == "1":
+                total = _times(total, base, node, max_degree)
         return total
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _times(lhs, rhs, node, max_degree: int):
+    """(c1 + m1)(c2 + m2) = c1*c2 + c1*m2 + m1*c2 + m1*m2 as one walk result;
+    the constants at each junction merge into one coefficient."""
+    c1, m1 = lhs
+    c2, m2 = rhs
+    monos = [((c1 * a[0],) + a[1:], names) for a, names in m2]
+    monos += [(a[:-1] + (a[-1] * c2,), names) for a, names in m1]
+    for a, names_a in m1:
+        for b, names_b in m2:
+            degree = len(names_a) + len(names_b)
+            if degree > max_degree:
+                if max_degree == 1:
+                    raise NonlinearTerm(
+                        f"product of unknowns in {expr_to_text(node)!r}")
+                raise DegreeLimitExceeded(
+                    f"polynomial degree {degree} exceeds the bound {max_degree}")
+            monos.append((a[:-1] + (a[-1] * b[0],) + b[1:], names_a + names_b))
+    return c1 * c2, monos
 
 
 def normalize_linear(algebra: Algebra, equations, unknowns) -> SylvesterSystem:
     """Collect parsed equations into a Sylvester system.
 
     equations: list of (lhs, rhs) AST pairs; unknowns: ordered names defining
-    the column layout.  Products are distributed, constants move to the
-    right-hand side, and each equation/unknown cell becomes one operator.
+    the column layout.  lhs - rhs goes through the one walk with degree 1
+    (a product of unknowns raises NonlinearTerm).  Its monomials a*x*b become
+    the operator terms of x's column, and its negated constant becomes the
+    right-hand side.
     """
     column = {name: j for j, name in enumerate(unknowns)}
     rows = []
-    for lhs, rhs_ast in equations:
-        moved = _linear_walk(lhs, algebra, column) \
-            + _linear_walk(rhs_ast, algebra, column).negate()
-        terms = [(a, b, column[name])
-                 for name, pairs in moved.terms.items() for a, b in pairs]
-        rows.append((terms, -moved.const))
+    for lhs, rhs in equations:
+        const, monos = _walk(Sum((lhs, Neg(rhs))), algebra, column, 1)
+        rows.append(([(a, b, column[name]) for (a, b), (name,) in monos], -const))
     return SylvesterSystem.from_terms(algebra, rows, len(column))
-
-
-# -- polynomial normalization ------------------------------------------------------
-
-#: the largest polynomial degree `normalize_poly` accepts
-MAX_DEGREE = 8
-
-
-def _poly_walk(node, algebra: Algebra, unknown: str):
-    """Returns a list of monomial coefficient lists."""
-    if isinstance(node, Lit):
-        return [[algebra.coerce(node.value) * algebra.one()]]
-    if isinstance(node, BasisUnit):
-        return [[algebra.basis(node.index)]]
-    if isinstance(node, Unknown):
-        if node.name != unknown:
-            raise UnknownSymbol(f"unknown symbol {node.name!r}")
-        return [[algebra.one(), algebra.one()]]
-    if isinstance(node, Neg):
-        return [
-            [-mono[0]] + mono[1:]
-            for mono in _poly_walk(node.operand, algebra, unknown)
-        ]
-    if isinstance(node, Sum):
-        out = []
-        for term in node.terms:
-            out.extend(_poly_walk(term, algebra, unknown))
-        return out
-    if isinstance(node, Product):
-        total = _poly_walk(node.factors[0], algebra, unknown)
-        for factor in node.factors[1:]:
-            total = _poly_product(total, _poly_walk(factor, algebra, unknown))
-        return total
-    if isinstance(node, Power):
-        base = _poly_walk(node.base, algebra, unknown)
-        total = base
-        for _ in range(node.exponent - 1):
-            total = _poly_product(total, base)
-        return total
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _poly_product(lhs, rhs):
-    out = []
-    for a in lhs:
-        for b in rhs:
-            degree = (len(a) - 1) + (len(b) - 1)
-            if degree > MAX_DEGREE:
-                raise DegreeLimitExceeded(
-                    f"polynomial degree {degree} exceeds the bound {MAX_DEGREE}"
-                )
-            # adjacent constants at the junction merge into one
-            out.append(a[:-1] + [a[-1] * b[0]] + b[1:])
-    return out
 
 
 def normalize_poly(algebra: Algebra, equation, unknown: str):
     """Turn a parsed equation into (GeneralizedPolynomial, target element).
 
-    The left side becomes the polynomial; a constant right side becomes the
-    target.  Unknown-dependent terms on the right are moved to the left
-    first, so only the constant part remains as the target.  A degree above
-    MAX_DEGREE raises DegreeLimitExceeded.
+    Both sides go through the one walk with degree MAX_DEGREE; a higher
+    degree raises DegreeLimitExceeded.  The left side's monomials and
+    constant become the polynomial, the right side's monomials move to it
+    negated, and the right side's constant is the target.  A parenthesized
+    sum of constants stays one coefficient: (i+j)*x*(1+k) is one monomial.
     """
     lhs, rhs = equation
-    poly = _poly_walk(lhs, algebra, unknown)
-    rhs_monos = _poly_walk(rhs, algebra, unknown)
-    target = algebra.zero()
-    for mono in rhs_monos:
-        if len(mono) == 1:
-            target = target + mono[0]
-        else:
-            poly.append([-mono[0]] + mono[1:])
-    return GeneralizedPolynomial(algebra, poly), target
+    lhs_const, lhs_monos = _walk(lhs, algebra, (unknown,), MAX_DEGREE)
+    rhs_const, rhs_monos = _walk(rhs, algebra, (unknown,), MAX_DEGREE)
+    monomials = [(lhs_const,)] + [c for c, _names in lhs_monos]
+    monomials += [(-c[0],) + c[1:] for c, _names in rhs_monos]
+    return GeneralizedPolynomial(algebra, monomials), rhs_const
 
 
 # -- rendering -----------------------------------------------------------------
@@ -499,6 +444,6 @@ def format_element(x: Element) -> str:
 
 
 def evaluate_constant(node, algebra: Algebra) -> Element:
-    """Evaluate an unknown-free expression to an element."""
-    form = _linear_walk(node, algebra, set())
-    return form.const
+    """Evaluate an unknown-free expression to an element: the constant of
+    the one walk, so base^N takes O(log N) products."""
+    return _walk(node, algebra, (), 0)[0]

@@ -398,6 +398,29 @@ class TestUsage:
             assert err.startswith("error: zero denominator in "), argv
             assert err.count("\n") == 1, argv
 
+    def test_float_in_json_exit_2_in_rational_mode(self, capsys, tmp_path):
+        table = json.loads((DATA / "complex_algebra.json").read_text())
+        table["constants"][1][1][0] = -1.0
+        algebra = tmp_path / "algebra.json"
+        algebra.write_text(json.dumps(table))
+        system = json.loads((DATA / "system_example21.json").read_text())
+        system["equations"][0]["terms"][0]["left"] = [0.5, 0, 0, 0]
+        system_path = tmp_path / "system.json"
+        system_path.write_text(json.dumps(system))
+        tensor = tmp_path / "tensor.json"
+        tensor.write_text(json.dumps({"coeff": [[0.5, 0, 0, 0]] + [[0] * 4] * 3}))
+        for argv, value in (
+                (["check", "--algebra", str(algebra), "--x", "1", "x = 1"], "-1.0"),
+                (["solve", "--system-json", str(system_path)], "0.5"),
+                (["invert-tensor", "--tensor-json", str(tensor)], "0.5")):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: float scalar {value} in rational mode"), argv
+            assert err.count("\n") == 1, argv
+            # the same files are valid input in float mode
+            code, _, err = invoke(capsys, *argv, "--scalar", "float")
+            assert code in (0, 1) and err == "", argv
+
     def test_exact_answer_beyond_4300_digits(self):
         # the entry point lifts Python's int-to-str limit, so the answer
         # prints, and reads back in to check

@@ -83,6 +83,17 @@ class TestGrammar:
         assert evaluate_constant(parse_expression("2(1+i)", hq), hq) == \
             2 * (one + i)
 
+    def test_constant_powers(self, hq, units):
+        one, i, j, k = units
+        # square-and-multiply keeps large exponents cheap
+        assert evaluate_constant(parse_expression("(1+i)^1000", hq), hq) == \
+            2 ** 500 * one
+        assert evaluate_constant(parse_expression("i^300001", hq), hq) == i
+        base = parse_expression("(2/3 + 5/7*i - 3/11*j)", hq)
+        for n in range(1, 20):
+            power = Power(base, n)
+            assert evaluate_constant(power, hq) == eval_with(power, hq, {}), n
+
     def test_star_required_between_symbols(self, hq):
         with pytest.raises(nc.EquationSyntaxError):
             parse_expression("i j", hq)
@@ -182,6 +193,34 @@ class TestNormalizeLinear:
         with pytest.raises(nc.NonlinearTerm):
             normalize_linear(hq, [pair], ["x"])
 
+    def test_nonlinear_names_the_subterm(self, hq):
+        pair = parse_equation("x*(1+x) = 0", hq)
+        with pytest.raises(nc.NonlinearTerm) as err:
+            normalize_linear(hq, [pair], ["x"])
+        assert str(err.value) == "product of unknowns in '(x)*(1 + x)'"
+        # factors are walked one at a time: the product fails before y is read
+        pair = parse_equation("x*x*y = 0", hq)
+        with pytest.raises(nc.NonlinearTerm):
+            normalize_linear(hq, [pair], ["x"])
+
+    def test_matches_ast_evaluation(self, hq, rng):
+        cases = [
+            ("(i+j)*x*k + k*x*(j+k) = 1+k", ["x"]),
+            ("(1 + i - 2j)*x*(k - 1/2) + 3 = (j + k)*(1 - i) - x", ["x"]),
+            ("2 - (i+j)*(x + 1)*(1+k) = (k - i)*x*j + (1 + j)^3", ["x"]),
+            ("(1+i)*x1*(j-k) + x2*(2 + k) - i = (j + 1/3)*x2*(i+k) + (1-j)*(1+k)",
+             ["x1", "x2"]),
+            ("-(x1 + (1-k)*x2)*(i + j) + k^2 = x1 - (2 + i)", ["x1", "x2"]),
+        ]
+        for text, names in cases:
+            lhs, rhs = parse_equation(text, hq)
+            system = normalize_linear(hq, [(lhs, rhs)], names)
+            for _ in range(10):
+                xs = [rand_element(hq, rng) for _ in names]
+                values = dict(zip(names, xs))
+                direct = eval_with(lhs, hq, values) - eval_with(rhs, hq, values)
+                assert system.apply_ops(xs)[0] - system.rhs[0] == direct, text
+
     def test_unknown_symbol(self, hq):
         pair = parse_equation("y + 1 = 0", hq)
         with pytest.raises(nc.UnknownSymbol):
@@ -227,6 +266,14 @@ class TestNormalizePoly:
         poly, target = normalize_poly(hq, pair, "x")
         assert poly == GeneralizedPolynomial(hq, [[i, one, j]])
         assert target == one
+
+    def test_constant_sums_stay_one_coefficient(self, hq, units):
+        one, i, j, k = units
+        pair = parse_equation("(i+j)*x*(1+k) = 0", hq)
+        poly, target = normalize_poly(hq, pair, "x")
+        assert poly == GeneralizedPolynomial(hq, [[i + j, one + k]])
+        assert len(poly.monomials) == 1
+        assert target == hq.zero()
 
     def test_unknown_terms_on_right_move_left(self, hq, units):
         one, i, j, k = units
