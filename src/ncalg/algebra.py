@@ -44,7 +44,8 @@ class Algebra:
     `_mul_table[i][j]` lists the (k, C[i][j][k] * _dc).  In float mode `_dc`
     is 1 and the entries are the float constants.  In rational mode `_dc` is
     the common denominator of the constants and the entries are Python ints,
-    so exact products run on integer numerators (see `_integer_product`).
+    so exact products run on integer numerators.  Products go through the
+    kernel that `_product_kernel` compiles from this table, in both modes.
     Validation, `pair_products()` and `envelope()` all read this table; the
     dense `constants` are derived from it on request.  The derived algebra
     `envelope()` skips both checks and has no `constants` (None).
@@ -136,21 +137,25 @@ class Algebra:
         self._envelope = None
         self._kernel = None
 
-    def _integer_product(self):
-        """The map (xa, xb) -> integer numerators, over _dc, of the product
-        of integer coordinate vectors xa and xb; rational mode only.
+    def _product_kernel(self):
+        """The map (xa, xb) -> coordinates of the product of coordinate
+        vectors xa and xb: floats in float mode, and in rational mode the
+        integer numerators, over _dc, of the product of integer vectors.
 
         A validated algebra's table is compiled into one straight-line
-        kernel on first use, shared by every equal table in the process
-        (`_compiled_product`).  `envelope()` keeps the sparse loop
-        `_product`: its table has nnz(table)**2 entries, whose compiled
-        kernel would cost more memory than it saves time, and in
-        `solvers.build_richardson` one operand has a single nonzero
-        coordinate, which the loop skips to.
+        kernel on first use, shared by every equal table of the same scalar
+        mode in the process (`_compiled_product`).  Its results equal the
+        sparse loop `_product`'s, bit for bit in float mode, where an output
+        holding a NaN is recomputed by the loop.  `envelope()` keeps the
+        loop: its table has nnz(table)**2 entries, whose compiled kernel
+        would cost more memory than it saves time.
         """
         if self._kernel is None:
-            self._kernel = (functools.partial(_product, self._mul_table, zero=0)
-                            if self._derived else _compiled_product(self._mul_table))
+            if self._derived:
+                zero = 0 if self.scalar_mode == RATIONAL else 0.0
+                self._kernel = functools.partial(_product, self._mul_table, zero=zero)
+            else:
+                self._kernel = _compiled_product(self._mul_table, self.scalar_mode)
         return self._kernel
 
     def envelope(self) -> "Algebra":
@@ -359,10 +364,13 @@ def quaternion_algebra(scalar_mode=RATIONAL) -> Algebra:
 class Element:
     """A vector of coordinates over the algebra's basis, with ring arithmetic.
 
-    In rational mode products run on integers: each operand is cleared to
-    integer numerators over the lcm of its denominators, multiplied by the
-    algebra's integer kernel (`Algebra._integer_product`), and one
-    `Fraction` is built per output coordinate.
+    Products run through the algebra's kernel (`Algebra._product_kernel`).
+    In rational mode each operand is cleared to integer numerators over the
+    lcm of its denominators, the kernel multiplies those, and one `Fraction`
+    is built per output coordinate.  In float mode the kernel multiplies the
+    coordinates as they are, and its result is the sparse loop's bit for
+    bit: a product whose compiled result holds a NaN (0*inf where the loop
+    skips the zero) is recomputed by the loop.
     """
 
     __slots__ = ("algebra", "coords")
@@ -422,14 +430,13 @@ class Element:
             self._same_algebra(other)
             alg = self.algebra
             if alg.scalar_mode != RATIONAL:
-                return Element(alg, _product(alg._mul_table, self.coords,
-                                             other.coords, alg.scalar_zero()),
+                return Element(alg, alg._product_kernel()(self.coords, other.coords),
                                _validated=True)
             da, xa = cleared(self.coords)
             db, xb = cleared(other.coords)
             den = da * db * alg._dc
             return Element(alg, [Fraction(v, den) if v else _ZERO
-                                 for v in alg._integer_product()(xa, xb)],
+                                 for v in alg._product_kernel()(xa, xb)],
                            _validated=True)
         return self.scale(other)
 
@@ -563,7 +570,7 @@ class ClearedRing:
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
         self.zero = (1, [0] * algebra.dim)
-        self.product = algebra._integer_product()
+        self.product = algebra._product_kernel()
 
     @staticmethod
     def clear(x: Element) -> tuple:
@@ -640,32 +647,60 @@ def _left_rows(table, xa, zero):
 
 
 @functools.lru_cache
-def _compiled_product(table):
-    """The product of integer coordinate vectors through an integer sparse
-    table, as one straight-line function compiled from it: output k is the
-    signed sum of c*ai*bj over the cells (i, j) holding (k, c), in i-then-j
-    order.  The source is built from int indices and int constants only."""
-    n = len(table)
+def _compiled_product(table, scalar_mode):
+    """The product of coordinate vectors through a sparse table, as one
+    straight-line function compiled from it, returning what `_product`
+    returns on every input.  Output k sums a_i*b_j*c over the cells (i, j)
+    holding (k, c), in the loop's i-then-j order, with c = +-1 as an added
+    or subtracted a_i*b_j.
+
+    Rational mode multiplies integer numerators, and the source is built
+    from int indices and int constants.  Float mode starts every output
+    from `0.0 +`, as the loop's accumulators do, so no -0.0 appears, and
+    its constants enter as bound names, never as text.  It multiplies the
+    zero coordinates the loop skips; a zero term leaves a sum unchanged
+    unless its other factor is infinite or NaN, where 0*inf gives NaN.  So
+    an output holding a NaN is computed again by `_product`.
+
+    The cache key holds the scalar mode: an int table equals, and hashes
+    like, the float table of the same constants.
+    """
+    n, exact = len(table), scalar_mode == RATIONAL
+    scope = {} if exact else {"isnan": math.isnan,
+                              "loop": lambda xa, xb: _product(table, xa, xb, 0.0)}
     sums = [[] for _ in range(n)]
     for i, plane in enumerate(table):
         for j, cell in enumerate(plane):
             for k, c in cell:
-                assert type(k) is int and type(c) is int
-                factor = "" if abs(c) == 1 else f"{abs(c)}*"
-                sums[k].append(f"{'-' if c < 0 else '+'} {factor}a{i}*b{j}")
-    entries = ", ".join(" ".join(terms).removeprefix("+ ") or "0" for terms in sums)
+                assert type(k) is int and (type(c) is int or not exact)
+                if c == 1 or c == -1:
+                    sums[k].append(f"{'-' if c < 0 else '+'} a{i}*b{j}")
+                    continue
+                if not exact:
+                    name = f"c{len(scope)}"
+                    scope[name] = c
+                    c = name
+                sums[k].append(f"+ a{i}*b{j}*{c}")
+    if exact:
+        entries = ", ".join(" ".join(terms).removeprefix("+ ") or "0"
+                            for terms in sums)
+        body = f"return [{entries}]"
+    else:
+        entries = ", ".join(" ".join(["0.0", *terms]) for terms in sums)
+        body = f"out = [{entries}]\n    return loop(xa, xb) if isnan(sum(out)) else out"
     source = (f"def product(xa, xb):\n"
               f"    {''.join(f'a{i}, ' for i in range(n))}= xa\n"
               f"    {''.join(f'b{i}, ' for i in range(n))}= xb\n"
-              f"    return [{entries}]\n")
-    scope = {}
+              f"    {body}\n")
     exec(compile(source, "<ncalg product kernel>", "exec"), scope)
     return scope["product"]
 
 
 def _product(table, xa, xb, zero):
     """Coordinates of the product of coordinate vectors xa and xb through a
-    sparse table: floats in float mode, integer numerators in rational mode."""
+    sparse table: floats in float mode, integer numerators in rational mode.
+    `envelope()` multiplies by this loop, and a float kernel falls back to
+    it (`_compiled_product`)."""
     out = [zero] * len(xa)
     for i, a in enumerate(xa):
         if a == 0:
@@ -723,18 +758,22 @@ def format_coords(coords, basis_names) -> str:
 #  floats only in float mode)}
 
 
-def reject_json_floats(data, scalar_mode):
+def check_json_scalars(data, scalar_mode):
     """Return `data`, a JSON scalar or nested array of them, after checking
-    it holds no float in rational mode.  The JSON readers call this, so a
-    float there raises a ValueError naming it (the CLI's exit 2), while
-    `coerce` keeps raising TypeError for library callers."""
-    if scalar_mode == RATIONAL:
-        if isinstance(data, float):
-            raise ValueError(f"float scalar {data!r} in rational mode; "
-                             "use an integer, a 'p/q' string or float mode")
-        if isinstance(data, list):
-            for item in data:
-                reject_json_floats(item, scalar_mode)
+    that every scalar is a number or a string, and no float in rational
+    mode.  The JSON readers call this, so a `null`, a `true`/`false`, an
+    object or a rational-mode float there raises a ValueError naming it
+    (the CLI's exit 2), while `coerce` keeps raising TypeError for library
+    callers."""
+    if isinstance(data, list):
+        for item in data:
+            check_json_scalars(item, scalar_mode)
+    elif isinstance(data, bool) or not isinstance(data, (int, float, str)):
+        raise ValueError(f"JSON scalar {json.dumps(data)} is neither a number "
+                         "nor a string")
+    elif scalar_mode == RATIONAL and isinstance(data, float):
+        raise ValueError(f"float scalar {data!r} in rational mode; "
+                         "use an integer, a 'p/q' string or float mode")
     return data
 
 
@@ -757,7 +796,7 @@ def algebra_from_json(data, scalar_mode=RATIONAL) -> Algebra:
     if len(constants) != dim:
         raise ValueError("constants array does not match declared dim")
     return Algebra(
-        reject_json_floats(constants, scalar_mode),
+        check_json_scalars(constants, scalar_mode),
         data.get("basis"),
         scalar_mode=scalar_mode,
         name=data.get("name"),
@@ -769,4 +808,4 @@ def element_to_json(x: Element) -> list:
 
 
 def element_from_json(algebra: Algebra, data) -> Element:
-    return Element(algebra, reject_json_floats(data, algebra.scalar_mode))
+    return Element(algebra, check_json_scalars(data, algebra.scalar_mode))

@@ -40,6 +40,7 @@ from .linalg import (
     UNIQUE,
     UNVERIFIED_ENLARGED,
     SolutionSet,
+    cleared,
     divide_and_subtract,
     eliminate,
     pivot_columns,
@@ -253,22 +254,49 @@ def solve_field(system: SylvesterSystem) -> AlgebraSolution:
 def build_richardson(system: SylvesterSystem) -> RichardsonSystem:
     """Right-multiply every equation by every basis unit.
 
-    Multiplying equation i by e_l on the right composes each of its operators
-    f with x -> x e_l, which in A (x) A^op is the product g = (1 (x) e_l) f.
-    As g(x) = sum_p (sum_u g[u][p] e_u) (x e_p), column p of g's coefficient
-    matrix is the coefficient of the unknown x^j e_p in row (i, l).
+    Multiplying equation i by e_l on the right turns each of its operators
+    f = sum_um f[u][m] e_u (x) e_m into x -> sum_um f[u][m] e_u x (e_m e_l)
+    = sum_p (sum_u (sum_m f[u][m] C[m][l][p]) e_u) (x e_p), so the element
+    in brackets is the coefficient of the unknown x^j e_p in row (i, l).
+    It is summed straight from the sparse table, m ascending, with no
+    operator product in A (x) A^op; in rational mode over each operator's
+    integer numerators, cleared once per operator.
     """
     alg = system.algebra
-    n = alg.dim
-    env = alg.envelope()
+    n, table = alg.dim, alg._mul_table
+    columns = [[plane[l] for plane in table] for l in range(n)]  # e_m e_l
+    if alg.scalar_mode == RATIONAL:
+        zero, ring = 0, ClearedRing(alg)
+
+        def operator(op):
+            d, nums = cleared([v for row in op.coeff for v in row])
+            return d * alg._dc, [nums[u * n:(u + 1) * n] for u in range(n)]
+
+        def entry(den, coords):
+            return ring.element((den, coords))
+    else:
+        zero = 0.0
+
+        def operator(op):
+            return 1, op.coeff
+
+        def entry(_, coords):
+            return Element(alg, coords, _validated=True)
     amat = []
     brhs = []
-    for i in range(system.m_eq):
+    for i, row_ops in enumerate(system.ops):
+        ops = [operator(op) for op in row_ops]
         for l in range(n):
             row = []
-            for op in system.ops[i]:
-                g = (env.basis(l) * op.element).coords
-                row.extend(Element(alg, g[p::n], _validated=True) for p in range(n))
+            for den, f in ops:
+                g = [[zero] * n for _ in range(n)]  # g[p][u]
+                for u, fu in enumerate(f):
+                    for m, a in enumerate(fu):
+                        if a == 0:
+                            continue
+                        for p, c in columns[l][m]:
+                            g[p][u] += a * c
+                row.extend(entry(den, gp) for gp in g)
             amat.append(row)
             brhs.append(system.rhs[i] * alg.basis(l))
     return RichardsonSystem(alg, system.m_eq, system.m_unk, amat, brhs)

@@ -14,7 +14,7 @@ them: the equation's own terms, independent of `operator_matrix` and of
 from __future__ import annotations
 
 from .algebra import (Algebra, Element, element_from_json, format_scalar,
-                      reject_json_floats)
+                      check_json_scalars)
 from .errors import AlgebraMismatch, NotInvertible, SingularTensor
 from .linalg import FieldMatrix
 
@@ -204,7 +204,7 @@ class TensorOp:
     def from_json(cls, algebra: Algebra, data) -> "TensorOp":
         """Accepts {"coeff": n*n array} or {"pairs": [[elem, elem], ...]}."""
         if "coeff" in data:
-            return cls(algebra, reject_json_floats(data["coeff"], algebra.scalar_mode))
+            return cls(algebra, check_json_scalars(data["coeff"], algebra.scalar_mode))
         if "pairs" in data:
             pairs = [
                 (element_from_json(algebra, a), element_from_json(algebra, b))

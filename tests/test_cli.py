@@ -421,6 +421,28 @@ class TestUsage:
             code, _, err = invoke(capsys, *argv, "--scalar", "float")
             assert code in (0, 1) and err == "", argv
 
+    def test_json_null_and_booleans_exit_2(self, capsys, tmp_path):
+        # neither numbers nor strings, in either scalar mode: `true` is not 1
+        for scalar in (None, True, False):
+            table = json.loads((DATA / "complex_algebra.json").read_text())
+            table["constants"][1][1][0] = scalar
+            algebra = tmp_path / "algebra.json"
+            algebra.write_text(json.dumps(table))
+            system = json.loads((DATA / "system_example21.json").read_text())
+            system["equations"][0]["terms"][0]["left"] = [scalar, 0, 0, 0]
+            system_path = tmp_path / "system.json"
+            system_path.write_text(json.dumps(system))
+            tensor = tmp_path / "tensor.json"
+            tensor.write_text(json.dumps({"coeff": [[scalar, 1, 0, 0]] + [[0] * 4] * 3}))
+            message = f"error: JSON scalar {json.dumps(scalar)} is neither a number " \
+                "nor a string\n"
+            for mode in ("rational", "float"):
+                for argv in (["check", "--algebra", str(algebra), "--x", "1", "x = 1"],
+                             ["solve", "--system-json", str(system_path)],
+                             ["invert-tensor", "--tensor-json", str(tensor)]):
+                    code, out, err = invoke(capsys, *argv, "--scalar", mode)
+                    assert (code, out, err) == (2, "", message), (scalar, argv, mode)
+
     def test_exact_answer_beyond_4300_digits(self):
         # the entry point lifts Python's int-to-str limit, so the answer
         # prints, and reads back in to check

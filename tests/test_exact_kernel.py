@@ -5,8 +5,10 @@ The compiled product kernels, products, the fused row update
 naive `Fraction` loops over the structure constants as the builders passed
 them in (not the algebra's own table).  Exact inverses, computed from
 a*y = 1 alone, are checked on both sides.
-Float mode is checked bit for bit against the same loops.  Norms and Newton
-runs on numbers beyond the float range end in a value or a named status.
+Float mode is checked bit for bit against the same loops, and its compiled
+kernels against the sparse loop `_product` on signed zeros, extremes,
+infinities and NaN.  Norms and Newton runs on numbers beyond the float range
+end in a value or a named status.
 """
 
 import json
@@ -191,12 +193,16 @@ class TestIntegerProduct:
             assert all(type(c) is Fraction for c in product.coords)
 
 
+SPECIAL_FLOATS = (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+                  math.inf, -math.inf, math.nan)
+
+
 class TestCompiledKernel:
     @pytest.mark.parametrize("name", list(BUILDERS))
     def test_matches_naive_product(self, name, rng):
         alg, C = built(name)
-        n, kernel = alg.dim, alg._integer_product()
-        assert kernel is algebra_module._compiled_product(alg._mul_table)
+        n, kernel = alg.dim, alg._product_kernel()
+        assert kernel is algebra_module._compiled_product(alg._mul_table, nc.RATIONAL)
 
         def vectors():
             yield [0] * n
@@ -211,13 +217,52 @@ class TestCompiledKernel:
                 assert got == [v * alg._dc for v in naive_product(C, xa, xb)]
                 assert all(type(v) is int for v in got)
 
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_float_kernel_matches_sparse_loop(self, name, rng):
+        # zeros of both signs, extremes, infinities and NaN, where the
+        # kernel's multiplied zeros and the loop's skipped ones could differ
+        alg = BUILDERS[name](nc.FLOAT)
+        n, kernel = alg.dim, alg._product_kernel()
+        assert kernel is algebra_module._compiled_product(alg._mul_table, nc.FLOAT)
+
+        def scalar():
+            return rng.choice(SPECIAL_FLOATS) if rng.random() < 0.5 else rng.uniform(-4, 4)
+        operands = [[value if t == k else 0.0 for t in range(n)]
+                    for value in SPECIAL_FLOATS for k in range(n)]
+        operands += [[scalar() for _ in range(n)] for _ in range(60)]
+        for xa in operands:
+            for xb in rng.sample(operands, 40):
+                assert repr(kernel(xa, xb)) == \
+                    repr(algebra_module._product(alg._mul_table, xa, xb, 0.0))
+
     def test_shared_by_equal_algebras(self):
         first, second = built("H/2")[0], built("H/2")[0]
         assert first is not second and first == second
-        assert first._integer_product() is second._integer_product()
-        assert matrix_algebra(2)._integer_product() is not first._integer_product()
+        assert first._product_kernel() is second._product_kernel()
+        assert matrix_algebra(2)._product_kernel() is not first._product_kernel()
+        F = scaled_quaternion_algebra(nc.FLOAT)
+        assert F._product_kernel() is scaled_quaternion_algebra(nc.FLOAT)._product_kernel()
 
-    def test_float_and_envelope_keep_the_sparse_loop(self, rng):
+    @pytest.mark.parametrize("first", [nc.RATIONAL, nc.FLOAT])
+    def test_kernel_cache_keyed_by_scalar_mode(self, first):
+        # the int H table equals, and hashes like, the float one
+        second = nc.FLOAT if first == nc.RATIONAL else nc.RATIONAL
+        algebra_module._compiled_product.cache_clear()
+        H = {first: nc.quaternion_algebra(first)}
+        H[first]._product_kernel()
+        H[second] = nc.quaternion_algebra(second)
+        assert H[nc.RATIONAL]._mul_table == H[nc.FLOAT]._mul_table
+        assert H[nc.RATIONAL]._product_kernel() is not H[nc.FLOAT]._product_kernel()
+        exact = H[nc.RATIONAL].element(["1/3", 2, "-5/7", 1])
+        assert all(type(c) is Fraction for c in (exact * exact).coords)
+        assert (exact * exact).coords == tuple(naive_product(
+            built("H")[1], exact.coords, exact.coords))
+        floats = H[nc.FLOAT].element([0.5, 2.0, -1.0, 3.0])
+        assert all(type(c) is float for c in (floats * floats).coords)
+
+    def test_float_compiled_and_envelope_on_the_sparse_loop(self, rng):
+        # float algebras multiply through their compiled kernel, which falls
+        # back to the loop only for a NaN; envelope() keeps the loop
         calls, product = [], algebra_module._product
 
         def counted(*args, **kwargs):
@@ -228,14 +273,19 @@ class TestCompiledKernel:
             H = nc.quaternion_algebra()
             x = rand_exact(H, rng)
             x * x
-            assert calls == []
             F = nc.quaternion_algebra(nc.FLOAT)
             F.basis(1) * F.basis(2)
+            F.element([1e300, -0.0, 2.5, -1e-300]) * F.element([-1e300, 1.0, 0.0, 3.0])
+            assert F._product_kernel() is algebra_module._compiled_product(
+                F._mul_table, nc.FLOAT)
+            assert calls == []
+            F.element([0.0, 1.0, 0.0, 0.0]) * F.element([math.inf, 0.0, 0.0, 0.0])
             assert calls == [4]
             env = H.envelope()
-            assert env._integer_product().func is counted
+            assert env._product_kernel().func is counted
             env.basis(3) * env.one()
-            assert calls == [4, 16]
+            F.envelope().basis(3) * F.envelope().one()
+            assert calls == [4, 16, 16]
 
 
 class TestFusedUpdate:
@@ -405,6 +455,17 @@ class TestBeyondFloatRange:
         assert run(["newton", "--x0", "2^600", "x^2 = -1"]) == 1
         out = capsys.readouterr().out
         assert out.splitlines()[-2:] == ["status: diverged", "x = 4.149515568880993e+180"]
+
+    def test_cli_float_residual_keeps_the_loops_zeros(self, capsys):
+        # x*x has the infinite x0*x0 and the zero x1, so the compiled kernel
+        # reads 0*inf = NaN where the sparse loop skips the zero
+        assert run(["newton", "--scalar", "float", "--x0", "10^200", "x^2 = 2",
+                    "--output", "json"]) == 1
+        assert capsys.readouterr().out == (
+            '{"iterations": [{"k": 0, "norm": Infinity, "residual": '
+            '[Infinity, 0.0, 0.0, 0.0], "x": [9.999999999999984e+199, 0.0, 0.0, '
+            '0.0]}], "residual_norm": Infinity, "solution": "9.999999999999984e+199", '
+            '"status": "diverged"}\n')
 
     def test_cli_exact_runs_end_with_a_status(self, capsys):
         assert run(["newton", "--scalar", "rational", "--x0", "2^300",

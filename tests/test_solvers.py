@@ -126,6 +126,47 @@ class TestBuildRichardson:
         embedded = [x * hq.basis(p) for p in range(4)]
         assert all(r.is_zero() for r in enlarged_matvec(rich, embedded))
 
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    @pytest.mark.parametrize("build", [nc.quaternion_algebra,
+                                       lambda mode: matrix_algebra(2, mode),
+                                       lambda mode: algebra_from_data("dual", mode)])
+    def test_entries_are_envelope_products(self, build, mode, rng):
+        # entry (i, l), (j, p) is column p of (1 (x) e_l) f in A (x) A^op,
+        # for f = ops[i][j]; float entries must match bit for bit
+        alg = build(mode)
+        n = alg.dim
+
+        def scalar():
+            if mode == nc.RATIONAL:
+                return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+            return rng.choice((0.0, -0.0, rng.uniform(-3, 3)))
+        ops = [[nc.TensorOp(alg, [[scalar() for _ in range(n)] for _ in range(n)])
+                for _ in range(2)] for _ in range(2)]
+        system = nc.SylvesterSystem(alg, ops, [rand_element(alg, rng) for _ in range(2)])
+        rich = build_richardson(system)
+        env = alg.envelope()
+        for i in range(2):
+            for l in range(n):
+                expected = []
+                for op in ops[i]:
+                    g = (env.basis(l) * op.element).coords
+                    expected.extend(alg.element(g[p::n]) for p in range(n))
+                assert rich.amat[i * n + l] == expected
+                assert repr([e.coords for e in rich.amat[i * n + l]]) == \
+                    repr([e.coords for e in expected])
+                assert rich.brhs[i * n + l] == system.rhs[i] * alg.basis(l)
+
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_solve_never_builds_the_envelope(self, mode, monkeypatch):
+        def refuse(self):
+            raise AssertionError("envelope() built")
+        monkeypatch.setattr(nc.Algebra, "envelope", refuse)
+        H = nc.quaternion_algebra(mode)
+        one, i, j, k = (H.basis(t) for t in range(4))
+        system = nc.SylvesterSystem.from_terms(
+            H, [([(i + j, k, 0), (k, j + k, 0)], one + k)], 1)
+        assert nc.solve_richardson(system).kind == nc.UNIQUE
+
 
 class TestNCRowReduce:
     def test_unique_example_full_solution(self, hq, units, example_21):
