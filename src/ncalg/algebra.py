@@ -758,16 +758,18 @@ def format_coords(coords, basis_names) -> str:
 #  floats only in float mode)}
 
 
-def check_json_scalars(data, scalar_mode):
-    """Return `data`, a JSON scalar or nested array of them, after checking
-    that every scalar is a number or a string, and no float in rational
-    mode.  The JSON readers call this, so a `null`, a `true`/`false`, an
-    object or a rational-mode float there raises a ValueError naming it
-    (the CLI's exit 2), while `coerce` keeps raising TypeError for library
-    callers."""
-    if isinstance(data, list):
+def check_json_scalars(data, scalar_mode, arrays: int):
+    """Return `data`, JSON scalars nested in exactly `arrays` levels of
+    arrays, after checking that every scalar is a number or a string, and no
+    float in rational mode.  The JSON readers call this, so a `null`, a
+    `true`/`false`, an object, a rational-mode float, or a scalar where an
+    array belongs raises a ValueError naming it (the CLI's exit 2), while
+    `coerce` keeps raising TypeError for library callers."""
+    if isinstance(data, list) and arrays:
         for item in data:
-            check_json_scalars(item, scalar_mode)
+            check_json_scalars(item, scalar_mode, arrays - 1)
+    elif arrays:
+        raise ValueError(f"JSON {json.dumps(data)} where an array belongs")
     elif isinstance(data, bool) or not isinstance(data, (int, float, str)):
         raise ValueError(f"JSON scalar {json.dumps(data)} is neither a number "
                          "nor a string")
@@ -791,12 +793,11 @@ def algebra_from_json(data, scalar_mode=RATIONAL) -> Algebra:
     """Accepts a dict or a JSON string in the format of algebra_to_json."""
     if isinstance(data, str):
         data = json.loads(data)
-    dim = data["dim"]
-    constants = data["constants"]
-    if len(constants) != dim:
+    constants = check_json_scalars(data["constants"], scalar_mode, 3)
+    if len(constants) != data["dim"]:
         raise ValueError("constants array does not match declared dim")
     return Algebra(
-        check_json_scalars(constants, scalar_mode),
+        constants,
         data.get("basis"),
         scalar_mode=scalar_mode,
         name=data.get("name"),
@@ -808,4 +809,4 @@ def element_to_json(x: Element) -> list:
 
 
 def element_from_json(algebra: Algebra, data) -> Element:
-    return Element(algebra, check_json_scalars(data, algebra.scalar_mode))
+    return Element(algebra, check_json_scalars(data, algebra.scalar_mode, 1))

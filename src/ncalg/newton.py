@@ -3,18 +3,22 @@
 Maps are generalized polynomials: sums of monomials c0 x c1 x ... x cd with
 fixed algebra coefficients between the occurrences of the unknown.  The
 derivative at a point is a tensor operator, and each Newton step is one
-n x n linear solve with its operator matrix.
+n x n linear solve with its operator matrix.  Value and derivative share one
+walk (after Baur and Strassen, 1983): a monomial's prefixes P_1 = c0,
+P_(t+1) = (P_t x) c_t end in its value and are its derivative's left factors;
+right factors are not shared as suffixes, which would move float rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .algebra import RATIONAL, Algebra, Element, element_from_json, element_to_json
 from .errors import AlgebraMismatch
-from .linalg import UNIQUE, row_reduce
-from .tensor import TensorOp
+from .linalg import UNIQUE, FieldMatrix, row_reduce
+from .tensor import TensorOp, operator_rows, pair_coefficients
 
 CONVERGED = "converged"
 SINGULAR_DERIVATIVE = "singular_derivative"
@@ -83,16 +87,9 @@ class GeneralizedPolynomial:
         return f"GeneralizedPolynomial({body or '0'})"
 
     def evaluate(self, x: Element) -> Element:
-        """Sum of the alternating products c0 x c1 x ... x cd."""
-        if x.algebra != self.algebra:
-            raise AlgebraMismatch("argument from a different algebra")
-        total = self.algebra.zero()
-        for mono in self.monomials:
-            acc = mono[0]
-            for c in mono[1:]:
-                acc = acc * x * c
-            total = total + acc
-        return total
+        """Sum of the alternating products c0 x c1 x ... x cd (`_walk`)."""
+        value, _ = _walk(self.algebra, *self._walk_operands(x), x.coords)
+        return Element(self.algebra, value, _validated=True)
 
     def derivative_at(self, x0: Element) -> TensorOp:
         """The derivative tensor at x0.
@@ -100,24 +97,50 @@ class GeneralizedPolynomial:
         Each monomial contributes, for every position of the unknown, the
         simple tensor (product of everything left of that x, evaluated at x0)
         (x) (product of everything right of it).  For x^2 this is the familiar
-        x0 (x) 1 + 1 (x) x0.
+        x0 (x) 1 + 1 (x) x0.  The left factors are the walk's prefixes.
         """
-        if x0.algebra != self.algebra:
+        alg, x = self.algebra, x0.coords
+        mul, monos = self._walk_operands(x0)
+        pairs = [(Element(alg, a, _validated=True), Element(alg, b, _validated=True))
+                 for a, b in _pairs(mul, monos, _walk(alg, mul, monos, x)[1], x)]
+        return TensorOp.from_pairs(pairs) if pairs else TensorOp.zero(alg)
+
+    def _walk_operands(self, *args):
+        """(float kernel or exact `Element` product, coefficient coordinates)."""
+        alg = self.algebra
+        if any(arg.algebra != alg for arg in args):
             raise AlgebraMismatch("argument from a different algebra")
-        pairs = []
-        for mono in self.monomials:
-            d = len(mono) - 1
-            for t in range(1, d + 1):
-                left = mono[0]
-                for c in mono[1:t]:
-                    left = left * x0 * c
-                right = mono[t]
-                for c in mono[t + 1:]:
-                    right = right * x0 * c
-                pairs.append((left, right))
-        if not pairs:
-            return TensorOp.zero(self.algebra)
-        return TensorOp.from_pairs(pairs)
+        if alg.scalar_mode == RATIONAL:
+            def mul(xa, xb):
+                return (Element(alg, xa, _validated=True)
+                        * Element(alg, xb, _validated=True)).coords
+        else:
+            mul = alg._product_kernel()
+        return mul, [[c.coords for c in mono] for mono in self.monomials]
+
+
+def _walk(algebra: Algebra, mul, monomials, x):
+    """(sum of the monomials' values, per monomial its prefixes P_1..P_(d+1))."""
+    total, chains = [algebra.scalar_zero()] * algebra.dim, []
+    for mono in monomials:
+        acc = mono[0]
+        chain = [acc]
+        for c in mono[1:]:
+            acc = mul(mul(acc, x), c)
+            chain.append(acc)
+        chains.append(chain)
+        total = [s + v for s, v in zip(total, acc)]
+    return total, chains
+
+
+def _pairs(mul, monomials, chains, x):
+    """The derivative's pairs (P_t, ((c_t x) c_(t+1)) ... x cd)."""
+    for mono, chain in zip(monomials, chains):
+        for t in range(1, len(mono)):
+            right = mono[t]
+            for c in mono[t + 1:]:
+                right = mul(mul(right, x), c)
+            yield chain[t - 1], right
 
 
 def _absorb_scalar_head(algebra: Algebra, mono):
@@ -218,33 +241,37 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
     run stops on residual norm < tol, on a singular operator matrix (even
     with a consistent system), after max_iter steps, or as DIVERGED once the
     residual exceeds _DIVERGENCE_FACTOR times the initial residual for five
-    consecutive steps or its norm is not finite (inf, or NaN in float mode).
-    In rational mode, where digit lengths roughly double every step, it also
-    stops (BIT_BUDGET) before recording an iterate or residual with a
-    numerator or denominator above MAX_BITS bits.
+    consecutive steps or, in float mode, its norm is not finite (inf or NaN).
+    Rational runs compare exact squared norms, so a norm beyond the float
+    range (recorded as inf) decides nothing, and stop (BIT_BUDGET) before
+    recording an iterate or residual with a numerator or denominator above
+    MAX_BITS bits, as digit lengths roughly double every step.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
-    trace = NewtonTrace()
-    x = x0
-    initial_norm = None
-    streak = 0
+    cfg, alg = cfg or NewtonConfig(), p.algebra
+    mul, monos = p._walk_operands(x0, a)
+    exact = alg.scalar_mode == RATIONAL
+    tol, factor = cfg.tol, _DIVERGENCE_FACTOR
+    if exact:  # compared with squared norms
+        tol, factor = Fraction(tol) ** 2, Fraction(factor) ** 2
+    trace, x, initial, streak = NewtonTrace(), x0, None, 0
     for k in range(cfg.max_iter + 1):
-        residual = p.evaluate(x) - a
-        if x.algebra.scalar_mode == RATIONAL and _exceeds_bits(x, residual):
+        value, chains = _walk(alg, mul, monos, x.coords)
+        residual = Element(alg, [v - t for v, t in zip(value, a.coords)], _validated=True)
+        if exact and _exceeds_bits(x, residual):
             trace.status = BIT_BUDGET
             return trace
         rnorm = residual.norm()
         trace.iterates.append((x, residual, rnorm))
-        if not math.isfinite(rnorm):  # NaN fails every comparison below
+        if not (exact or math.isfinite(rnorm)):  # NaN fails every comparison below
             trace.status = DIVERGED
             return trace
-        if initial_norm is None:
-            initial_norm = rnorm
-        if rnorm < cfg.tol:
+        size = residual.norm_squared() if exact else rnorm
+        if initial is None:
+            initial = size
+        if size < tol:
             trace.status = CONVERGED
             return trace
-        if initial_norm > 0 and rnorm > _DIVERGENCE_FACTOR * initial_norm:
+        if initial > 0 and size > factor * initial:
             streak += 1
             if streak >= _DIVERGENCE_STREAK:
                 trace.status = DIVERGED
@@ -253,12 +280,13 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
             streak = 0
         if k == cfg.max_iter:
             break
-        step = row_reduce(p.derivative_at(x).operator_matrix(),
-                          [-c for c in residual.coords])
+        pairs = _pairs(mul, monos, chains, x.coords)
+        rows = operator_rows(alg, pair_coefficients(alg, pairs))
+        step = row_reduce(FieldMatrix(rows), [-c for c in residual.coords])
         if step.kind != UNIQUE:
             trace.status = SINGULAR_DERIVATIVE
             return trace
-        x = x + Element(x.algebra, step.particular, _validated=True)
+        x = x + Element(alg, step.particular, _validated=True)
     trace.status = MAX_ITERATIONS
     return trace
 

@@ -66,18 +66,9 @@ class TensorOp:
         if not pairs:
             raise ValueError("need at least one (a, b) pair")
         algebra = pairs[0][0].algebra
-        n = algebra.dim
-        coeff = [[algebra.scalar_zero()] * n for _ in range(n)]
-        for a, b in pairs:
-            if a.algebra != algebra or b.algebra != algebra:
-                raise AlgebraMismatch("tensor factors from different algebras")
-            for i, ai in enumerate(a.coords):
-                if ai == 0:
-                    continue
-                for j, bj in enumerate(b.coords):
-                    if bj == 0:
-                        continue
-                    coeff[i][j] = coeff[i][j] + ai * bj
+        if any(a.algebra != algebra or b.algebra != algebra for a, b in pairs):
+            raise AlgebraMismatch("tensor factors from different algebras")
+        coeff = pair_coefficients(algebra, [(a.coords, b.coords) for a, b in pairs])
         return cls(algebra, coeff, display_pairs=pairs, _validated=True)
 
     @classmethod
@@ -129,22 +120,7 @@ class TensorOp:
         Built as sum_ij f[i][j] L(e_i) @ R(e_j) from the regular
         representations (cached per algebra), independently of apply().
         """
-        alg = self.algebra
-        n = alg.dim
-        pair = alg.pair_products()
-        out = [[alg.scalar_zero()] * n for _ in range(n)]
-        for i, row in enumerate(self.coeff):
-            for j, v in enumerate(row):
-                if v == 0:
-                    continue
-                for q, p, w in pair[i][j]:
-                    if w == 1:
-                        out[q][p] = out[q][p] + v
-                    elif w == -1:
-                        out[q][p] = out[q][p] - v
-                    else:
-                        out[q][p] = out[q][p] + v * w
-        return FieldMatrix(out)
+        return FieldMatrix(operator_rows(self.algebra, self.coeff))
 
     def invert(self) -> "TensorOp":
         """The tensor g with self o g = g o self = 1 (x) 1.
@@ -204,7 +180,7 @@ class TensorOp:
     def from_json(cls, algebra: Algebra, data) -> "TensorOp":
         """Accepts {"coeff": n*n array} or {"pairs": [[elem, elem], ...]}."""
         if "coeff" in data:
-            return cls(algebra, check_json_scalars(data["coeff"], algebra.scalar_mode))
+            return cls(algebra, check_json_scalars(data["coeff"], algebra.scalar_mode, 2))
         if "pairs" in data:
             pairs = [
                 (element_from_json(algebra, a), element_from_json(algebra, b))
@@ -212,6 +188,40 @@ class TensorOp:
             ]
             return cls.from_pairs(pairs)
         raise ValueError("tensor JSON needs a 'coeff' or 'pairs' key")
+
+
+def pair_coefficients(algebra: Algebra, pairs) -> list:
+    """The n*n coefficients f[i][j] of sum_s a_s (x) b_s, for pairs of
+    coordinate sequences; zero coordinates are skipped."""
+    coeff = [[algebra.scalar_zero()] * algebra.dim for _ in range(algebra.dim)]
+    for a, b in pairs:
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            row = coeff[i]
+            for j, bj in enumerate(b):
+                if bj != 0:
+                    row[j] += ai * bj
+    return coeff
+
+
+def operator_rows(algebra: Algebra, coeff) -> list:
+    """Rows of sum_ij f[i][j] L(e_i) @ R(e_j) for the n*n coefficients f,
+    from the algebra's cached `pair_products()`."""
+    n, pair = algebra.dim, algebra.pair_products()
+    out = [[algebra.scalar_zero()] * n for _ in range(n)]
+    for i, row in enumerate(coeff):
+        for j, v in enumerate(row):
+            if v == 0:
+                continue
+            for q, p, w in pair[i][j]:
+                if w == 1:
+                    out[q][p] += v
+                elif w == -1:
+                    out[q][p] -= v
+                else:
+                    out[q][p] += v * w
+    return out
 
 
 def tensor_from_pairs(pairs) -> TensorOp:

@@ -1,9 +1,11 @@
 """Shared randomized-input builders and independent test-side oracles."""
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import ncalg as nc
+from ncalg import newton
 
 
 def rand_element(alg, rng, span=2):
@@ -115,3 +117,101 @@ def scaled_quaternion_algebra(scalar_mode=nc.RATIONAL):
 def algebra_from_data(name, scalar_mode=nc.RATIONAL):
     path = Path(__file__).parent / "data" / f"{name}_algebra.json"
     return nc.algebra_from_json(path.read_text(), scalar_mode)
+
+
+# -- Newton oracles: the per-monomial loops, every factor rebuilt from its end
+
+
+def naive_evaluate(p, x):
+    """Sum of c0 x c1 ... x cd, monomial by monomial, by `Element` products."""
+    total = p.algebra.zero()
+    for mono in p.monomials:
+        acc = mono[0]
+        for c in mono[1:]:
+            acc = acc * x * c
+        total = total + acc
+    return total
+
+
+def naive_derivative_pairs(p, x0):
+    """(left, right) for every x of every monomial, each built afresh."""
+    pairs = []
+    for mono in p.monomials:
+        for t in range(1, len(mono)):
+            left = mono[0]
+            for c in mono[1:t]:
+                left = left * x0 * c
+            right = mono[t]
+            for c in mono[t + 1:]:
+                right = right * x0 * c
+            pairs.append((left, right))
+    return pairs
+
+
+def naive_coefficients(alg, pairs):
+    """The n*n coefficients of sum_s a_s (x) b_s, zero coordinates skipped."""
+    n = alg.dim
+    coeff = [[alg.scalar_zero()] * n for _ in range(n)]
+    for a, b in pairs:
+        for i, ai in enumerate(a.coords):
+            if ai == 0:
+                continue
+            for j, bj in enumerate(b.coords):
+                if bj == 0:
+                    continue
+                coeff[i][j] = coeff[i][j] + ai * bj
+    return coeff
+
+
+def naive_operator_matrix(alg, coeff):
+    """sum_ij f[i][j] L(e_i) R(e_j), summed in row-major (i, j) order."""
+    n, pair = alg.dim, alg.pair_products()
+    out = [[alg.scalar_zero()] * n for _ in range(n)]
+    for i, row in enumerate(coeff):
+        for j, v in enumerate(row):
+            if v == 0:
+                continue
+            for q, p, w in pair[i][j]:
+                if w == 1:
+                    out[q][p] = out[q][p] + v
+                elif w == -1:
+                    out[q][p] = out[q][p] - v
+                else:
+                    out[q][p] = out[q][p] + v * w
+    return nc.FieldMatrix(out)
+
+
+def naive_newton(p, a, x0, cfg):
+    """(iterates, status) of Newton's loop on the oracles above, under
+    `newton_solve`'s stopping rules: float norms in float mode, exact
+    squared norms in rational mode."""
+    exact = p.algebra.scalar_mode == nc.RATIONAL
+    tol, factor = cfg.tol, newton._DIVERGENCE_FACTOR
+    if exact:
+        tol, factor = Fraction(tol) ** 2, Fraction(factor) ** 2
+    iterates, x, initial, streak = [], x0, None, 0
+    for k in range(cfg.max_iter + 1):
+        residual = naive_evaluate(p, x) - a
+        if exact and any(max(c.numerator.bit_length(), c.denominator.bit_length())
+                         > newton.MAX_BITS for c in x.coords + residual.coords):
+            return iterates, newton.BIT_BUDGET
+        norm = residual.norm()
+        iterates.append((x, residual, norm))
+        if not exact and not math.isfinite(norm):
+            return iterates, newton.DIVERGED
+        size = residual.norm_squared() if exact else norm
+        initial = size if initial is None else initial
+        if size < tol:
+            return iterates, newton.CONVERGED
+        streak = streak + 1 if initial > 0 and size > factor * initial else 0
+        if streak >= newton._DIVERGENCE_STREAK:
+            return iterates, newton.DIVERGED
+        if k == cfg.max_iter:
+            break
+        coeff = naive_coefficients(p.algebra, naive_derivative_pairs(p, x))
+        step = nc.row_reduce(naive_operator_matrix(p.algebra, coeff),
+                             [-c for c in residual.coords])
+        if step.kind != nc.UNIQUE:
+            return iterates, newton.SINGULAR_DERIVATIVE
+        x = x + p.algebra.element(step.particular)
+    return iterates, newton.MAX_ITERATIONS

@@ -443,6 +443,35 @@ class TestUsage:
                     code, out, err = invoke(capsys, *argv, "--scalar", mode)
                     assert (code, out, err) == (2, "", message), (scalar, argv, mode)
 
+    def test_json_scalar_where_an_array_belongs_exits_2(self, capsys, tmp_path):
+        # a number or null in place of the constants, a plane, a row, an
+        # element or a coefficient row is named, not a TypeError traceback
+        c = json.loads((DATA / "complex_algebra.json").read_text())["constants"]
+        path = tmp_path / "algebra.json"
+        system = json.loads((DATA / "system_example21.json").read_text())
+        system["equations"][0]["terms"][0]["left"] = 5
+        system_path = tmp_path / "system.json"
+        system_path.write_text(json.dumps(system))
+        tensor = tmp_path / "tensor.json"
+        tensor.write_text(json.dumps({"coeff": [[1, 0, 0, 0], 0, [0] * 4, [0] * 4]}))
+        for mode in ("rational", "float"):
+            for constants, message in (
+                    (None, "JSON null where an array belongs"),
+                    (7, "JSON 7 where an array belongs"),
+                    ([c[0], None], "JSON null where an array belongs"),
+                    ([c[0], [c[1][0], 3]], "JSON 3 where an array belongs"),
+                    ([c[0], [c[1][0], [c[1][1][0], [1]]]],
+                     "JSON scalar [1] is neither a number nor a string")):
+                path.write_text(json.dumps({"dim": 2, "constants": constants}))
+                code, out, err = invoke(capsys, "solve", "--algebra", str(path),
+                                        "--scalar", mode, "x = 1")
+                assert (code, out, err) == (2, "", f"error: {message}\n"), constants
+            for argv, value in ((["solve", "--system-json", str(system_path)], "5"),
+                                (["invert-tensor", "--tensor-json", str(tensor)], "0")):
+                code, out, err = invoke(capsys, *argv, "--scalar", mode)
+                assert (code, out, err) == (
+                    2, "", f"error: JSON {value} where an array belongs\n"), argv
+
     def test_exact_answer_beyond_4300_digits(self):
         # the entry point lifts Python's int-to-str limit, so the answer
         # prints, and reads back in to check

@@ -23,7 +23,8 @@ import ncalg as nc
 from ncalg import algebra as algebra_module
 from ncalg.algebra import ClearedRing
 from ncalg.cli import run
-from ncalg.newton import BIT_BUDGET, DIVERGED, GeneralizedPolynomial, newton_solve
+from ncalg.newton import (BIT_BUDGET, CONVERGED, DIVERGED, GeneralizedPolynomial,
+                          newton_solve)
 from ncalg.solvers import nc_row_reduce
 from helpers import (algebra_from_data, clifford_algebra, matrix_algebra,
                      scaled_quaternion_algebra)
@@ -437,9 +438,19 @@ class TestBeyondFloatRange:
         assert trace.status == BIT_BUDGET
         assert trace.iterates[0][2] == 2.0 ** 600
         assert all(math.isfinite(norm) for _, _, norm in trace.iterates)
+        # exact runs are judged by exact squared norms: a norm beyond the
+        # float range is recorded as inf but neither diverges nor converges
         trace = newton_solve(p, -one, one.scale(2 ** 600))
-        assert trace.status == DIVERGED
-        assert [norm for _, _, norm in trace.iterates] == [math.inf]
+        assert trace.status == BIT_BUDGET
+        assert [norm for _, _, norm in trace.iterates] == [math.inf] * 3
+        # the root 2^1050 from one above it: the first residual's norm is
+        # beyond the float range, the last one's square below it
+        root = one.scale(2 ** 1050)
+        trace = newton_solve(p, root * root, root + one)
+        assert trace.status == CONVERGED
+        assert [norm for _, _, norm in trace.iterates] == [math.inf, 1.0, 0.0]
+        assert 0 < trace.iterates[-1][1].norm_squared() < Fraction(1, 2 ** 4000)
+        assert 0 < (trace.solution - root).norm_squared() < Fraction(1, 2 ** 6000)
 
     @pytest.mark.parametrize("start", [2.0 ** 600, math.nan])
     def test_float_newton_stops_on_non_finite_residual(self, start):
@@ -474,4 +485,7 @@ class TestBeyondFloatRange:
         assert payload["status"] == "bit_budget"
         assert payload["iterations"][0]["norm"] == 2.0 ** 600
         assert run(["newton", "--scalar", "rational", "--x0", "2^600", "x^2 = -1"]) == 1
-        assert "status: diverged" in capsys.readouterr().out
+        assert "status: bit_budget" in capsys.readouterr().out
+        assert run(["newton", "--scalar", "rational", "--x0", "2^1050+1",
+                    "x^2 = 2^2100"]) == 0
+        assert "status: converged" in capsys.readouterr().out

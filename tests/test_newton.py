@@ -1,6 +1,9 @@
+import functools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ncalg as nc
 from ncalg.newton import (
@@ -14,7 +17,27 @@ from ncalg.newton import (
     NewtonConfig,
     newton_solve,
 )
-from helpers import algebra_from_data, rand_element
+from helpers import (algebra_from_data, clifford_algebra, matrix_algebra,
+                     naive_coefficients, naive_derivative_pairs, naive_evaluate,
+                     naive_newton, rand_element)
+
+
+@functools.cache
+def _algebra(name, mode):
+    """H, M2, Cl(1,1), complex or dual, built once per mode."""
+    return {
+        "H": lambda: nc.quaternion_algebra(mode),
+        "M2": lambda: matrix_algebra(2, mode),
+        "Cl11": lambda: clifford_algebra(1, 1, mode),
+        "complex": lambda: algebra_from_data("complex", mode),
+        "dual": lambda: algebra_from_data("dual", mode),
+    }[name]()
+
+
+def _same(u, v):
+    """Equal coordinates: exact by ==, float by the repr of every one."""
+    u, v = tuple(u), tuple(v)
+    return u == v if all(isinstance(c, Fraction) for c in u + v) else repr(u) == repr(v)
 
 
 @pytest.fixture
@@ -277,6 +300,98 @@ class TestNewton:
             NewtonConfig(tol=0.0)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
+
+
+# coordinates with zeros and halves; float mode draws -0.0 for some zeros
+_COORD = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def _problems(draw, mode, specials=()):
+    """(polynomial, target, start) over one algebra in `mode`; degrees 0-3,
+    so constant-only polynomials occur too."""
+    alg = _algebra(draw(st.sampled_from(["H", "M2", "Cl11", "complex", "dual"])), mode)
+
+    def element():
+        coords = draw(st.lists(_COORD, min_size=alg.dim, max_size=alg.dim))
+        if mode == nc.FLOAT:
+            coords = [-0.0 if c == 0 and draw(st.booleans()) else float(c)
+                      for c in coords]
+        return alg.element(coords)
+
+    monos = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    p = GeneralizedPolynomial(alg, [[element() for _ in range(d + 1)] for d in monos])
+    start = element()
+    if mode == nc.FLOAT and specials and draw(st.booleans()):
+        coords = list(start.coords)
+        coords[draw(st.integers(0, alg.dim - 1))] = draw(st.sampled_from(specials))
+        start = alg.element(coords)
+    return p, element(), start
+
+
+class TestOneWalk:
+    """`evaluate`, `derivative_at` and `newton_solve` share one walk of
+    prefix products; the per-monomial loops of the test helpers are their
+    oracle, exact by == and float by the repr of every coordinate."""
+
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    @given(data=st.data())
+    def test_evaluate_and_derivative_match_the_loops(self, mode, data):
+        p, _, x = data.draw(_problems(mode, (math.inf, -math.inf, math.nan, 1e200)))
+        assert _same(p.evaluate(x).coords, naive_evaluate(p, x).coords)
+        pairs = naive_derivative_pairs(p, x)
+        d = p.derivative_at(x)
+        oracle = naive_coefficients(p.algebra, pairs)
+        assert all(_same(r, s) for r, s in zip(d.coeff, oracle))
+        assert len(d.display_pairs or ()) == len(pairs)
+        for (a, b), (u, v) in zip(d.display_pairs or (), pairs):
+            assert _same(a.coords, u.coords) and _same(b.coords, v.coords)
+
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    @given(data=st.data())
+    def test_newton_trace_matches_the_loops(self, mode, data):
+        p, target, x0 = data.draw(_problems(mode, (math.inf, math.nan)))
+        cfg = NewtonConfig(max_iter=4)
+        trace = newton_solve(p, target, x0, cfg)
+        iterates, status = naive_newton(p, target, x0, cfg)
+        assert trace.status == status
+        assert len(trace.iterates) == len(iterates)
+        for (x, r, norm), (y, s, m) in zip(trace.iterates, iterates):
+            assert _same(x.coords, y.coords) and _same(r.coords, s.coords)
+            assert repr(norm) == repr(m)
+
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_constant_polynomial_is_singular(self, mode):
+        alg = _algebra("M2", mode)
+        p = GeneralizedPolynomial(alg, [[alg.basis(2)], [alg.one().scale(3)]])
+        trace = newton_solve(p, alg.zero(), alg.basis(1))
+        assert trace.status == SINGULAR_DERIVATIVE == naive_newton(
+            p, alg.zero(), alg.basis(1), NewtonConfig())[1]
+        assert len(trace.iterates) == 1
+
+    @pytest.mark.parametrize("start", [math.inf, math.nan])
+    def test_non_finite_start_diverges_through_the_loop_fallback(self, start):
+        # x*x at (start, 0, 0, 0) reads 0*inf or 0*nan where the sparse loop
+        # skips the zero, so the kernel recomputes such products by the loop
+        alg = _algebra("H", nc.FLOAT)
+        one = alg.one()
+        p = GeneralizedPolynomial(alg, [[one, one, one], [alg.basis(3)]])
+        x0 = alg.element([start, 0, 0, 0])
+        trace = newton_solve(p, one, x0)
+        iterates, status = naive_newton(p, one, x0, NewtonConfig())
+        assert trace.status == status == DIVERGED
+        assert len(trace.iterates) == len(iterates) == 1
+        assert _same(trace.iterates[0][1].coords, iterates[0][1].coords)
+        assert repr(trace.iterates[0][1].coords[1:]) == "(0.0, 0.0, 1.0)"
+
+    def test_exact_divergence_streak(self, hq):
+        # x^2 = 1 from 10^-9 in exact arithmetic: the squared residual stays
+        # above 10^24 times the initial one for the five steps of the streak
+        one = hq.one()
+        p = GeneralizedPolynomial(hq, [[one, one, one]])
+        trace = newton_solve(p, one, one.scale(Fraction(1, 10 ** 9)))
+        assert trace.status == DIVERGED
+        assert len(trace.iterates) == 6
 
 
 class TestPolyJson:
