@@ -46,14 +46,13 @@ class Algebra:
     the common denominator of the constants and the entries are Python ints,
     so exact products run on integer numerators.  Products go through the
     kernel that `_product_kernel` compiles from this table, in both modes.
-    Validation, `pair_products()` and `envelope()` all read this table; the
-    dense `constants` are derived from it on request.  The derived algebra
-    `envelope()` skips both checks and has no `constants` (None).
+    Validation, `pair_products()` and the operator tensors' composition
+    (`tensor._compose`) all read this table; the dense `constants` are
+    derived from it on request.
     """
 
     __slots__ = ("name", "dim", "basis_names", "scalar_mode", "_mul_table",
-                 "_dc", "_derived", "_name_to_index", "_basis_cache",
-                 "_pair_products", "_envelope", "_kernel")
+                 "_dc", "_name_to_index", "_basis_cache", "_pair_products", "_kernel")
 
     def __init__(self, constants, basis_names=None, scalar_mode=RATIONAL, name=None):
         if scalar_mode not in (RATIONAL, FLOAT):
@@ -64,7 +63,6 @@ class Algebra:
         self.dim = n
         self.scalar_mode = scalar_mode
         self.name = name
-        self._derived = False
         if basis_names is None:
             basis_names = ["1"] + [f"e{k}" for k in range(1, n)]
         basis_names = tuple(str(b) for b in basis_names)
@@ -73,6 +71,7 @@ class Algebra:
         if len(set(basis_names)) != n:
             raise ValueError("basis names must be distinct")
         self.basis_names = basis_names
+        self._name_to_index = {nm: idx for idx, nm in enumerate(basis_names)}
 
         if len(constants) != n or any(
             len(plane) != n or any(len(row) != n for row in plane)
@@ -90,7 +89,11 @@ class Algebra:
                           for plane in table)
         self._check_unit_law(table)
         self._check_associativity(table)
-        self._set_table(table)
+        self._mul_table, self._pair_products, self._kernel = table, None, None
+        one, zero = self.scalar_one(), self.scalar_zero()
+        self._basis_cache = tuple(
+            Element(self, [one if t == k else zero for t in range(n)], _validated=True)
+            for k in range(n))
 
     def _nonzero(self, row):
         """The coerced nonzero (k, row[k]).  Int and "0" zeros are skipped
@@ -106,10 +109,7 @@ class Algebra:
 
     @property
     def constants(self):
-        """The dense n*n*n constants, derived from the sparse table; None
-        for `envelope()`, which is derived rather than given."""
-        if self._derived:
-            return None
+        """The dense n*n*n constants, derived from the sparse table."""
         n, zero = self.dim, self.scalar_zero()
         dense = []
         for plane in self._mul_table:
@@ -122,72 +122,18 @@ class Algebra:
             dense.append(tuple(rows))
         return tuple(dense)
 
-    def _set_table(self, mul_table):
-        """Install the sparse table and reset what derives from it; shared by
-        validated algebras and `envelope()`."""
-        self._name_to_index = {nm: idx for idx, nm in enumerate(self.basis_names)}
-        self._mul_table = mul_table
-        one, zero = self.scalar_one(), self.scalar_zero()
-        self._basis_cache = tuple(
-            Element(self, [one if t == k else zero for t in range(self.dim)],
-                    _validated=True)
-            for k in range(self.dim)
-        )
-        self._pair_products = None
-        self._envelope = None
-        self._kernel = None
-
     def _product_kernel(self):
         """The map (xa, xb) -> coordinates of the product of coordinate
         vectors xa and xb: floats in float mode, and in rational mode the
         integer numerators, over _dc, of the product of integer vectors.
 
-        A validated algebra's table is compiled into one straight-line
-        kernel on first use, shared by every equal table of the same scalar
-        mode in the process (`_compiled_product`).  Its results equal the
-        sparse loop `_product`'s, bit for bit in float mode, where an output
-        holding a NaN is recomputed by the loop.  `envelope()` keeps the
-        loop: its table has nnz(table)**2 entries, whose compiled kernel
-        would cost more memory than it saves time.
+        Compiled on first use into one straight-line kernel per equal table
+        and scalar mode (`_compiled_product`), whose results are the sparse
+        loop `_product`'s, bit for bit in float mode.
         """
         if self._kernel is None:
-            if self._derived:
-                zero = 0 if self.scalar_mode == RATIONAL else 0.0
-                self._kernel = functools.partial(_product, self._mul_table, zero=zero)
-            else:
-                self._kernel = _compiled_product(self._mul_table, self.scalar_mode)
+            self._kernel = _compiled_product(self._mul_table, self.scalar_mode)
         return self._kernel
-
-    def envelope(self) -> "Algebra":
-        """A (x) A^op, the algebra of operator tensors, built once and cached.
-
-        Basis element i*n + j is e_i (x) e_j, and
-        (e_i (x) e_j)(e_k (x) e_l) = sum_pq C[i][k][p] C[l][j][q] e_p (x) e_q,
-        so the product of two tensors is their composition as operators.  The
-        sparse table is derived from this algebra's validated one, products
-        of its scaled entries over the common denominator _dc**2: nothing is
-        re-checked and no dense constants are built.
-        """
-        if self._envelope is None:
-            n, table = self.dim, self._mul_table
-            env = Algebra.__new__(Algebra)
-            env.name = f"{self.name or f'dim-{n}'} tensors"
-            env.dim = n * n
-            env.scalar_mode = self.scalar_mode
-            env.basis_names = tuple(
-                f"{a}⊗{b}" for a in self.basis_names for b in self.basis_names)
-            env._derived = True
-            env._dc = self._dc * self._dc
-            env._set_table(tuple(
-                tuple(
-                    tuple((p * n + q, c1 * c2)
-                          for p, c1 in table[i][k] for q, c2 in table[l][j])
-                    for k in range(n) for l in range(n)
-                )
-                for i in range(n) for j in range(n)
-            ))
-            self._envelope = env
-        return self._envelope
 
     def pair_products(self):
         """Sparse entries of L(e_i) @ R(e_j) for every basis pair, cached.
@@ -498,8 +444,7 @@ class Element:
         In rational mode this is `ClearedRing.inverse` on integers, and one
         `Fraction` is built per coordinate.  In float mode L(self) y = e0 is
         solved by `row_reduce` and y is checked on both sides within
-        FLOAT_CHECK_TOL.  Works in any algebra expressible by structure
-        constants, operator tensors in `Algebra.envelope()` included.
+        FLOAT_CHECK_TOL.
         """
         if self.is_zero():
             raise NotInvertible("zero element has no inverse")
@@ -525,22 +470,9 @@ class Element:
         return total
 
     def norm(self) -> float:
-        """Euclidean norm of the coordinate vector (the quaternion norm on H).
-
-        An exact square beyond the float range is scaled by an even power of
-        two before its square root is taken; a norm that itself exceeds the
-        float range is `math.inf`.
-        """
-        squared = self.norm_squared()
-        try:
-            return math.sqrt(float(squared))
-        except OverflowError:  # only exact squares overflow a conversion
-            num, den = squared.numerator, squared.denominator
-            shift = (num.bit_length() - den.bit_length()) // 2
-            try:
-                return math.ldexp(math.sqrt(num / (den << 2 * shift)), shift)
-            except OverflowError:
-                return math.inf
+        """Euclidean norm of the coordinate vector (the quaternion norm on H),
+        by `root_of_square`, so exact squares beyond the float range work."""
+        return root_of_square(self.norm_squared())
 
     # -- rendering ---------------------------------------------------------------
 
@@ -549,6 +481,21 @@ class Element:
 
     def __repr__(self):
         return f"Element({self})"
+
+
+def root_of_square(squared) -> float:
+    """The float square root of a float or `Fraction` square; an exact square
+    beyond the float range is scaled by an even power of two first, and a
+    root that itself exceeds it is `math.inf`."""
+    try:
+        return math.sqrt(float(squared))
+    except OverflowError:  # only exact squares overflow a conversion
+        num, den = squared.numerator, squared.denominator
+        shift = (num.bit_length() - den.bit_length()) // 2
+        try:
+            return math.ldexp(math.sqrt(num / (den << 2 * shift)), shift)
+        except OverflowError:
+            return math.inf
 
 
 _ZERO = Fraction(0)
@@ -699,8 +646,7 @@ def _compiled_product(table, scalar_mode):
 def _product(table, xa, xb, zero):
     """Coordinates of the product of coordinate vectors xa and xb through a
     sparse table: floats in float mode, integer numerators in rational mode.
-    `envelope()` multiplies by this loop, and a float kernel falls back to
-    it (`_compiled_product`)."""
+    A float kernel falls back to this loop (`_compiled_product`)."""
     out = [zero] * len(xa)
     for i, a in enumerate(xa):
         if a == 0:
@@ -777,6 +723,20 @@ def check_json_scalars(data, scalar_mode, arrays: int):
         raise ValueError(f"float scalar {data!r} in rational mode; "
                          "use an integer, a 'p/q' string or float mode")
     return data
+
+
+def json_field(data, key: str, kind):
+    """data[key] of JSON object `data`, checked to be a `kind`: list, or int
+    and no `true`/`false`.  Anything else raises a ValueError naming `key`
+    (the CLI's exit 2); a missing key raises KeyError, which the CLI names."""
+    if not isinstance(data, dict):
+        raise ValueError(f"JSON {json.dumps(data)} where an object with '{key}' "
+                         "belongs")
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        kind = "an array" if kind is list else "an integer"
+        raise ValueError(f"JSON '{key}' must be {kind}, not {json.dumps(value)}")
+    return value
 
 
 def algebra_to_json(algebra: Algebra) -> dict:

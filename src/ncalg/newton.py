@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import RATIONAL, Algebra, Element, element_from_json, element_to_json
+from .algebra import (RATIONAL, Algebra, Element, element_from_json, element_to_json,
+                      root_of_square)
 from .errors import AlgebraMismatch
 from .linalg import UNIQUE, FieldMatrix, row_reduce
 from .tensor import TensorOp, operator_rows, pair_coefficients
@@ -260,12 +261,13 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
         if exact and _exceeds_bits(x, residual):
             trace.status = BIT_BUDGET
             return trace
-        rnorm = residual.norm()
+        squared = residual.norm_squared()
+        rnorm = root_of_square(squared)
         trace.iterates.append((x, residual, rnorm))
         if not (exact or math.isfinite(rnorm)):  # NaN fails every comparison below
             trace.status = DIVERGED
             return trace
-        size = residual.norm_squared() if exact else rnorm
+        size = squared if exact else rnorm
         if initial is None:
             initial = size
         if size < tol:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (Algebra, ClearedRing, Element, RATIONAL, element_from_json,
-                      element_to_json)
+                      element_to_json, json_field)
 from .errors import AlgebraMismatch, PivotNotInvertible, QuasideterminantUndefined
 from .linalg import (
     DEFAULT_ZERO_TOL,
@@ -132,17 +132,14 @@ class SylvesterSystem:
 
     @classmethod
     def from_json(cls, algebra: Algebra, data) -> "SylvesterSystem":
-        m_unk = data["unknowns"]
+        m_unk = json_field(data, "unknowns", int)
         equations = []
-        for eq in data["equations"]:
-            terms = [
-                (
-                    element_from_json(algebra, t["left"]),
-                    element_from_json(algebra, t["right"]),
-                    t["var"],
-                )
-                for t in eq["terms"]
-            ]
+        for eq in json_field(data, "equations", list):
+            terms = []
+            for t in json_field(eq, "terms", list):
+                var = json_field(t, "var", int)
+                terms.append((element_from_json(algebra, t["left"]),
+                              element_from_json(algebra, t["right"]), var))
             equations.append((terms, element_from_json(algebra, eq["rhs"])))
         return cls.from_terms(algebra, equations, m_unk)
 

@@ -1,28 +1,27 @@
 """Operator tensors: elements of A (x) A^op acting as linear maps on A.
 
 A tensor f = sum_ij f[i][j] e_i (x) e_j acts on x as sum_ij f[i][j] e_i x e_j.
-Its coordinates f[i][j] make it an `Element` of the derived algebra
-`Algebra.envelope()` = A (x) A^op, whose product is composition of the maps.
-So composition is multiplication there and inversion is `Element.inverse`;
-that element (and the envelope) is built on first use, and everything else
-reads the flat coordinates.  Simple pairs (a, b) given at construction are
-kept, for display and for `apply`, which evaluates sum_s a_s x b_s over
-them: the equation's own terms, independent of `operator_matrix` and of
-`Algebra.pair_products`.
+Composition, the product of A (x) A^op, is contracted from the sparse table
+(`_compose`); the inverse is one n^2 x n^2 solve.  Pairs (a, b) given at
+construction are kept for display and for `apply`, which sums a_s x b_s:
+the equation's own terms, independent of `operator_matrix`.
 """
 
 from __future__ import annotations
 
-from .algebra import (Algebra, Element, element_from_json, format_scalar,
-                      check_json_scalars)
-from .errors import AlgebraMismatch, NotInvertible, SingularTensor
-from .linalg import FieldMatrix
+import json
+from fractions import Fraction
+
+from .algebra import (FLOAT_CHECK_TOL, RATIONAL, Algebra, Element, check_json_scalars,
+                      element_from_json, format_scalar, json_field)
+from .errors import AlgebraMismatch, SingularTensor
+from .linalg import INCONSISTENT, FieldMatrix, cleared, row_reduce, solve_integer
 
 
 class TensorOp:
-    """A linear operator on the algebra, held as an element of A (x) A^op."""
+    """A linear operator on the algebra: n*n coordinates over e_i (x) e_j."""
 
-    __slots__ = ("algebra", "_coords", "display_pairs", "_element")
+    __slots__ = ("algebra", "_coords", "display_pairs")
 
     def __init__(self, algebra: Algebra, coeff, display_pairs=None,
                  _validated=False):
@@ -34,22 +33,6 @@ class TensorOp:
         self.algebra = algebra
         self._coords = tuple(v for row in coeff for v in row)
         self.display_pairs = tuple(display_pairs) if display_pairs else None
-        self._element = None
-
-    @classmethod
-    def _of(cls, algebra: Algebra, element: Element) -> "TensorOp":
-        op = cls.__new__(cls)
-        op.algebra, op._coords, op.display_pairs = algebra, element.coords, None
-        op._element = element
-        return op
-
-    @property
-    def element(self) -> Element:
-        """This tensor as an element of `Algebra.envelope()`, built on first use."""
-        if self._element is None:
-            self._element = Element(self.algebra.envelope(), self._coords,
-                                    _validated=True)
-        return self._element
 
     @property
     def coeff(self) -> tuple:
@@ -74,7 +57,8 @@ class TensorOp:
     @classmethod
     def identity(cls, algebra: Algebra) -> "TensorOp":
         """The unit tensor 1 (x) 1, which acts as the identity map."""
-        return cls._of(algebra, algebra.envelope().one())
+        return _tensor(algebra, _unit(algebra.dim ** 2, algebra.scalar_one(),
+                                      algebra.scalar_zero()))
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "TensorOp":
@@ -96,7 +80,7 @@ class TensorOp:
         return all(c == 0 for c in self._coords)
 
     def is_identity(self) -> bool:
-        return (self.element - 1).is_zero()
+        return self == TensorOp.identity(self.algebra)
 
     # -- action, composition, vectorization ------------------------------------
 
@@ -111,8 +95,16 @@ class TensorOp:
         return total
 
     def compose(self, other: "TensorOp") -> "TensorOp":
-        """The operator x -> self(other(x)): the product in A (x) A^op."""
-        return TensorOp._of(self.algebra, self.element * other.element)
+        """The operator x -> self(other(x)): the product in A (x) A^op.
+        Exact coordinates are contracted as cleared integers."""
+        alg = self.algebra
+        if other.algebra != alg:
+            raise AlgebraMismatch("tensors over different algebras")
+        if alg.scalar_mode != RATIONAL:
+            return _tensor(alg, _compose(alg, self._coords, other._coords, 0.0))
+        (df, xf), (dg, xg) = cleared(self._coords), cleared(other._coords)
+        den = df * dg * alg._dc ** 2
+        return _tensor(alg, [Fraction(v, den) for v in _compose(alg, xf, xg, 0)])
 
     def operator_matrix(self) -> FieldMatrix:
         """Field-level matrix M with M @ coords(x) = coords(self.apply(x)).
@@ -123,17 +115,32 @@ class TensorOp:
         return FieldMatrix(operator_rows(self.algebra, self.coeff))
 
     def invert(self) -> "TensorOp":
-        """The tensor g with self o g = g o self = 1 (x) 1.
-
-        This is the inverse in A (x) A^op.  A singular operator has none, but
-        outside central simple algebras an invertible operator can have none
-        too: its tensor is then a zero divisor in A (x) A^op.
+        """The tensor g with self o g = g o self = 1 (x) 1: the inverse in
+        A (x) A^op.  A singular operator has none, but outside central simple
+        algebras an invertible operator can have none too: its tensor is then
+        a zero divisor in A (x) A^op.  f o g = 1 (x) 1 is solved exactly on
+        cleared integers (`solve_integer`), else by `row_reduce`.  As in
+        `ClearedRing.inverse`, f o g = 1 forces g o f = 1, so only a float g
+        is checked, on both sides within FLOAT_CHECK_TOL.
         """
-        try:
-            return TensorOp._of(self.algebra, self.element.inverse())
-        except NotInvertible as exc:
-            raise SingularTensor(
-                "tensor has no two-sided inverse in A⊗A^op") from exc
+        alg, m = self.algebra, self.algebra.dim ** 2
+        exact = alg.scalar_mode == RATIONAL
+        one, zero = (1, 0) if exact else (1.0, 0.0)
+        d, f = cleared(self._coords) if exact else (1, self._coords)
+        # column b is f o (basis tensor b)
+        rows = [list(row) for row in
+                zip(*(_compose(alg, f, _unit(m, one, zero, b), zero) for b in range(m)))]
+        if exact:
+            sol = solve_integer(rows, _unit(m, d * alg._dc ** 2, 0))
+        else:
+            sol = row_reduce(FieldMatrix(rows), _unit(m, one, zero))
+        g = sol.particular
+        if sol.kind == INCONSISTENT or not (exact or all(
+                abs(v - w) <= FLOAT_CHECK_TOL
+                for h in (_compose(alg, f, g, zero), _compose(alg, g, f, zero))
+                for v, w in zip(h, _unit(m, one, zero)))):
+            raise SingularTensor("tensor has no two-sided inverse in A⊗A^op")
+        return _tensor(alg, g)
 
     # -- presentation ---------------------------------------------------------------
 
@@ -179,15 +186,17 @@ class TensorOp:
     @classmethod
     def from_json(cls, algebra: Algebra, data) -> "TensorOp":
         """Accepts {"coeff": n*n array} or {"pairs": [[elem, elem], ...]}."""
+        if not isinstance(data, dict) or not data.keys() & {"coeff", "pairs"}:
+            raise ValueError("tensor JSON needs a 'coeff' or 'pairs' key")
         if "coeff" in data:
             return cls(algebra, check_json_scalars(data["coeff"], algebra.scalar_mode, 2))
-        if "pairs" in data:
-            pairs = [
-                (element_from_json(algebra, a), element_from_json(algebra, b))
-                for a, b in data["pairs"]
-            ]
-            return cls.from_pairs(pairs)
-        raise ValueError("tensor JSON needs a 'coeff' or 'pairs' key")
+        pairs = []
+        for pair in json_field(data, "pairs", list):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"tensor JSON 'pairs' holds {json.dumps(pair)}, "
+                                 "not a pair [element, element]")
+            pairs.append(tuple(element_from_json(algebra, x) for x in pair))
+        return cls.from_pairs(pairs)
 
 
 def pair_coefficients(algebra: Algebra, pairs) -> list:
@@ -221,6 +230,37 @@ def operator_rows(algebra: Algebra, coeff) -> list:
                     out[q][p] -= v
                 else:
                     out[q][p] += v * w
+    return out
+
+
+def _tensor(algebra: Algebra, flat) -> TensorOp:
+    n = algebra.dim
+    return TensorOp(algebra, [flat[i * n:i * n + n] for i in range(n)], _validated=True)
+
+
+def _unit(size: int, one, zero, index: int = 0) -> list:
+    return [one if t == index else zero for t in range(size)]
+
+
+def _compose(algebra: Algebra, f, g, zero) -> list:
+    """Flat f o g from flat f and g (integers give integers over _dc**2) by
+    (e_i (x) e_j)(e_k (x) e_l) = sum_pq C[i][k][p] C[l][j][q] e_p (x) e_q.
+    Each output adds (f_ij g_kl)(C C) over nonzero f_ij, then g_kl, in the
+    order of the sparse loop `algebra._product` on the table of A (x) A^op,
+    so float results equal that loop's bit for bit (its C C = +-1 cases too)."""
+    n, table = algebra.dim, algebra._mul_table
+    out = [zero] * (n * n)
+    right = [(divmod(b, n), v) for b, v in enumerate(g) if v != 0]
+    for a, u in enumerate(f):
+        if u == 0:
+            continue
+        i, j = divmod(a, n)
+        left = table[i]
+        for (k, l), v in right:
+            uv, cells = u * v, table[l][j]
+            for p, c in left[k]:
+                for q, d in cells:
+                    out[p * n + q] += uv * (c * d)
     return out
 
 

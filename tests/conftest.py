@@ -37,13 +37,13 @@ def rng():
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The dimensions of the sparse tables built while the test runs."""
+    """The dimensions of the algebras built while the test runs."""
     builds = []
-    original = nc.Algebra._set_table
+    original = nc.Algebra.__init__
 
-    def counting(self, table):
-        builds.append(self.dim)
-        original(self, table)
+    def counting(self, constants, *args, **kwargs):
+        builds.append(len(constants))
+        original(self, constants, *args, **kwargs)
 
-    monkeypatch.setattr(nc.Algebra, "_set_table", counting)
+    monkeypatch.setattr(nc.Algebra, "__init__", counting)
     return builds

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import ncalg as nc
-from ncalg import newton
+from ncalg import algebra as algebra_module, newton
 
 
 def rand_element(alg, rng, span=2):
@@ -103,11 +103,11 @@ def clifford_algebra(p, q, scalar_mode=nc.RATIONAL):
     return nc.make_algebra(constants, names, scalar_mode, name=f"Cl({p},{q})")
 
 
-def scaled_quaternion_algebra(scalar_mode=nc.RATIONAL):
-    """The quaternions over the basis 1, i/2, j/2, k/4, so that constants
-    such as -1/4 and 1/8 occur."""
+def scaled_quaternion_algebra(scalar_mode=nc.RATIONAL, scale=(1, 2, 2, 4)):
+    """The quaternions over the basis 1, i/s1, j/s2, k/s3 for scale
+    (1, s1, s2, s3): by default i/2, j/2, k/4, so that constants such as
+    -1/4 and 1/8 occur; odd scales give constants inexact as floats."""
     H = nc.quaternion_algebra()
-    scale = [1, 2, 2, 4]
     basis = [H.basis(t).scale(Fraction(1, scale[t])) for t in range(4)]
     constants = [[[(x * y).coords[k] * scale[k] for k in range(4)] for y in basis]
                  for x in basis]
@@ -117,6 +117,72 @@ def scaled_quaternion_algebra(scalar_mode=nc.RATIONAL):
 def algebra_from_data(name, scalar_mode=nc.RATIONAL):
     path = Path(__file__).parent / "data" / f"{name}_algebra.json"
     return nc.algebra_from_json(path.read_text(), scalar_mode)
+
+
+# -- operator tensor oracles
+
+
+def flat(t):
+    """A tensor's n*n coordinates, row by row: index i*n + j is e_i (x) e_j."""
+    return [v for row in t.coeff for v in row]
+
+
+def naive_tensor_matrix(alg, coeff):
+    """The n^2 x n^2 matrix of g -> f o g over exact `Fraction`s, from the
+    dense constants: entry (p*n + q, k*n + l) is
+    sum_ij f[i][j] C[i][k][p] C[l][j][q].  f is invertible in A (x) A^op
+    exactly when this matrix is."""
+    n = alg.dim
+    # C[a][b] as its nonzero (index, constant) pairs
+    C = [[[(t, Fraction(c)) for t, c in enumerate(row) if c] for row in plane]
+         for plane in alg.constants]
+    m = [[Fraction(0)] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            f = Fraction(coeff[i][j])
+            if not f:
+                continue
+            for k in range(n):
+                for p, c in C[i][k]:
+                    for l in range(n):
+                        for q, d in C[l][j]:
+                            m[p * n + q][k * n + l] += f * c * d
+    return nc.FieldMatrix(m)
+
+
+def envelope_table(alg):
+    """The sparse table of A (x) A^op, built as the deleted
+    `Algebra.envelope()` built it from the algebra's own: cell
+    [i*n + j][k*n + l] lists (p*n + q, C[i][k][p] C[l][j][q]), scaled by
+    _dc**2, in the order the products arise."""
+    n, table = alg.dim, alg._mul_table
+    return tuple(
+        tuple(tuple((p * n + q, c1 * c2) for p, c1 in table[i][k] for q, c2 in table[l][j])
+              for k in range(n) for l in range(n))
+        for i in range(n) for j in range(n))
+
+
+def envelope_compose(alg, f, g):
+    """Float f o g, for flat coordinates, by the envelope's product loop."""
+    return algebra_module._product(envelope_table(alg), f, g, 0.0)
+
+
+def envelope_invert(alg, f):
+    """The float inverse of flat coordinates f by the envelope route, or
+    None: `Element.inverse` in float mode, on the envelope table."""
+    table = envelope_table(alg)
+    one = [1.0] + [0.0] * (len(table) - 1)
+    if all(v == 0 for v in f):
+        return None
+    sol = nc.row_reduce(nc.FieldMatrix(algebra_module._left_rows(table, f, 0.0)), one)
+    if sol.kind == nc.INCONSISTENT:
+        return None
+    y = sol.particular
+    for h in (algebra_module._product(table, f, y, 0.0),
+              algebra_module._product(table, y, f, 0.0)):
+        if not all(abs(a - b) <= algebra_module.FLOAT_CHECK_TOL for a, b in zip(h, one)):
+            return None
+    return y
 
 
 # -- Newton oracles: the per-monomial loops, every factor rebuilt from its end

@@ -443,6 +443,46 @@ class TestUsage:
                     code, out, err = invoke(capsys, *argv, "--scalar", mode)
                     assert (code, out, err) == (2, "", message), (scalar, argv, mode)
 
+    def test_malformed_system_and_tensor_json_exits_2(self, capsys, tmp_path):
+        # a wrong JSON type where the layout expects an array, a pair or an
+        # integer index is named, not a TypeError traceback; `true` is no
+        # unknown index, though Python would read it as 1
+        def system(edit):
+            data = json.loads((DATA / "system_example21.json").read_text())
+            edit(data)
+            return data
+        term = lambda data: data["equations"][0]["terms"][0]  # noqa: E731
+        path = tmp_path / "input.json"
+        for kind, data, message in (
+                ("tensor", {"pairs": None}, "JSON 'pairs' must be an array, not null"),
+                ("tensor", {"pairs": 5}, "JSON 'pairs' must be an array, not 5"),
+                ("tensor", {"pairs": [5]},
+                 "tensor JSON 'pairs' holds 5, not a pair [element, element]"),
+                ("tensor", {"pairs": [[[1, 0, 0, 0]]]},
+                 "tensor JSON 'pairs' holds [[1, 0, 0, 0]], not a pair [element, element]"),
+                ("tensor", [], "tensor JSON needs a 'coeff' or 'pairs' key"),
+                ("system", system(lambda d: d.update(equations=None)),
+                 "JSON 'equations' must be an array, not null"),
+                ("system", system(lambda d: d["equations"][0].update(terms=None)),
+                 "JSON 'terms' must be an array, not null"),
+                ("system", system(lambda d: d.update(unknowns="1")),
+                 'JSON \'unknowns\' must be an integer, not "1"'),
+                ("system", system(lambda d: d.update(unknowns=1.5)),
+                 "JSON 'unknowns' must be an integer, not 1.5"),
+                ("system", system(lambda d: term(d).update(var="0")),
+                 'JSON \'var\' must be an integer, not "0"'),
+                ("system",
+                 system(lambda d: (d.update(unknowns=2), term(d).update(var=True))),
+                 "JSON 'var' must be an integer, not true"),
+                ("system", system(lambda d: d["equations"].append(7)),
+                 "JSON 7 where an object with 'terms' belongs")):
+            path.write_text(json.dumps(data))
+            argv = (["invert-tensor", "--tensor-json", str(path)] if kind == "tensor"
+                    else ["solve", "--system-json", str(path)])
+            for mode in ("rational", "float"):
+                code, out, err = invoke(capsys, *argv, "--scalar", mode)
+                assert (code, out, err) == (2, "", f"error: {message}\n"), (data, mode)
+
     def test_json_scalar_where_an_array_belongs_exits_2(self, capsys, tmp_path):
         # a number or null in place of the constants, a plane, a row, an
         # element or a coefficient row is named, not a TypeError traceback

@@ -26,7 +26,7 @@ from ncalg.cli import run
 from ncalg.newton import (BIT_BUDGET, CONVERGED, DIVERGED, GeneralizedPolynomial,
                           newton_solve)
 from ncalg.solvers import nc_row_reduce
-from helpers import (algebra_from_data, clifford_algebra, matrix_algebra,
+from helpers import (algebra_from_data, clifford_algebra, flat, matrix_algebra,
                      scaled_quaternion_algebra)
 
 BUILDERS = {
@@ -184,14 +184,15 @@ class TestIntegerProduct:
 
     @pytest.mark.parametrize("name", ["H", "H/2"])
     def test_envelope_product_matches_naive(self, name, rng):
+        # tensor composition is the product of A (x) A^op
         alg, C = built(name)
-        env = alg.envelope()
+        n = alg.dim
         for _ in range(2):
-            f = env.element([big_scalar(rng) for _ in range(env.dim)])
-            g = env.element([big_scalar(rng) for _ in range(env.dim)])
-            product = f * g
-            assert list(product.coords) == naive_envelope_product(C, f.coords, g.coords)
-            assert all(type(c) is Fraction for c in product.coords)
+            f, g = (nc.TensorOp(alg, [[big_scalar(rng) for _ in range(n)]
+                                      for _ in range(n)]) for _ in range(2))
+            product = flat(f.compose(g))
+            assert product == naive_envelope_product(C, flat(f), flat(g))
+            assert all(type(c) is Fraction for c in product)
 
 
 SPECIAL_FLOATS = (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
@@ -261,9 +262,9 @@ class TestCompiledKernel:
         floats = H[nc.FLOAT].element([0.5, 2.0, -1.0, 3.0])
         assert all(type(c) is float for c in (floats * floats).coords)
 
-    def test_float_compiled_and_envelope_on_the_sparse_loop(self, rng):
+    def test_float_compiled_on_the_sparse_loop(self, rng):
         # float algebras multiply through their compiled kernel, which falls
-        # back to the loop only for a NaN; envelope() keeps the loop
+        # back to the loop only for a NaN
         calls, product = [], algebra_module._product
 
         def counted(*args, **kwargs):
@@ -282,11 +283,6 @@ class TestCompiledKernel:
             assert calls == []
             F.element([0.0, 1.0, 0.0, 0.0]) * F.element([math.inf, 0.0, 0.0, 0.0])
             assert calls == [4]
-            env = H.envelope()
-            assert env._product_kernel().func is counted
-            env.basis(3) * env.one()
-            F.envelope().basis(3) * F.envelope().one()
-            assert calls == [4, 16, 16]
 
 
 class TestFusedUpdate:

@@ -1,17 +1,25 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ncalg as nc
+from ncalg.algebra import FLOAT_CHECK_TOL
 from ncalg.cli import run
 from ncalg.linalg import rank
 from helpers import (
     algebra_from_data,
+    clifford_algebra,
     compose_pairs_oracle,
+    envelope_compose,
+    envelope_invert,
+    flat,
     matrix_algebra,
+    naive_tensor_matrix,
     rand_element,
     rand_nonzero,
     rand_tensor,
+    scaled_quaternion_algebra,
 )
 
 
@@ -245,12 +253,10 @@ class TestEnvelopeAlgebras:
             try:
                 g = f.invert()
             except nc.SingularTensor:
-                with pytest.raises(nc.NotInvertible):
-                    f.element.inverse()
+                assert rank(naive_tensor_matrix(alg, f.coeff)) < alg.dim ** 2
                 outcomes.add("singular")
                 continue
             assert f.compose(g) == ident and g.compose(f) == ident
-            assert g.element == f.element.inverse()
             x = rand_element(alg, rng)
             assert g.apply(f.apply(x)) == x
             outcomes.add("inverted")
@@ -264,30 +270,97 @@ class TestEnvelopeAlgebras:
         with pytest.raises(nc.SingularTensor):
             f.invert()
 
-    def test_envelope_cached_and_sparse(self, monkeypatch):
-        alg = matrix_algebra(2)
-        builds = []
-        original = nc.Algebra._set_table
-
-        def counting(self, table):
-            builds.append(self.dim)
-            original(self, table)
-
-        monkeypatch.setattr(nc.Algebra, "_set_table", counting)
-        f = nc.tensor_from_pairs([(alg.basis(2) + alg.one(), alg.basis(3) + alg.one())])
-        f.invert()
-        f.invert()
-        nc.tensor_from_pairs([(alg.basis(1), alg.one())]).invert()
-        assert builds == [16]
-        env = alg.envelope()
-        assert f.element.algebra is env
-        assert env.constants is None
-        assert env.basis_names[:3] == ("1⊗1", "1⊗h", "1⊗e")
-
     def test_check_builds_no_envelope(self, table_builds, capsys):
-        # `check` only applies the operators, so no dim-n^2 table is built;
-        # the second system has an equation without x2, i.e. a zero tensor
+        # `check` only applies the operators, so it builds no algebra beyond
+        # the CLI's own; the second system has an equation without x2, i.e.
+        # a zero tensor
         assert run(["check", "--x", "-1/2 - 1/2j", "(i+j)*x*k + k*x*(j+k) = 1+k"]) == 0
         assert run(["check", "--x", "1", "--x", "i + k",
                     "i*x1 + x2*j = k", "x1 = 1"]) == 0
         assert table_builds == [4, 4]
+
+
+# the tables of test_exact_kernel, and H/357, whose constants such as 7/15
+# are inexact as floats, so that reassociating (f_ij g_kl)(C C) moves bits
+TABLES = {
+    "H": nc.quaternion_algebra,
+    "M2": lambda mode: matrix_algebra(2, mode),
+    "Cl11": lambda mode: clifford_algebra(1, 1, mode),
+    "Cl30": lambda mode: clifford_algebra(3, 0, mode),
+    "complex": lambda mode: algebra_from_data("complex", mode),
+    "dual": lambda mode: algebra_from_data("dual", mode),
+    "H/2": scaled_quaternion_algebra,
+    "H/357": lambda mode: scaled_quaternion_algebra(mode, (1, 3, 5, 7)),
+}
+ALGEBRAS = {(name, mode): build(mode) for name, build in TABLES.items()
+            for mode in (nc.RATIONAL, nc.FLOAT)}
+# zero-heavy, so that sparse and singular tensors are common; thirds and
+# sevenths are inexact as floats, so float results carry rounding
+scalars = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                    st.integers(-2, 2).map(Fraction),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=12))
+
+
+@st.composite
+def tensors(draw, alg):
+    """A tensor from n*n drawn coefficients, or from one or two drawn
+    (a, b) pairs, whose low rank makes singular tensors likely; float
+    zeros come with either sign."""
+    n, exact = alg.dim, alg.scalar_mode == nc.RATIONAL
+
+    def coords(size):
+        values = draw(st.lists(scalars, min_size=size, max_size=size))
+        if exact:
+            return values
+        signs = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        return [-float(v) if v == 0 and negative else float(v)
+                for v, negative in zip(values, signs)]
+    if draw(st.booleans()):
+        flat_coeff = coords(n * n)
+        return nc.TensorOp(alg, [flat_coeff[i * n:(i + 1) * n] for i in range(n)])
+    return nc.tensor_from_pairs([(nc.Element(alg, coords(n)), nc.Element(alg, coords(n)))
+                                 for _ in range(draw(st.integers(1, 2)))])
+
+
+class TestInverseProperty:
+    @pytest.mark.parametrize("key", list(ALGEBRAS), ids="-".join)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_two_sided_inverse_or_singular_matrix(self, key, data):
+        # exactly one: invert returns g with f o g = g o f = 1 (x) 1 (within
+        # FLOAT_CHECK_TOL in float mode), or it raises SingularTensor and
+        # the naive n^2 x n^2 matrix of g -> f o g is singular
+        alg = ALGEBRAS[key]
+        f, h = data.draw(tensors(alg)), data.draw(tensors(alg))
+        exact = alg.scalar_mode == nc.RATIONAL
+        if not exact:  # the A (x) A^op product loop, bit for bit
+            assert repr(flat(f.compose(h))) == repr(envelope_compose(alg, flat(f), flat(h)))
+            expected = envelope_invert(alg, flat(f))
+        try:
+            g = f.invert()
+        except nc.SingularTensor:
+            assert rank(naive_tensor_matrix(alg, f.coeff)) < alg.dim ** 2
+            assert exact or expected is None
+            return
+        ident = nc.TensorOp.identity(alg)
+        for product in (f.compose(g), g.compose(f)):
+            if exact:
+                assert product == ident
+            else:
+                assert all(abs(a - b) <= FLOAT_CHECK_TOL
+                           for a, b in zip(flat(product), flat(ident)))
+        if not exact:
+            assert repr(flat(g)) == repr(expected)
+
+    @pytest.mark.xfail(strict=True, raises=nc.SingularTensor,
+                       reason="the float two-sided check is absolute (FLOAT_CHECK_TOL), "
+                       "so it rejects a true inverse with coordinates up to 2048")
+    def test_float_inverse_of_ill_conditioned_tensor(self):
+        # a shrunk counterexample of the property above in float mode: the
+        # exact inverse exists and the float solve finds it to about 1e-12
+        # relative, but g o f misses 1 (x) 1 by 1.07e-9
+        coeff = [[1, 0, 0, 2], [0, 0, 0, 0], [0, "1/4", 0, 0], [0, 1, 0, 2]]
+        exact = nc.TensorOp(clifford_algebra(1, 1), coeff).invert()
+        assert max(abs(v) for v in flat(exact)) == 2048
+        g = nc.TensorOp(clifford_algebra(1, 1, nc.FLOAT), coeff).invert()
+        assert all(abs(a - b) <= 1e-9 * 2048 for a, b in zip(flat(g), flat(exact)))
