@@ -3,7 +3,9 @@
 An algebra of dimension n over the scalar field is given by an n*n*n array C
 with  e_i * e_j = sum_k C[i][j][k] e_k.  Basis index 0 is always the unit.
 Two scalar modes exist: exact rationals (`Fraction`) and binary floats; a
-single algebra, and everything computed over it, stays in one mode.
+single algebra, and everything computed over it, stays in one mode.  An
+exact element is integers over one denominator; its `Fraction`s are built
+on first read, the same whichever thread reads them first.
 
 All values here are immutable after construction, so instances can be shared
 freely across threads.
@@ -52,7 +54,8 @@ class Algebra:
     """
 
     __slots__ = ("name", "dim", "basis_names", "scalar_mode", "_mul_table",
-                 "_dc", "_name_to_index", "_basis_cache", "_pair_products", "_kernel")
+                 "_dc", "_name_to_index", "_basis_cache", "_zero", "_pair_products",
+                 "_kernel")
 
     def __init__(self, constants, basis_names=None, scalar_mode=RATIONAL, name=None):
         if scalar_mode not in (RATIONAL, FLOAT):
@@ -94,6 +97,7 @@ class Algebra:
         self._basis_cache = tuple(
             Element(self, [one if t == k else zero for t in range(n)], _validated=True)
             for k in range(n))
+        self._zero = Element(self, [zero] * n, _validated=True)
 
     def _nonzero(self, row):
         """The coerced nonzero (k, row[k]).  Int and "0" zeros are skipped
@@ -242,7 +246,7 @@ class Algebra:
         return Element(self, coords)
 
     def zero(self) -> "Element":
-        return self.element([0] * self.dim)
+        return self._zero
 
     def one(self) -> "Element":
         return self._basis_cache[0]
@@ -310,29 +314,34 @@ def quaternion_algebra(scalar_mode=RATIONAL) -> Algebra:
 class Element:
     """A vector of coordinates over the algebra's basis, with ring arithmetic.
 
-    Products run through the algebra's kernel (`Algebra._product_kernel`).
-    In rational mode each operand is cleared to integer numerators over the
-    lcm of its denominators, the kernel multiplies those, and one `Fraction`
-    is built per output coordinate.  In float mode the kernel multiplies the
-    coordinates as they are, and its result is the sparse loop's bit for
-    bit: a product whose compiled result holds a NaN (0*inf where the loop
-    skips the zero) is recomputed by the loop.
+    A rational element is stored as one cleared pair: integer numerators
+    `_nums` over one denominator `_d` > 0, with gcd(_d, *_nums) = 1, so
+    equal values have equal pairs (the representation of FLINT's
+    `fmpq_poly`).  Arithmetic, equality and hashing run on the pair, and
+    products pass the numerators straight to the algebra's integer kernel
+    (`Algebra._product_kernel`), with one gcd per result.  An element built
+    from coordinates keeps them as `coords`, a tuple of `Fraction`s; one
+    computed from pairs builds its `coords` when they are first read.
+
+    A float element holds only its `coords`, which the kernel multiplies as
+    they are; its result is the sparse loop's bit for bit: a product whose
+    compiled result holds a NaN (0*inf where the loop skips the zero) is
+    recomputed by the loop.
     """
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "coords", "_d", "_nums")
 
     def __init__(self, algebra: Algebra, coords, _validated=False):
         self.algebra = algebra
-        if _validated:
-            # trusted internal path: coords are already coerced scalars
-            self.coords = tuple(coords)
-            return
-        coords = tuple(algebra.coerce(c) for c in coords)
-        if len(coords) != algebra.dim:
-            raise ValueError(
-                f"need {algebra.dim} coordinates, got {len(coords)}"
-            )
-        self.coords = coords
+        # _validated is the trusted internal path: coords are already coerced
+        if not _validated:
+            coords = tuple(algebra.coerce(c) for c in coords)
+            if len(coords) != algebra.dim:
+                raise ValueError(f"need {algebra.dim} coordinates, got {len(coords)}")
+        self.coords = coords = tuple(coords)
+        if algebra.scalar_mode == RATIONAL:
+            self._d, nums = cleared(coords)
+            self._nums = tuple(nums)
 
     def _same_algebra(self, other: "Element"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -343,33 +352,35 @@ class Element:
 
     # -- arithmetic ----------------------------------------------------------
 
-    # a scalar operand s of + and - stands for the element s*1
-
     def __add__(self, other):
-        if isinstance(other, Element):
-            self._same_algebra(other)
-        else:
-            other = self.algebra.one().scale(other)
-        return Element(self.algebra,
-                       [a + b for a, b in zip(self.coords, other.coords)],
-                       _validated=True)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Element):
-            self._same_algebra(other)
-        else:
-            other = self.algebra.one().scale(other)
-        return Element(self.algebra,
-                       [a - b for a, b in zip(self.coords, other.coords)],
-                       _validated=True)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -self + other
 
+    def _plus(self, other, sign):
+        # a scalar operand s of + and - stands for the element s*1
+        if isinstance(other, Element):
+            self._same_algebra(other)
+        else:
+            other = self.algebra.one().scale(other)
+        alg = self.algebra
+        if alg.scalar_mode == RATIONAL:
+            return _pair_sum(alg, self._d, self._nums, other._d, other._nums, sign)
+        pairs = zip(self.coords, other.coords)
+        return Element(alg, [a + b for a, b in pairs] if sign > 0
+                       else [a - b for a, b in pairs], _validated=True)
+
     def __neg__(self):
-        return Element(self.algebra, [-a for a in self.coords], _validated=True)
+        alg = self.algebra
+        if alg.scalar_mode == RATIONAL:
+            return cleared_element(alg, self._d, [-v for v in self._nums])
+        return Element(alg, [-a for a in self.coords], _validated=True)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -378,35 +389,48 @@ class Element:
             if alg.scalar_mode != RATIONAL:
                 return Element(alg, alg._product_kernel()(self.coords, other.coords),
                                _validated=True)
-            da, xa = cleared(self.coords)
-            db, xb = cleared(other.coords)
-            den = da * db * alg._dc
-            return Element(alg, [Fraction(v, den) if v else _ZERO
-                                 for v in alg._product_kernel()(xa, xb)],
-                           _validated=True)
+            return cleared_element(alg, self._d * other._d * alg._dc,
+                                   alg._product_kernel()(self._nums, other._nums))
         return self.scale(other)
 
     def __rmul__(self, other):
         # scalars commute with everything, so left and right scaling agree
         return self.scale(other)
 
+    def minus_product(self, f: "Element", g: "Element") -> "Element":
+        """self - f*g, the row update of the algebra-valued elimination; in
+        rational mode one integer pass over one lcm, with one gcd."""
+        alg = self.algebra
+        if alg.scalar_mode != RATIONAL:
+            return self - f * g
+        return _pair_sum(alg, self._d, self._nums, f._d * g._d * alg._dc,
+                         alg._product_kernel()(f._nums, g._nums), -1)
+
     def scale(self, factor) -> "Element":
-        s = self.algebra.coerce(factor)
-        return Element(self.algebra, [s * a for a in self.coords], _validated=True)
+        alg = self.algebra
+        s = alg.coerce(factor)
+        if alg.scalar_mode == RATIONAL:
+            p, q = s.as_integer_ratio()
+            return cleared_element(alg, self._d * q, [p * v for v in self._nums])
+        return Element(alg, [s * a for a in self.coords], _validated=True)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.algebra == other.algebra
-            and self.coords == other.coords
-        )
+        if not (isinstance(other, Element) and self.algebra == other.algebra):
+            return False
+        if self.algebra.scalar_mode == RATIONAL:
+            return self._d == other._d and self._nums == other._nums
+        return self.coords == other.coords
 
     def __hash__(self):
+        if self.algebra.scalar_mode == RATIONAL:
+            return hash((self.algebra, self._d, self._nums))
         return hash((self.algebra, self.coords))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol:
             return all(abs(c) <= tol for c in self.coords)
+        if self.algebra.scalar_mode == RATIONAL:
+            return not any(self._nums)
         return all(c == 0 for c in self.coords)
 
     # -- regular representation ----------------------------------------------
@@ -417,10 +441,9 @@ class Element:
         if alg.scalar_mode != RATIONAL:
             return FieldMatrix(_left_rows(alg._mul_table, self.coords, 0.0))
         # the table holds the constants times _dc
-        d, xa = cleared(self.coords)
-        den = d * alg._dc
+        den = self._d * alg._dc
         return FieldMatrix([[Fraction(v, den) for v in row]
-                            for row in _left_rows(alg._mul_table, xa, 0)])
+                            for row in _left_rows(alg._mul_table, self._nums, 0)])
 
     def right_matrix(self) -> FieldMatrix:
         """R with R @ coords(x) = coords(x * self) for every x."""
@@ -441,17 +464,32 @@ class Element:
     def inverse(self) -> "Element":
         """Two-sided inverse; raises NotInvertible when there is none.
 
-        In rational mode this is `ClearedRing.inverse` on integers, and one
-        `Fraction` is built per coordinate.  In float mode L(self) y = e0 is
-        solved by `row_reduce` and y is checked on both sides within
-        FLOAT_CHECK_TOL.
+        In rational mode, a = nums/d over the table scaled by _dc has
+        L(a) = L(nums)/(d*_dc), so the integer system L(nums) y = d*_dc*e0
+        goes to fraction-free elimination, and y is read off the pivot rows
+        as integers over the last pivot.  A solution needs no check: a*y = 1
+        in a finite-dimensional associative unital algebra forces y*a = 1,
+        since L(a) is then onto, hence injective, and a*(y*a) = (a*y)*a = a.
+        In float mode L(self) y = e0 is solved by `row_reduce` and y is
+        checked on both sides within FLOAT_CHECK_TOL.
         """
         if self.is_zero():
             raise NotInvertible("zero element has no inverse")
         alg = self.algebra
         if alg.scalar_mode == RATIONAL:
-            ring = ClearedRing(alg)
-            return ring.element(ring.inverse(cleared(self.coords)))
+            n = alg.dim
+            rows = _left_rows(alg._mul_table, self._nums, 0)
+            rhs = [self._d * alg._dc] + [0] * (n - 1)
+            pivots = eliminate(rows, rhs, **_integer_ring())
+            if any(rhs[len(pivots):]):
+                raise NotInvertible(f"left regular matrix of {self} is singular")
+            y = [0] * n
+            for r, c in pivots:
+                y[c] = rhs[r]
+            last = rows[r][c]  # every pivot entry equals the last pivot
+            if last < 0:
+                last, y = -last, [-v for v in y]
+            return cleared_element(alg, last, y)
         one = alg.one()
         sol = row_reduce(self.left_matrix(), list(one.coords))
         if sol.kind == INCONSISTENT:
@@ -464,7 +502,9 @@ class Element:
 
     def norm_squared(self):
         """Exact sum of squared coordinates (a scalar in the algebra's mode)."""
-        total = self.algebra.scalar_zero()
+        if self.algebra.scalar_mode == RATIONAL:
+            return Fraction(sum(v * v for v in self._nums), self._d * self._d)
+        total = 0.0
         for c in self.coords:
             total = total + c * c
         return total
@@ -483,6 +523,44 @@ class Element:
         return f"Element({self})"
 
 
+def cleared_element(algebra: Algebra, d: int, nums) -> Element:
+    """The rational element nums/d, for d > 0 and integer nums, stored as
+    its pair reduced by gcd(d, *nums)."""
+    g = math.gcd(d, *nums)
+    if g != 1:
+        d, nums = d // g, [v // g for v in nums]
+    x = object.__new__(_Cleared)
+    x.algebra, x._d, x._nums = algebra, d, tuple(nums)
+    return x
+
+
+_coords_slot = Element.coords
+
+
+class _Cleared(Element):
+    """A rational element made from its pair, whose `coords` are built when
+    first read.  A subclass, so that `coords` stays a plain slot, read with
+    no call, on every element built from coordinates, float ones included."""
+
+    __slots__ = ()
+
+    @property
+    def coords(self):
+        try:
+            return _coords_slot.__get__(self)
+        except AttributeError:
+            d = self._d
+            _coords_slot.__set__(self, tuple(Fraction(v, d) for v in self._nums))
+        return _coords_slot.__get__(self)
+
+
+def _pair_sum(algebra, da, xa, db, xb, sign):
+    """xa/da + sign * xb/db as a rational element, over lcm(da, db)."""
+    d = math.lcm(da, db)
+    sa, sb = d // da, sign * (d // db)
+    return cleared_element(algebra, d, [a * sa + b * sb for a, b in zip(xa, xb)])
+
+
 def root_of_square(squared) -> float:
     """The float square root of a float or `Fraction` square; an exact square
     beyond the float range is scaled by an even power of two first, and a
@@ -496,87 +574,6 @@ def root_of_square(squared) -> float:
             return math.ldexp(math.sqrt(num / (den << 2 * shift)), shift)
         except OverflowError:
             return math.inf
-
-
-_ZERO = Fraction(0)
-
-
-class ClearedRing:
-    """Exact elements of one algebra as cleared entries (d, numerators),
-    worth numerators/d, with d > 0 and gcd(d, numerators) = 1 as `cleared`
-    returns them, so that equal values have equal entries.
-
-    Exact `solvers.nc_row_reduce` hands this ring to `linalg.eliminate`:
-    each entry is cleared once per elimination, and the pivot inverses, the
-    pivot divisions and the row updates all run on integers, through the
-    algebra's integer kernel.  `Element`s are built only at extraction.
-    """
-
-    __slots__ = ("algebra", "zero", "product")
-
-    def __init__(self, algebra: Algebra):
-        self.algebra = algebra
-        self.zero = (1, [0] * algebra.dim)
-        self.product = algebra._product_kernel()
-
-    @staticmethod
-    def clear(x: Element) -> tuple:
-        return cleared(x.coords)
-
-    def element(self, entry) -> Element:
-        d, nums = entry
-        return Element(self.algebra, [Fraction(v, d) if v else _ZERO for v in nums],
-                       _validated=True)
-
-    @staticmethod
-    def is_zero(entry) -> bool:
-        return not any(entry[1])
-
-    def _reduced(self, d, nums):
-        g = math.gcd(d, *nums)
-        return (d, nums) if g == 1 else (d // g, [v // g for v in nums])
-
-    def inverse(self, entry):
-        """The two-sided inverse of a nonzero entry, as an entry.
-
-        a = nums/d over the table scaled by _dc has L(a) = L(nums)/(d*_dc),
-        so the integer system L(nums) y = d*_dc*e0 goes to fraction-free
-        elimination, and y is read off the pivot rows as integers over the
-        last pivot.  Raises NotInvertible when the system has no solution.
-        A solution needs no check: a*y = 1 in a finite-dimensional
-        associative unital algebra forces y*a = 1, since L(a) is then onto,
-        hence injective, and a*(y*a) = (a*y)*a = a.
-        """
-        d, nums = entry
-        alg, n = self.algebra, len(nums)
-        rows = _left_rows(alg._mul_table, nums, 0)
-        rhs = [d * alg._dc] + [0] * (n - 1)
-        pivots = eliminate(rows, rhs, **_integer_ring())
-        if any(rhs[len(pivots):]):
-            raise NotInvertible(
-                f"left regular matrix of {self.element(entry)} is singular")
-        xi = [0] * n
-        for r, c in pivots:
-            xi[c] = rhs[r]
-        last = rows[r][c]  # every pivot entry equals the last pivot
-        if last < 0:
-            last, xi = -last, [-v for v in xi]
-        return self._reduced(last, xi)
-
-    def divider(self, pivot):
-        """v -> pivot^-1 v; raises NotInvertible."""
-        di, xi = self.inverse(pivot)
-        scale, product = di * self.algebra._dc, self.product
-        return lambda v: self._reduced(scale * v[0], product(xi, v[1]))
-
-    def update(self, a, f, g):
-        """a - f*g, over the lcm of the two denominators."""
-        (da, xa), (df, xf), (dg, xg) = a, f, g
-        dp = df * dg * self.algebra._dc
-        den = math.lcm(da, dp)
-        sa, sp = den // da, den // dp
-        return self._reduced(den, [x * sa - p * sp
-                                   for x, p in zip(xa, self.product(xf, xg))])
 
 
 def _left_rows(table, xa, zero):

@@ -299,7 +299,8 @@ _FLOAT_RING = dict(is_zero=_is_zero_float, divider=lambda p: lambda v: v / p,
 
 def cleared(values):
     """(d, numerators): exact scalars as integers over their least common
-    denominator d."""
+    denominator d, with gcd(d, *numerators) = 1 for reduced inputs such as
+    `Fraction`s, the pair that stores an exact `algebra.Element`."""
     pairs = [v.as_integer_ratio() for v in values]
     d = math.lcm(*[q for _, q in pairs])
     if d == 1:

@@ -89,8 +89,8 @@ class GeneralizedPolynomial:
 
     def evaluate(self, x: Element) -> Element:
         """Sum of the alternating products c0 x c1 x ... x cd (`_walk`)."""
-        value, _ = _walk(self.algebra, *self._walk_operands(x), x.coords)
-        return Element(self.algebra, value, _validated=True)
+        value, _, _ = _walk(self.algebra, *self._walk_operands(x), x)
+        return _element(self.algebra, value)
 
     def derivative_at(self, x0: Element) -> TensorOp:
         """The derivative tensor at x0.
@@ -100,29 +100,36 @@ class GeneralizedPolynomial:
         (x) (product of everything right of it).  For x^2 this is the familiar
         x0 (x) 1 + 1 (x) x0.  The left factors are the walk's prefixes.
         """
-        alg, x = self.algebra, x0.coords
-        mul, monos = self._walk_operands(x0)
-        pairs = [(Element(alg, a, _validated=True), Element(alg, b, _validated=True))
-                 for a, b in _pairs(mul, monos, _walk(alg, mul, monos, x)[1], x)]
+        alg, (mul, monos) = self.algebra, self._walk_operands(x0)
+        _, chains, x = _walk(alg, mul, monos, x0)
+        pairs = [(_element(alg, a), _element(alg, b))
+                 for a, b in _pairs(mul, monos, chains, x)]
         return TensorOp.from_pairs(pairs) if pairs else TensorOp.zero(alg)
 
     def _walk_operands(self, *args):
-        """(float kernel or exact `Element` product, coefficient coordinates)."""
+        """(product, coefficients): exact `Element`s, whose products run on
+        their cleared integer pairs, or float coordinates and the compiled
+        float kernel."""
         alg = self.algebra
         if any(arg.algebra != alg for arg in args):
             raise AlgebraMismatch("argument from a different algebra")
         if alg.scalar_mode == RATIONAL:
-            def mul(xa, xb):
-                return (Element(alg, xa, _validated=True)
-                        * Element(alg, xb, _validated=True)).coords
-        else:
-            mul = alg._product_kernel()
-        return mul, [[c.coords for c in mono] for mono in self.monomials]
+            return Element.__mul__, self.monomials
+        return alg._product_kernel(), [[c.coords for c in mono] for mono in self.monomials]
 
 
-def _walk(algebra: Algebra, mul, monomials, x):
-    """(sum of the monomials' values, per monomial its prefixes P_1..P_(d+1))."""
-    total, chains = [algebra.scalar_zero()] * algebra.dim, []
+def _element(algebra: Algebra, value) -> Element:
+    """A walk's value as an `Element`."""
+    if algebra.scalar_mode == RATIONAL:
+        return value
+    return Element(algebra, value, _validated=True)
+
+
+def _walk(algebra: Algebra, mul, monomials, x: Element):
+    """(sum of the monomials' values, per monomial its prefixes P_1..P_(d+1),
+    x), all as `_walk_operands` gives them: float x as its coordinates."""
+    exact, chains = algebra.scalar_mode == RATIONAL, []
+    total, x = (algebra.zero(), x) if exact else ([0.0] * algebra.dim, x.coords)
     for mono in monomials:
         acc = mono[0]
         chain = [acc]
@@ -130,8 +137,8 @@ def _walk(algebra: Algebra, mul, monomials, x):
             acc = mul(mul(acc, x), c)
             chain.append(acc)
         chains.append(chain)
-        total = [s + v for s, v in zip(total, acc)]
-    return total, chains
+        total = total + acc if exact else [s + v for s, v in zip(total, acc)]
+    return total, chains, x
 
 
 def _pairs(mul, monomials, chains, x):
@@ -256,8 +263,9 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
         tol, factor = Fraction(tol) ** 2, Fraction(factor) ** 2
     trace, x, initial, streak = NewtonTrace(), x0, None, 0
     for k in range(cfg.max_iter + 1):
-        value, chains = _walk(alg, mul, monos, x.coords)
-        residual = Element(alg, [v - t for v, t in zip(value, a.coords)], _validated=True)
+        value, chains, xo = _walk(alg, mul, monos, x)
+        residual = value - a if exact else Element(
+            alg, [v - t for v, t in zip(value, a.coords)], _validated=True)
         if exact and _exceeds_bits(x, residual):
             trace.status = BIT_BUDGET
             return trace
@@ -282,7 +290,9 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
             streak = 0
         if k == cfg.max_iter:
             break
-        pairs = _pairs(mul, monos, chains, x.coords)
+        pairs = _pairs(mul, monos, chains, xo)
+        if exact:
+            pairs = ((u.coords, v.coords) for u, v in pairs)
         rows = operator_rows(alg, pair_coefficients(alg, pairs))
         step = row_reduce(FieldMatrix(rows), [-c for c in residual.coords])
         if step.kind != UNIQUE:

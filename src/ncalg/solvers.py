@@ -9,10 +9,10 @@ Two independent routes are implemented and cross-checked:
   obtaining an enlarged algebra-valued linear system in the unknowns
   x^j e_p, and runs Gauss-Jordan elimination with left division by pivots.
   The sweep is `linalg.eliminate`, the same one that solve_field runs over
-  the scalars; only the entries and the pivot inverse differ.  In exact
-  mode the sweep runs on `ClearedRing` entries, with `ClearedRing.inverse`
-  as the pivot inverse and `ClearedRing.update` as the row update, and
-  `Element`s are built only when the solution set is read.
+  the scalars; only the entries and the pivot inverse differ.  Exact
+  entries are `Element`s stored as cleared integer pairs, so the enlarged
+  entries, the pivot inverses and the row updates stay on integers, and
+  `Fraction`s are built only where the solution's coordinates are read.
   A solution of the enlarged system need NOT solve the original equation
   when the operator is singular (outside central simple algebras, not
   always even when it is invertible), so every candidate is verified by
@@ -27,9 +27,10 @@ inverse, which `nc_row_reduce` already applies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .algebra import (Algebra, ClearedRing, Element, RATIONAL, element_from_json,
+from .algebra import (Algebra, Element, RATIONAL, cleared_element, element_from_json,
                       element_to_json, json_field)
 from .errors import AlgebraMismatch, PivotNotInvertible, QuasideterminantUndefined
 from .linalg import (
@@ -257,20 +258,18 @@ def build_richardson(system: SylvesterSystem) -> RichardsonSystem:
     in brackets is the coefficient of the unknown x^j e_p in row (i, l).
     It is summed straight from the sparse table, m ascending, with no
     operator product in A (x) A^op; in rational mode over each operator's
-    integer numerators, cleared once per operator.
+    integer numerators, cleared once per operator, into entries that are
+    cleared pairs from the start.
     """
     alg = system.algebra
     n, table = alg.dim, alg._mul_table
     columns = [[plane[l] for plane in table] for l in range(n)]  # e_m e_l
     if alg.scalar_mode == RATIONAL:
-        zero, ring = 0, ClearedRing(alg)
+        zero, entry = 0, functools.partial(cleared_element, alg)
 
         def operator(op):
             d, nums = cleared([v for row in op.coeff for v in row])
             return d * alg._dc, [nums[u * n:(u + 1) * n] for u in range(n)]
-
-        def entry(den, coords):
-            return ring.element((den, coords))
     else:
         zero = 0.0
 
@@ -304,40 +303,30 @@ def nc_row_reduce(amat, brhs) -> SolutionSet:
     by their pivots.  In the solution set the free constants range over the
     whole algebra and multiply their directions from the right.
 
-    This is `linalg.eliminate` with left division by the pivot's inverse.
-    In exact mode the pivot is the first invertible entry scanning down the
-    column, and the sweep runs on `ClearedRing` entries: every entry is
-    cleared to integer numerators once, the pivot inverses
-    (`ClearedRing.inverse`), the pivot divisions and the row updates
-    a - f*g (`ClearedRing.update`) stay on integers, and `Element`s are
-    built again only for the rows and right-hand sides that the solution
-    set reads.  In float mode the pivot is the invertible entry of largest
-    norm, inverted by `Element.inverse`.  A column whose nonzero entries
-    are all non-invertible raises PivotNotInvertible (only possible outside
+    This is `linalg.eliminate` with left division by the pivot's inverse,
+    `Element.inverse`.  In exact mode the pivot is the first invertible
+    entry scanning down the column, and the row updates a - f*g are fused
+    (`Element.minus_product`); every entry is a cleared integer pair, so
+    the sweep builds no `Fraction`.  In float mode the pivot is the
+    invertible entry of largest norm.  A column whose nonzero entries are
+    all non-invertible raises PivotNotInvertible (only possible outside
     division algebras).
     """
     if not amat:
         raise ValueError("empty system")
     alg = brhs[0].algebra
     zero, one = alg.zero(), alg.one()
-    if alg.scalar_mode != RATIONAL:
-        rows, rhs = [list(r) for r in amat], list(brhs)
-
+    rows, rhs = [list(r) for r in amat], list(brhs)
+    if alg.scalar_mode == RATIONAL:
+        is_zero, update, magnitude = Element.is_zero, Element.minus_product, None
+    else:
         def is_zero(e):
             return e.is_zero(DEFAULT_ZERO_TOL)
 
-        pivots = eliminate(rows, rhs, is_zero, lambda pivot: pivot.inverse().__mul__,
-                           divide_and_subtract(zero, is_zero), Element.norm)
-        return solution_set(rows, rhs, pivots, zero, one, is_zero)
-    ring = ClearedRing(alg)
-    rows = [[ring.clear(e) for e in row] for row in amat]
-    rhs = [ring.clear(b) for b in brhs]
-    pivots = eliminate(rows, rhs, ring.is_zero, ring.divider,
-                       divide_and_subtract(ring.zero, ring.is_zero, ring.update))
-    # the solution set reads only the pivot rows, and every right-hand side
-    rows[:len(pivots)] = [[ring.element(e) for e in row] for row in rows[:len(pivots)]]
-    rhs = [ring.element(b) for b in rhs]
-    return solution_set(rows, rhs, pivots, zero, one, Element.is_zero)
+        update, magnitude = None, Element.norm
+    pivots = eliminate(rows, rhs, is_zero, lambda pivot: pivot.inverse().__mul__,
+                       divide_and_subtract(zero, is_zero, update), magnitude)
+    return solution_set(rows, rhs, pivots, zero, one, is_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ class TensorOp:
         algebras an invertible operator can have none too: its tensor is then
         a zero divisor in A (x) A^op.  f o g = 1 (x) 1 is solved exactly on
         cleared integers (`solve_integer`), else by `row_reduce`.  As in
-        `ClearedRing.inverse`, f o g = 1 forces g o f = 1, so only a float g
+        `Element.inverse`, f o g = 1 forces g o f = 1, so only a float g
         is checked, on both sides within FLOAT_CHECK_TOL.
         """
         alg, m = self.algebra, self.algebra.dim ** 2

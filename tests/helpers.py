@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import ncalg as nc
 from ncalg import algebra as algebra_module, newton
 
@@ -117,6 +119,35 @@ def scaled_quaternion_algebra(scalar_mode=nc.RATIONAL, scale=(1, 2, 2, 4)):
 def algebra_from_data(name, scalar_mode=nc.RATIONAL):
     path = Path(__file__).parent / "data" / f"{name}_algebra.json"
     return nc.algebra_from_json(path.read_text(), scalar_mode)
+
+
+def constructor_constants(build, scalar_mode=nc.RATIONAL):
+    """(build(scalar_mode), the constants handed to its constructor, as
+    Fractions): an oracle's table that the algebra's own table never touched."""
+    seen = []
+    original = nc.Algebra.__init__
+
+    def record(self, constants, *args, **kwargs):
+        seen.append(constants)
+        original(self, constants, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nc.Algebra, "__init__", record)
+        alg = build(scalar_mode)
+    raw = [[[Fraction(c) for c in row] for row in plane] for plane in seen[-1]]
+    return alg, raw
+
+
+def naive_product(C, a, b):
+    """The product of coordinate vectors a and b over the dense constants C,
+    as a plain triple loop."""
+    n = len(C)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[k] += a[i] * b[j] * C[i][j][k]
+    return out
 
 
 # -- operator tensor oracles

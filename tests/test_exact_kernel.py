@@ -1,7 +1,7 @@
 """Exact arithmetic on integer numerators.
 
 The compiled product kernels, products, the fused row update
-`ClearedRing.update` and the algebra-valued elimination are checked against
+`Element.minus_product` and the algebra-valued elimination are checked against
 naive `Fraction` loops over the structure constants as the builders passed
 them in (not the algebra's own table).  Exact inverses, computed from
 a*y = 1 alone, are checked on both sides.
@@ -21,13 +21,12 @@ from hypothesis import assume, given, strategies as st
 
 import ncalg as nc
 from ncalg import algebra as algebra_module
-from ncalg.algebra import ClearedRing
 from ncalg.cli import run
 from ncalg.newton import (BIT_BUDGET, CONVERGED, DIVERGED, GeneralizedPolynomial,
                           newton_solve)
 from ncalg.solvers import nc_row_reduce
-from helpers import (algebra_from_data, clifford_algebra, flat, matrix_algebra,
-                     scaled_quaternion_algebra)
+from helpers import (algebra_from_data, clifford_algebra, constructor_constants, flat,
+                     matrix_algebra, naive_product, scaled_quaternion_algebra)
 
 BUILDERS = {
     "H": nc.quaternion_algebra,
@@ -42,18 +41,7 @@ BUILDERS = {
 
 def built(name, mode=nc.RATIONAL):
     """(algebra, the constants handed to its constructor, as Fractions)."""
-    seen = []
-    original = nc.Algebra.__init__
-
-    def record(self, constants, *args, **kwargs):
-        seen.append(constants)
-        original(self, constants, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nc.Algebra, "__init__", record)
-        alg = BUILDERS[name](mode)
-    raw = [[[Fraction(c) for c in row] for row in plane] for plane in seen[-1]]
-    return alg, raw
+    return constructor_constants(BUILDERS[name], mode)
 
 
 def big_scalar(rng):
@@ -68,16 +56,6 @@ def big_scalar(rng):
 
 def rand_exact(alg, rng):
     return alg.element([big_scalar(rng) for _ in range(alg.dim)])
-
-
-def naive_product(C, a, b):
-    n = len(C)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[k] += a[i] * b[j] * C[i][j][k]
-    return out
 
 
 def naive_envelope_product(C, f, g):
@@ -289,22 +267,26 @@ class TestFusedUpdate:
     @pytest.mark.parametrize("name", list(BUILDERS))
     def test_equals_difference_of_product(self, name, rng):
         alg, C = built(name)
-        ring = ClearedRing(alg)
-
-        def update(a, f, g):
-            entry = ring.update(ring.clear(a), ring.clear(f), ring.clear(g))
-            fused = ring.element(entry)
-            assert entry == ring.clear(fused)  # reduced, as `cleared` gives it
-            return fused
         for _ in range(6):
             a, f, g = (rand_exact(alg, rng) for _ in range(3))
-            fused = update(a, f, g)
+            fused = a.minus_product(f, g)
             product = naive_product(C, f.coords, g.coords)
-            assert list(fused.coords) == [x - y for x, y in zip(a.coords, product)]
+            expected = [x - y for x, y in zip(a.coords, product)]
+            assert list(fused.coords) == expected
+            # reduced, as `cleared` gives it
+            assert (fused._d, list(fused._nums)) == nc.linalg.cleared(expected)
             assert fused == a - f * g
             assert all(type(c) is Fraction for c in fused.coords)
-        assert update(a, f, alg.zero()) == a
-        assert update(a, alg.one(), a).is_zero()
+        assert a.minus_product(f, alg.zero()) == a
+        assert a.minus_product(alg.one(), a).is_zero()
+
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_float_is_the_difference_of_the_product(self, name, rng):
+        alg = BUILDERS[name](nc.FLOAT)
+        for _ in range(6):
+            a, f, g = (alg.element([float(big_scalar(rng)) for _ in range(alg.dim)])
+                       for _ in range(3))
+            assert repr(a.minus_product(f, g).coords) == repr((a - f * g).coords)
 
     def test_exact_elimination_matches_written_out_sweep(self, rng):
         # the fused update must reach every cell and the right-hand side
@@ -325,7 +307,7 @@ class TestExactInverse:
 
     @given(name=st.sampled_from(list(BUILDERS)), data=st.data())
     def test_two_sided(self, name, data):
-        # `ClearedRing.inverse` solves a*y = 1 only: y*a = 1 must follow
+        # `Element.inverse` solves a*y = 1 only: y*a = 1 must follow
         alg = self.EXACT[name]
         a = alg.element(data.draw(st.lists(self.scalars, min_size=alg.dim,
                                            max_size=alg.dim)))
