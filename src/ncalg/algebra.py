@@ -664,34 +664,31 @@ def _product(table, xa, xb, zero):
     return out
 
 
-def format_scalar(value) -> str:
-    """Render a scalar the way the equation grammar reads it back."""
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(value)
-
-
-def format_coords(coords, basis_names) -> str:
-    """Canonical text form: '-1/2 - 1/2j' style, zero terms dropped."""
+def format_terms(terms) -> str:
+    """Canonical text of a sum of (coefficient, name) terms, where the name
+    is "" for the unit: '-1/2 - 1/2j' style.  Zero terms are dropped (-0.0
+    too), a coefficient of magnitude 1 is omitted before a nonempty name,
+    the first term's sign is attached and later ones read ' + ' or ' - ';
+    no term at all reads '0'.  A coefficient prints as `str`, which the
+    equation grammar reads back: '1/2', and for a float its repr, '1e-07'."""
     parts = []
-    for k, c in enumerate(coords):
+    for c, name in terms:
         if c == 0:
             continue
         negative = c < 0
         mag = -c if negative else c
-        if k == 0:
-            body = format_scalar(mag)
-        elif mag == 1:
-            body = basis_names[k]
-        else:
-            body = f"{format_scalar(mag)}{basis_names[k]}"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
+        body = name if name and mag == 1 else f"{mag!s}{name}"
+        if parts:
             parts.append(f"- {body}" if negative else f"+ {body}")
-    if not parts:
-        return "0"
-    return " ".join(parts)
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) or "0"
+
+
+def format_coords(coords, basis_names) -> str:
+    """Canonical text form of an element, '-1/2 - 1/2j' style: its
+    coordinates as `format_terms` over the basis names, the unit unnamed."""
+    return format_terms(zip(coords, ("", *basis_names[1:])))
 
 
 # -- JSON form -----------------------------------------------------------------
@@ -747,15 +744,24 @@ def algebra_to_json(algebra: Algebra) -> dict:
 
 
 def algebra_from_json(data, scalar_mode=RATIONAL) -> Algebra:
-    """Accepts a dict or a JSON string in the format of algebra_to_json."""
+    """Accepts a dict or a JSON string in the format of algebra_to_json.
+    An object that is not one, a `dim` that is not an integer, `constants`
+    that are not arrays of scalars, or a `basis` that is neither absent,
+    `null` nor an array of strings raises a ValueError (the CLI's exit 2)."""
     if isinstance(data, str):
         data = json.loads(data)
+    dim = json_field(data, "dim", int)
     constants = check_json_scalars(data["constants"], scalar_mode, 3)
-    if len(constants) != data["dim"]:
+    if len(constants) != dim:
         raise ValueError("constants array does not match declared dim")
+    basis = data.get("basis")
+    if basis is not None and not all(isinstance(name, str)
+                                     for name in json_field(data, "basis", list)):
+        raise ValueError(f"JSON 'basis' must be an array of strings, not "
+                         f"{json.dumps(basis)}")
     return Algebra(
         constants,
-        data.get("basis"),
+        basis,
         scalar_mode=scalar_mode,
         name=data.get("name"),
     )

@@ -11,12 +11,13 @@ right factors are not shared as suffixes, which would move float rounding.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (RATIONAL, Algebra, Element, element_from_json, element_to_json,
-                      root_of_square)
+                      json_field, root_of_square)
 from .errors import AlgebraMismatch
 from .linalg import UNIQUE, FieldMatrix, row_reduce
 from .tensor import TensorOp, operator_rows, pair_coefficients
@@ -194,13 +195,15 @@ def poly_to_json(p: GeneralizedPolynomial) -> dict:
 
 
 def poly_from_json(algebra: Algebra, data) -> GeneralizedPolynomial:
+    """Reads {"monomials": [[c0, c1, ...], ...]}.  A wrong JSON type where
+    the monomials or a monomial belong raises a ValueError naming them."""
+    monomials = json_field(data, "monomials", list)
+    for mono in monomials:
+        if not isinstance(mono, list):
+            raise ValueError(f"JSON 'monomials' holds {json.dumps(mono)}, not an "
+                             "array of elements")
     return GeneralizedPolynomial(
-        algebra,
-        [
-            [element_from_json(algebra, c) for c in mono]
-            for mono in data["monomials"]
-        ],
-    )
+        algebra, [[element_from_json(algebra, c) for c in mono] for mono in monomials])
 
 
 @dataclass

@@ -9,8 +9,11 @@ Grammar (whitespace-insensitive, columns are 1-based):
     power    := atom ("^" INTEGER)?
     atom     := NUMBER | NAME | "(" expr ")"
 
-NUMBER is an integer "2", a fraction "1/2" (a zero denominator is a syntax
-error), or (float mode only) a decimal like "0.5" with an optional exponent.
+NUMBER and NAME are stated once, as the alternatives of the `_TOKEN`
+pattern: NUMBER is an integer "2", a fraction "1/2" (a zero denominator is a
+syntax error), or (float mode only) a decimal like "0.5" with an optional
+exponent; NAME is a letter or "_" followed by letters, digits or "_" (so
+"x²" is one name).
 A "*" is required between non-numeric factors; juxtaposition is only legal
 right after a numeric literal ("2i", "3/2k", "2(1+i)").  Unary minus binds
 tighter than "+" and looser than "*".
@@ -27,6 +30,7 @@ O(log N) products by square-and-multiply.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,193 +104,144 @@ def expr_to_text(node) -> str:
 
 # -- lexer --------------------------------------------------------------------
 
+# The NUMBER and NAME grammar, one alternative per form.  \d is a decimal
+# digit (str.isdecimal), \s is str.isspace and \w is str.isalnum or "_".
+# An exponent needs a decimal point or an explicit sign, so that "2e1" stays
+# a juxtaposed product with a basis named e1 rather than the float 20.0
+# (float repr always signs its exponent, so round-trips are unaffected).
+_TOKEN = re.compile(r"""
+    \s+
+  | (?P<DEC> (?: \d+ \. \d* | \. \d+ ) (?: [eE] [+-]? \d+ )?
+           | \d+ [eE] [+-] \d+ )
+  | (?P<NUM> \d+ (?: / \d+ )? )
+  | (?P<NAME> [^\W\d] \w* )
+  | (?P<OP> [-+*^()=] )
+  | (?P<BAD> . )
+""", re.VERBOSE | re.DOTALL)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str              # NUM NAME OP END
-    text: str
-    col: int               # 1-based
-    value: object = None
 
-
-_OPERATORS = set("+-*^()=")
-
-
-def _tokenize(text: str, float_ok: bool):
+def _tokenize(text: str, float_ok: bool) -> list:
+    """Split `text` into (kind, text, column, value) tuples, kind NUM, NAME,
+    OP or END, with 1-based columns and whitespace skipped.  A NUM's value is
+    a Fraction for an integer or p/q and a float for a decimal, which only
+    float mode admits.  A NAME starts with a letter or "_", so a character
+    like "²" or "½" there is an unexpected character."""
     tokens = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        kind, token, col = match.lastgroup, match.group(), match.start() + 1
+        if kind is None:
             continue
-        col = i + 1
-        if ch.isdigit() or (ch == "." and i + 1 < size and text[i + 1].isdigit()):
-            j = i
-            while j < size and text[j].isdigit():
-                j += 1
-            is_decimal = False
-            if j < size and text[j] == ".":
-                is_decimal = True
-                j += 1
-                while j < size and text[j].isdigit():
-                    j += 1
-            if j < size and text[j] in "eE":
-                # exponents need a decimal point or an explicit sign, so
-                # that "2e1" stays a juxtaposed product with a basis named
-                # e1 rather than the float 20.0 (float repr always signs
-                # its exponent, so round-trips are unaffected)
-                k = j + 1
-                signed = k < size and text[k] in "+-"
-                if signed:
-                    k += 1
-                if (is_decimal or signed) and k < size and text[k].isdigit():
-                    is_decimal = True
-                    j = k
-                    while j < size and text[j].isdigit():
-                        j += 1
-            if not is_decimal and j < size and text[j] == "/" and j + 1 < size \
-                    and text[j + 1].isdigit():
-                j += 1
-                while j < size and text[j].isdigit():
-                    j += 1
-                try:
-                    value = Fraction(text[i:j])
-                except ZeroDivisionError:
-                    raise EquationSyntaxError(
-                        f"zero denominator in '{text[i:j]}'", col) from None
-            elif is_decimal:
-                if not float_ok:
-                    raise EquationSyntaxError(
-                        f"decimal literal '{text[i:j]}' needs float scalar mode",
-                        col,
-                    )
-                value = float(text[i:j])
-            else:
-                value = Fraction(text[i:j])
-            tokens.append(_Token("NUM", text[i:j], col, value))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < size and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], col))
-            i = j
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token("OP", ch, col))
-            i += 1
-            continue
-        raise EquationSyntaxError(f"unexpected character {ch!r}", col)
-    tokens.append(_Token("END", "", size + 1))
+        value = None
+        if kind == "NUM":
+            try:
+                value = Fraction(token)
+            except ZeroDivisionError:
+                raise EquationSyntaxError(
+                    f"zero denominator in '{token}'", col) from None
+        elif kind == "DEC":
+            if not float_ok:
+                raise EquationSyntaxError(
+                    f"decimal literal '{token}' needs float scalar mode", col)
+            kind, value = "NUM", float(token)
+        elif kind == "BAD" or (
+                kind == "NAME" and not (token[0].isalpha() or token[0] == "_")):
+            raise EquationSyntaxError(f"unexpected character {token[0]!r}", col)
+        tokens.append((kind, token, col, value))
+    tokens.append(("END", "", len(text) + 1, None))
     return tokens
 
 
 # -- parser --------------------------------------------------------------------
 
 
+def _found(token) -> str:
+    """What an error message says it found: only END has empty text."""
+    return repr(token[1]) if token[1] else "end of input"
+
+
 class _Parser:
+    """Recursive descent over `_tokenize`'s tuples.  Only an OP token's text
+    is an operator character, so an operator is matched by its text alone."""
+
     def __init__(self, tokens, algebra: Algebra):
         self.tokens = tokens
         self.pos = 0
         self.algebra = algebra
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != op:
-            raise EquationSyntaxError(
-                f"expected {op!r}, found {tok.text!r}" if tok.kind != "END"
-                else f"expected {op!r}, found end of input",
-                tok.col,
-            )
-        return self.advance()
+    def accept(self, *ops):
+        """The next token, consumed, if it is one of the operators `ops`."""
+        if self.peek()[1] in ops:
+            return self.advance()
+        return None
 
-    def at_op(self, *ops) -> bool:
+    def expect_op(self, op: str) -> None:
         tok = self.peek()
-        return tok.kind == "OP" and tok.text in ops
+        if not self.accept(op):
+            raise EquationSyntaxError(f"expected {op!r}, found {_found(tok)}", tok[2])
 
     def parse_expr(self):
         terms = [self.parse_term()]
-        while self.at_op("+", "-"):
-            op = self.advance()
+        while op := self.accept("+", "-"):
             term = self.parse_term()
-            terms.append(Neg(term) if op.text == "-" else term)
+            terms.append(Neg(term) if op[1] == "-" else term)
         if len(terms) == 1:
             return terms[0]
         return Sum(tuple(terms))
 
     def parse_term(self):
-        if self.at_op("-"):
-            self.advance()
+        if self.accept("-"):
             return Neg(self.parse_term())
         return self.parse_product()
 
     def parse_product(self):
         factors = [self.parse_power()]
-        while True:
-            if self.at_op("*"):
-                self.advance()
-                factors.append(self.parse_power())
-                continue
-            # numeric coefficient followed directly by a symbol or "("
-            nxt = self.peek()
-            last = factors[-1]
-            if isinstance(last, Lit) and (
-                nxt.kind == "NAME" or (nxt.kind == "OP" and nxt.text == "(")
-            ):
-                factors.append(self.parse_power())
-                continue
-            break
+        # "*", or a numeric coefficient followed directly by a name or "("
+        while self.accept("*") or isinstance(factors[-1], Lit) and (
+                self.peek()[0] == "NAME" or self.peek()[1] == "("):
+            factors.append(self.parse_power())
         if len(factors) == 1:
             return factors[0]
         return Product(tuple(factors))
 
     def parse_power(self):
         base = self.parse_atom()
-        if self.at_op("^"):
-            caret = self.advance()
-            tok = self.peek()
-            if tok.kind != "NUM" or not isinstance(tok.value, Fraction) \
-                    or tok.value.denominator != 1 or tok.value <= 0:
+        if caret := self.accept("^"):
+            kind, _text, col, value = self.peek()
+            if kind != "NUM" or not isinstance(value, Fraction) \
+                    or value.denominator != 1 or value <= 0:
                 raise EquationSyntaxError(
                     "exponent must be a positive integer",
-                    tok.col if tok.kind != "END" else caret.col,
+                    col if kind != "END" else caret[2],
                 )
             self.advance()
-            return Power(base, int(tok.value))
+            return Power(base, int(value))
         return base
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "NUM":
+        tok = kind, text, col, value = self.peek()
+        if kind == "NUM":
             self.advance()
-            return Lit(tok.value)
-        if tok.kind == "NAME":
+            return Lit(value)
+        if kind == "NAME":
             self.advance()
-            index = self.algebra.basis_index(tok.text)
+            index = self.algebra.basis_index(text)
             if index is not None:
-                return BasisUnit(tok.text, index)
-            return Unknown(tok.text)
-        if tok.kind == "OP" and tok.text == "(":
-            self.advance()
+                return BasisUnit(text, index)
+            return Unknown(text)
+        if self.accept("("):
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
         raise EquationSyntaxError(
-            f"expected a number, name or '(', found "
-            + (repr(tok.text) if tok.kind != "END" else "end of input"),
-            tok.col,
-        )
+            f"expected a number, name or '(', found {_found(tok)}", col)
 
 
 def _parse_all(text: str, algebra: Algebra, rule):
@@ -294,9 +249,9 @@ def _parse_all(text: str, algebra: Algebra, rule):
     tokens = _tokenize(text, float_ok=algebra.scalar_mode != RATIONAL)
     parser = _Parser(tokens, algebra)
     result = rule(parser)
-    tail = parser.peek()
-    if tail.kind != "END":
-        raise EquationSyntaxError(f"unexpected {tail.text!r}", tail.col)
+    kind, text, col, _value = parser.peek()
+    if kind != "END":
+        raise EquationSyntaxError(f"unexpected {text!r}", col)
     return result
 
 

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .algebra import (FLOAT_CHECK_TOL, RATIONAL, Algebra, Element, check_json_scalars,
-                      element_from_json, format_scalar, json_field)
+                      element_from_json, format_terms, json_field)
 from .errors import AlgebraMismatch, SingularTensor
 from .linalg import INCONSISTENT, FieldMatrix, cleared, row_reduce, solve_integer
 
@@ -161,23 +161,12 @@ class TensorOp:
         return pairs
 
     def to_text(self) -> str:
-        """Canonical rendering like '1/4(i⊗j) + 1/2(k⊗k)'."""
+        """Canonical rendering like '1/4(i⊗j) + 1/2(k⊗k)': the coefficients
+        f[i][j] as `format_terms` over the names '(e_i⊗e_j)'."""
         names = self.algebra.basis_names
-        parts = []
-        for i, row in enumerate(self.coeff):
-            for j, v in enumerate(row):
-                if v == 0:
-                    continue
-                negative = v < 0
-                mag = -v if negative else v
-                body = f"({names[i]}⊗{names[j]})"
-                if mag != 1:
-                    body = f"{format_scalar(mag)}{body}"
-                if not parts:
-                    parts.append(f"-{body}" if negative else body)
-                else:
-                    parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts) if parts else "0"
+        return format_terms((v, f"({names[i]}⊗{names[j]})")
+                            for i, row in enumerate(self.coeff)
+                            for j, v in enumerate(row))
 
     def to_json(self) -> dict:
         return {"coeff": [[self.algebra.scalar_json(v) for v in row]

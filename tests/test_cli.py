@@ -483,6 +483,35 @@ class TestUsage:
                 code, out, err = invoke(capsys, *argv, "--scalar", mode)
                 assert (code, out, err) == (2, "", f"error: {message}\n"), (data, mode)
 
+    def test_malformed_algebra_json_exits_2(self, capsys, tmp_path):
+        # a wrong JSON type for the object, `dim` or `basis` is named, not a
+        # TypeError traceback, and a basis name is never a non-string
+        # turned into text such as 'None'
+        table = json.loads((DATA / "complex_algebra.json").read_text())
+        path = tmp_path / "algebra.json"
+        for data, message in (
+                ([table], "JSON [{...}] where an object with 'dim' belongs"),
+                (dict(table, dim="2"), 'JSON \'dim\' must be an integer, not "2"'),
+                (dict(table, basis=5), "JSON 'basis' must be an array, not 5"),
+                (dict(table, basis=[None, "u"]),
+                 'JSON \'basis\' must be an array of strings, not [null, "u"]'),
+                (dict(table, basis=[["a"], "u"]),
+                 'JSON \'basis\' must be an array of strings, not [["a"], "u"]')):
+            path.write_text(json.dumps(data))
+            if isinstance(data, list):
+                message = message.replace("{...}", json.dumps(table))
+            for mode in ("rational", "float"):
+                code, out, err = invoke(capsys, "solve", "--algebra", str(path),
+                                        "--scalar", mode, "x = 1")
+                assert (code, out, err) == (2, "", f"error: {message}\n"), (data, mode)
+        # an absent or null basis still means the default names
+        for data in ({k: v for k, v in table.items() if k != "basis"},
+                     dict(table, basis=None)):
+            path.write_text(json.dumps(data))
+            code, out, err = invoke(capsys, "solve", "--algebra", str(path),
+                                    "e1*x = 1")
+            assert (code, out, err) == (0, "x = -e1\n", ""), data
+
     def test_json_scalar_where_an_array_belongs_exits_2(self, capsys, tmp_path):
         # a number or null in place of the constants, a plane, a row, an
         # element or a coefficient row is named, not a TypeError traceback

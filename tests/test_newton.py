@@ -399,6 +399,20 @@ class TestPolyJson:
         data = nc.poly_to_json(square_map)
         assert nc.poly_from_json(hq, data) == square_map
 
+    @pytest.mark.parametrize("data, message", [
+        ({"monomials": None}, "JSON 'monomials' must be an array, not null"),
+        ({"monomials": [5]},
+         "JSON 'monomials' holds 5, not an array of elements"),
+        ({"monomials": [[["1", "0", "0", "0"]], {"c": 1}]},
+         'JSON \'monomials\' holds {"c": 1}, not an array of elements'),
+        ([], "JSON [] where an object with 'monomials' belongs"),
+    ])
+    def test_malformed_json_names_monomials(self, hq, data, message):
+        # a wrong JSON type is a ValueError naming the field, not a TypeError
+        with pytest.raises(ValueError) as err:
+            nc.poly_from_json(hq, data)
+        assert str(err.value) == message
+
     def test_trace_rows_shape(self, hq_float):
         one, i, j, k = (hq_float.basis(t) for t in range(4))
         p = GeneralizedPolynomial(hq_float, [

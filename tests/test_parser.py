@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ncalg as nc
+from ncalg.algebra import format_coords
 from ncalg.newton import GeneralizedPolynomial
 from ncalg.parser import (
     BasisUnit,
@@ -20,6 +22,7 @@ from ncalg.parser import (
     normalize_poly,
     parse_equation,
     parse_expression,
+    _tokenize,
 )
 from helpers import rand_element, rand_nonzero
 
@@ -165,6 +168,77 @@ class TestGrammar:
         sa = normalize_linear(hq, [a], ["x"])
         sb = normalize_linear(hq, [b], ["x"])
         assert sa.ops == sb.ops and sa.rhs == sb.rhs
+
+
+def _err(message, column):
+    """An EquationSyntaxError's text and column."""
+    return f"{message} (column {column})", column
+
+
+def _decimal(text, column):
+    return _err(f"decimal literal '{text}' needs float scalar mode", column)
+
+
+F = Fraction
+#: text, then its tokens or error in rational mode, then in float mode
+#: (None: as in rational mode)
+TOKENS = [
+    # an unsigned exponent after an integer is a juxtaposed name
+    ("2e1", [("NUM", "2", 1, F(2)), ("NAME", "e1", 2, None)], None),
+    ("2e+1", _decimal("2e+1", 1), [("NUM", "2e+1", 1, 20.0)]),
+    ("1.5e2i", _decimal("1.5e2", 1),
+     [("NUM", "1.5e2", 1, 150.0), ("NAME", "i", 6, None)]),
+    (".5", _decimal(".5", 1), [("NUM", ".5", 1, 0.5)]),
+    ("2.", _decimal("2.", 1), [("NUM", "2.", 1, 2.0)]),
+    ("1/2.5", _decimal(".5", 4), [("NUM", "1/2", 1, F(1, 2)), ("NUM", ".5", 4, 0.5)]),
+    ("1.5/2", _decimal("1.5", 1), _err("unexpected character '/'", 4)),
+    ("x = 3/00", _err("zero denominator in '3/00'", 5), None),
+    # Unicode whitespace is skipped; END sits one past the last character
+    ("\u3000x\xa0=\t1\u2003",
+     [("NAME", "x", 2, None), ("OP", "=", 4, None), ("NUM", "1", 6, F(1))], None),
+    ("x²", [("NAME", "x²", 1, None)], None),
+    ("٣/٤x", [("NUM", "٣/٤", 1, F(3, 4)), ("NAME", "x", 4, None)], None),
+    # a name starts with a letter or "_", never with "²" or "½"
+    ("²*x", _err("unexpected character '²'", 1), None),
+    ("2²", _err("unexpected character '²'", 2), None),
+    ("1.9E²", _decimal("1.9", 1), [("NUM", "1.9", 1, 1.9), ("NAME", "E²", 4, None)]),
+    ("x = ½", _err("unexpected character '½'", 5), None),
+]
+
+
+@pytest.mark.parametrize("float_ok", [False, True], ids=["rational", "float"])
+@pytest.mark.parametrize("text, rational, floating", TOKENS,
+                         ids=[row[0] for row in TOKENS])
+def test_tokens(text, rational, floating, float_ok):
+    expected = floating if float_ok and floating is not None else rational
+    if isinstance(expected, list):
+        tokens = _tokenize(text, float_ok)
+        assert tokens == expected + [("END", "", len(text) + 1, None)]
+        assert [type(tok[3]) for tok in tokens[:-1]] == [type(tok[3]) for tok in expected]
+        return
+    with pytest.raises(nc.EquationSyntaxError) as err:
+        _tokenize(text, float_ok)
+    assert type(err.value) is nc.EquationSyntaxError
+    assert (str(err.value), err.value.column) == expected
+
+
+@given(st.text(alphabet=list("0123456789./eE+-*^()= \tijkx_٣²"), max_size=16),
+       st.booleans())
+def test_tokens_spell_the_input(text, float_ok):
+    """Every token sits at its column and the tokens spell the input without
+    its whitespace, or the error names a column inside it."""
+    try:
+        tokens = _tokenize(text, float_ok)
+    except nc.EquationSyntaxError as err:
+        assert 1 <= err.column <= len(text) + 1
+        return
+    assert tokens[-1] == ("END", "", len(text) + 1, None)
+    for kind, token, col, value in tokens:
+        assert text[col - 1:col - 1 + len(token)] == token
+        if kind == "NUM":
+            assert value == (Fraction(token) if isinstance(value, Fraction)
+                             else float(token))
+    assert "".join(tok[1] for tok in tokens) == "".join(text.split())
 
 
 class TestNormalizeLinear:
@@ -316,6 +390,34 @@ class TestFormatting:
         assert format_element(hq.zero()) == "0"
         assert format_element(hq.element([0, 1, 1, 1])) == "i + j + k"
         assert format_element(hq.element([2, 0, 0, "-3/2"])) == "2 - 3/2k"
+
+    @pytest.mark.parametrize("coords, text", [
+        ((-2, 1, 0, 0), "-2 + i"),
+        ((1, -1, 0, 0), "1 - i"),
+        ((-1, 0, 1, 0), "-1 + j"),
+        ((0, -1, 0, 1), "-i + k"),
+        ((0.0, 1e-07, 0.0, -2.5), "1e-07i - 2.5k"),
+        ((-0.0, 0.0, 1.0, -0.0), "j"),
+        ((0.0, -0.0, 0.0, 0.0), "0"),
+        ((0, 0, 0, 0), "0"),
+    ])
+    def test_coords_goldens(self, coords, text):
+        assert format_coords(coords, ("1", "i", "j", "k")) == text
+
+    @pytest.mark.parametrize("mode, coeff, text", [
+        (nc.RATIONAL, [[-1, 0, 0, 0], [0, 0, 1, 0], [0] * 4, [0, 0, 0, "1/2"]],
+         "-(1⊗1) + (i⊗j) + 1/2(k⊗k)"),
+        (nc.RATIONAL, [[1, 0, 0, 0], [0, 0, -1, 0], [0] * 4, [0, -2, 0, 0]],
+         "(1⊗1) - (i⊗j) - 2(k⊗i)"),
+        (nc.FLOAT, [[1.0, 0, 0, 0], [0, 0, -1.0, 0], [0] * 4, [0, -2.0, 0, 0]],
+         "(1⊗1) - (i⊗j) - 2.0(k⊗i)"),
+        (nc.FLOAT, [[-0.0, 1e-07, 0, 0], [0] * 4, [0] * 4, [0, 0, -0.0, -1.0]],
+         "1e-07(1⊗i) - (k⊗k)"),
+        (nc.FLOAT, [[-0.0] * 4] * 4, "0"),
+        (nc.RATIONAL, [[0] * 4] * 4, "0"),
+    ])
+    def test_tensor_goldens(self, mode, coeff, text):
+        assert nc.TensorOp(nc.quaternion_algebra(mode), coeff).to_text() == text
 
     def test_round_trip_random(self, hq, rng):
         for _ in range(50):
