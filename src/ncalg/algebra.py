@@ -14,6 +14,7 @@ freely across threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -144,13 +145,14 @@ class Algebra:
 
         Entry [i][j] is a tuple of (row, col, value) triples in row-major
         order; these matrices vectorize the maps x -> e_i x e_j.  Entry (q, p),
-        the e_q-coordinate of e_i (e_p e_j), is summed from the sparse table.
+        the e_q-coordinate of e_i (e_p e_j), is summed from the sparse table
+        on its scale: in rational mode an int, the entry times _dc**2.
         """
         if self._pair_products is None:
-            n, table, scale = self.dim, self._mul_table, self._dc * self._dc
+            n, table = self.dim, self._mul_table
             self._pair_products = tuple(
                 tuple(
-                    tuple(sorted((q, p, self._scalar_of(value, scale))
+                    tuple(sorted((q, p, value)
                                  for p in range(n)
                                  for q, value in _combine(table[p][j], table[i]).items()
                                  if value != 0))
@@ -286,6 +288,57 @@ def _combine(coeffs, cells):
             term = a * c
             out[k] = out[k] + term if k in out else term
     return out
+
+
+def pair_coefficients(algebra: Algebra, pairs) -> tuple:
+    """(d, f): the flat n*n coefficients f[i*n + j]/d of e_i (x) e_j in
+    sum_s a_s (x) b_s, zero coordinates skipped.  Rational pairs are elements,
+    summed on their cleared numerators over d, the lcm of the products of
+    their denominators; float pairs are coordinate sequences (d = 1)."""
+    n, d, zero = algebra.dim, 1, 0.0
+    if algebra.scalar_mode == RATIONAL:
+        pairs = [(a._d * b._d, a._nums, b._nums) for a, b in pairs]
+        d, zero = math.lcm(*(q for q, _, _ in pairs)), 0
+        pairs = [([d // q * v for v in xa], xb) for q, xa, xb in pairs]
+    coeff = [zero] * (n * n)
+    for a, b in pairs:
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            row = i * n
+            for j, bj in enumerate(b):
+                if bj != 0:
+                    coeff[row + j] += ai * bj
+    return d, coeff
+
+
+def operator_rows(algebra: Algebra, d, coeff) -> tuple:
+    """(den, rows): the n x n matrix rows/den of x -> sum_ij f_ij e_i x e_j
+    for flat f = coeff/d (f_ij at i*n + j), summed over `pair_products()` in
+    row-major (i, j) order: the one contraction behind every linear map.
+    Exact coeff are integers and give integer rows over den = d * _dc**2,
+    the pair products' scale; float ones give float rows (d = den = 1)."""
+    n = algebra.dim
+    rows = [[0 if algebra.scalar_mode == RATIONAL else 0.0] * n for _ in range(n)]
+    for v, cell in zip(coeff, itertools.chain.from_iterable(algebra.pair_products())):
+        if v == 0:
+            continue
+        for q, p, w in cell:
+            if w == 1:
+                rows[q][p] += v
+            elif w == -1:
+                rows[q][p] -= v
+            else:
+                rows[q][p] += v * w
+    return d * algebra._dc ** 2, rows
+
+
+def field_matrix(algebra: Algebra, den, rows) -> FieldMatrix:
+    """The `FieldMatrix` rows/den of `operator_rows`: one `Fraction` per
+    exact entry, float rows as they are."""
+    if algebra.scalar_mode != RATIONAL:
+        return FieldMatrix(rows)
+    return FieldMatrix([[Fraction(v, den) for v in row] for row in rows])
 
 
 def make_algebra(constants, basis_names=None, scalar_mode=RATIONAL, name=None) -> Algebra:
@@ -436,40 +489,37 @@ class Element:
     # -- regular representation ----------------------------------------------
 
     def left_matrix(self) -> FieldMatrix:
-        """L with L @ coords(x) = coords(self * x) for every x."""
-        alg = self.algebra
-        if alg.scalar_mode != RATIONAL:
-            return FieldMatrix(_left_rows(alg._mul_table, self.coords, 0.0))
-        # the table holds the constants times _dc
-        den = self._d * alg._dc
-        return FieldMatrix([[Fraction(v, den) for v in row]
-                            for row in _left_rows(alg._mul_table, self._nums, 0)])
+        """L with L @ coords(x) = coords(self * x) for every x: the matrix
+        of self (x) 1, by `operator_rows`."""
+        return field_matrix(self.algebra, *self._operator_rows(True))
 
     def right_matrix(self) -> FieldMatrix:
-        """R with R @ coords(x) = coords(x * self) for every x."""
-        n, dc = self.algebra.dim, self.algebra._dc
-        rows = [[self.algebra.scalar_zero()] * n for _ in range(n)]
-        for j, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            if dc != 1:
-                a = a / dc
-            for i in range(n):
-                for k, c in self.algebra._mul_table[i][j]:
-                    rows[k][i] = rows[k][i] + a * c
-        return FieldMatrix(rows)
+        """R with R @ coords(x) = coords(x * self) for every x: the matrix
+        of 1 (x) self, by `operator_rows`."""
+        return field_matrix(self.algebra, *self._operator_rows(False))
+
+    def _operator_rows(self, left: bool) -> tuple:
+        """`operator_rows` of self (x) 1 if `left`, else of 1 (x) self."""
+        alg, n = self.algebra, self.algebra.dim
+        d, xs = (self._d, self._nums) if alg.scalar_mode == RATIONAL else (1, self.coords)
+        coeff = [0] * (n * n)
+        if left:
+            coeff[::n] = xs
+        else:
+            coeff[:n] = xs
+        return operator_rows(alg, d, coeff)
 
     # -- inverse and norm ------------------------------------------------------
 
     def inverse(self) -> "Element":
         """Two-sided inverse; raises NotInvertible when there is none.
 
-        In rational mode, a = nums/d over the table scaled by _dc has
-        L(a) = L(nums)/(d*_dc), so the integer system L(nums) y = d*_dc*e0
-        goes to fraction-free elimination, and y is read off the pivot rows
-        as integers over the last pivot.  A solution needs no check: a*y = 1
-        in a finite-dimensional associative unital algebra forces y*a = 1,
-        since L(a) is then onto, hence injective, and a*(y*a) = (a*y)*a = a.
+        In rational mode `operator_rows` gives L(a) = rows/den on integers, so
+        the integer system rows y = den*e0 goes to fraction-free elimination,
+        and y is read off the pivot rows as integers over the last pivot.  A
+        solution needs no check: a*y = 1 in a finite-dimensional associative
+        unital algebra forces y*a = 1, since L(a) is then onto, hence
+        injective, and a*(y*a) = (a*y)*a = a.
         In float mode L(self) y = e0 is solved by `row_reduce` and y is
         checked on both sides within FLOAT_CHECK_TOL.
         """
@@ -478,8 +528,8 @@ class Element:
         alg = self.algebra
         if alg.scalar_mode == RATIONAL:
             n = alg.dim
-            rows = _left_rows(alg._mul_table, self._nums, 0)
-            rhs = [self._d * alg._dc] + [0] * (n - 1)
+            den, rows = self._operator_rows(True)
+            rhs = [den] + [0] * (n - 1)
             pivots = eliminate(rows, rhs, **_integer_ring())
             if any(rhs[len(pivots):]):
                 raise NotInvertible(f"left regular matrix of {self} is singular")
@@ -574,20 +624,6 @@ def root_of_square(squared) -> float:
             return math.ldexp(math.sqrt(num / (den << 2 * shift)), shift)
         except OverflowError:
             return math.inf
-
-
-def _left_rows(table, xa, zero):
-    """Rows of L(a) through a sparse table, for a's coordinates xa: floats
-    in float mode, integers in rational mode (the table's scale included)."""
-    n = len(xa)
-    rows = [[zero] * n for _ in range(n)]
-    for i, a in enumerate(xa):
-        if a == 0:
-            continue
-        for j in range(n):
-            for k, c in table[i][j]:
-                rows[k][j] = rows[k][j] + a * c
-    return rows
 
 
 @functools.lru_cache

@@ -3,10 +3,11 @@
 Maps are generalized polynomials: sums of monomials c0 x c1 x ... x cd with
 fixed algebra coefficients between the occurrences of the unknown.  The
 derivative at a point is a tensor operator, and each Newton step is one
-n x n linear solve with its operator matrix.  Value and derivative share one
-walk (after Baur and Strassen, 1983): a monomial's prefixes P_1 = c0,
-P_(t+1) = (P_t x) c_t end in its value and are its derivative's left factors;
-right factors are not shared as suffixes, which would move float rounding.
+n x n linear solve with its operator matrix (`algebra.operator_rows`, on
+integers in rational mode).  Value and derivative share one walk (after Baur
+and Strassen, 1983): a monomial's prefixes P_1 = c0, P_(t+1) = (P_t x) c_t
+end in its value and are its derivative's left factors; right factors are
+not shared as suffixes, which would move float rounding.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (RATIONAL, Algebra, Element, element_from_json, element_to_json,
-                      json_field, root_of_square)
+                      json_field, operator_rows, pair_coefficients, root_of_square)
 from .errors import AlgebraMismatch
 from .linalg import UNIQUE, FieldMatrix, row_reduce
-from .tensor import TensorOp, operator_rows, pair_coefficients
+from .tensor import TensorOp
 
 CONVERGED = "converged"
 SINGULAR_DERIVATIVE = "singular_derivative"
@@ -247,16 +248,17 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
                  cfg: NewtonConfig | None = None) -> NewtonTrace:
     """Iterate Newton steps for p(x) = a starting at x0.
 
-    Each step solves  D(delta) = -(p(x_k) - a)  with the n x n operator
-    matrix of the derivative D at x_k and sets x_{k+1} = x_k + delta.  The
-    run stops on residual norm < tol, on a singular operator matrix (even
-    with a consistent system), after max_iter steps, or as DIVERGED once the
-    residual exceeds _DIVERGENCE_FACTOR times the initial residual for five
-    consecutive steps or, in float mode, its norm is not finite (inf or NaN).
-    Rational runs compare exact squared norms, so a norm beyond the float
-    range (recorded as inf) decides nothing, and stop (BIT_BUDGET) before
-    recording an iterate or residual with a numerator or denominator above
-    MAX_BITS bits, as digit lengths roughly double every step.
+    Each step solves  D(delta) = -(p(x_k) - a)  with the n x n operator matrix
+    of the derivative D at x_k, summed on integers in rational mode, and sets
+    x_{k+1} = x_k + delta.  The run stops on residual norm < tol, on a
+    singular operator matrix (even with a consistent system), after max_iter
+    steps, or as DIVERGED once the residual exceeds _DIVERGENCE_FACTOR times
+    the initial residual for five consecutive steps or, in float mode, its
+    norm is not finite (inf or NaN).  Rational runs compare exact squared
+    norms, so a norm beyond the float range (recorded as inf) decides nothing,
+    and stop (BIT_BUDGET) before recording an iterate or residual with a
+    numerator or denominator above MAX_BITS bits, as digit lengths roughly
+    double every step.
     """
     cfg, alg = cfg or NewtonConfig(), p.algebra
     mul, monos = p._walk_operands(x0, a)
@@ -293,11 +295,14 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
             streak = 0
         if k == cfg.max_iter:
             break
-        pairs = _pairs(mul, monos, chains, xo)
-        if exact:
-            pairs = ((u.coords, v.coords) for u, v in pairs)
-        rows = operator_rows(alg, pair_coefficients(alg, pairs))
-        step = row_reduce(FieldMatrix(rows), [-c for c in residual.coords])
+        d, coeff = pair_coefficients(alg, _pairs(mul, monos, chains, xo))
+        den, rows = operator_rows(alg, d, coeff)
+        if exact:  # D = rows/den, residual = nums/r: solve r*rows step = -den*nums
+            rows = [[residual._d * v for v in row] for row in rows]
+            rhs = [-den * v for v in residual._nums]
+        else:
+            rhs = [-c for c in residual.coords]
+        step = row_reduce(FieldMatrix(rows), rhs)
         if step.kind != UNIQUE:
             trace.status = SINGULAR_DERIVATIVE
             return trace

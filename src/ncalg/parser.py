@@ -10,10 +10,11 @@ Grammar (whitespace-insensitive, columns are 1-based):
     atom     := NUMBER | NAME | "(" expr ")"
 
 NUMBER and NAME are stated once, as the alternatives of the `_TOKEN`
-pattern: NUMBER is an integer "2", a fraction "1/2" (a zero denominator is a
-syntax error), or (float mode only) a decimal like "0.5" with an optional
-exponent; NAME is a letter or "_" followed by letters, digits or "_" (so
-"x²" is one name).
+pattern: NUMBER is an INTEGER of decimal digits "2", a fraction "1/2" (a
+zero denominator is a syntax error), or (float mode only) a decimal like
+"0.5" with an optional exponent; only an INTEGER above 0 is an exponent
+("i^4/2" is a syntax error at "4/2").  NAME is a letter or "_" followed by
+letters, digits or "_" (so "x²" is one name).
 A "*" is required between non-numeric factors; juxtaposition is only legal
 right after a numeric literal ("2i", "3/2k", "2(1+i)").  Unary minus binds
 tighter than "+" and looser than "*".
@@ -214,9 +215,8 @@ class _Parser:
     def parse_power(self):
         base = self.parse_atom()
         if caret := self.accept("^"):
-            kind, _text, col, value = self.peek()
-            if kind != "NUM" or not isinstance(value, Fraction) \
-                    or value.denominator != 1 or value <= 0:
+            kind, text, col, value = self.peek()
+            if kind != "NUM" or not text.isdecimal() or value <= 0:
                 raise EquationSyntaxError(
                     "exponent must be a positive integer",
                     col if kind != "END" else caret[2],

@@ -27,10 +27,9 @@ inverse, which `nc_row_reduce` already applies.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .algebra import (Algebra, Element, RATIONAL, cleared_element, element_from_json,
+from .algebra import (Algebra, Element, RATIONAL, element_from_json,
                       element_to_json, json_field)
 from .errors import AlgebraMismatch, PivotNotInvertible, QuasideterminantUndefined
 from .linalg import (
@@ -41,14 +40,13 @@ from .linalg import (
     UNIQUE,
     UNVERIFIED_ENLARGED,
     SolutionSet,
-    cleared,
     divide_and_subtract,
     eliminate,
     pivot_columns,
     row_reduce,
     solution_set,
 )
-from .tensor import TensorOp
+from .tensor import TensorOp, right_multiples
 
 #: float-mode tolerance for accepting a residual as zero
 RESIDUAL_TOL = 1e-9
@@ -253,47 +251,18 @@ def build_richardson(system: SylvesterSystem) -> RichardsonSystem:
     """Right-multiply every equation by every basis unit.
 
     Multiplying equation i by e_l on the right turns each of its operators
-    f = sum_um f[u][m] e_u (x) e_m into x -> sum_um f[u][m] e_u x (e_m e_l)
-    = sum_p (sum_u (sum_m f[u][m] C[m][l][p]) e_u) (x e_p), so the element
-    in brackets is the coefficient of the unknown x^j e_p in row (i, l).
-    It is summed straight from the sparse table, m ascending, with no
-    operator product in A (x) A^op; in rational mode over each operator's
-    integer numerators, cleared once per operator, into entries that are
-    cleared pairs from the start.
+    f into x -> f(x) e_l, the product (1 (x) e_l) o f in A (x) A^op, whose
+    coefficients of the unknowns x^j e_p fill row (i, l)
+    (`tensor.right_multiples`).  Exact entries are cleared pairs made
+    straight from the product's integers.
     """
     alg = system.algebra
-    n, table = alg.dim, alg._mul_table
-    columns = [[plane[l] for plane in table] for l in range(n)]  # e_m e_l
-    if alg.scalar_mode == RATIONAL:
-        zero, entry = 0, functools.partial(cleared_element, alg)
-
-        def operator(op):
-            d, nums = cleared([v for row in op.coeff for v in row])
-            return d * alg._dc, [nums[u * n:(u + 1) * n] for u in range(n)]
-    else:
-        zero = 0.0
-
-        def operator(op):
-            return 1, op.coeff
-
-        def entry(_, coords):
-            return Element(alg, coords, _validated=True)
     amat = []
     brhs = []
     for i, row_ops in enumerate(system.ops):
-        ops = [operator(op) for op in row_ops]
-        for l in range(n):
-            row = []
-            for den, f in ops:
-                g = [[zero] * n for _ in range(n)]  # g[p][u]
-                for u, fu in enumerate(f):
-                    for m, a in enumerate(fu):
-                        if a == 0:
-                            continue
-                        for p, c in columns[l][m]:
-                            g[p][u] += a * c
-                row.extend(entry(den, gp) for gp in g)
-            amat.append(row)
+        multiples = [right_multiples(op) for op in row_ops]
+        for l in range(alg.dim):
+            amat.append([e for entries in multiples for e in entries[l]])
             brhs.append(system.rhs[i] * alg.basis(l))
     return RichardsonSystem(alg, system.m_eq, system.m_unk, amat, brhs)
 

@@ -9,11 +9,13 @@ the equation's own terms, independent of `operator_matrix`.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
 from .algebra import (FLOAT_CHECK_TOL, RATIONAL, Algebra, Element, check_json_scalars,
-                      element_from_json, format_terms, json_field)
+                      cleared_element, element_from_json, field_matrix, format_terms,
+                      json_field, operator_rows, pair_coefficients)
 from .errors import AlgebraMismatch, SingularTensor
 from .linalg import INCONSISTENT, FieldMatrix, cleared, row_reduce, solve_integer
 
@@ -25,13 +27,15 @@ class TensorOp:
 
     def __init__(self, algebra: Algebra, coeff, display_pairs=None,
                  _validated=False):
+        # _validated is the trusted internal path: coeff is flat and coerced
         n = algebra.dim
         if not _validated:
             coeff = [[algebra.coerce(v) for v in row] for row in coeff]
             if len(coeff) != n or any(len(row) != n for row in coeff):
                 raise ValueError("coefficient matrix must be n*n")
+            coeff = [v for row in coeff for v in row]
         self.algebra = algebra
-        self._coords = tuple(v for row in coeff for v in row)
+        self._coords = tuple(coeff)
         self.display_pairs = tuple(display_pairs) if display_pairs else None
 
     @property
@@ -51,14 +55,17 @@ class TensorOp:
         algebra = pairs[0][0].algebra
         if any(a.algebra != algebra or b.algebra != algebra for a, b in pairs):
             raise AlgebraMismatch("tensor factors from different algebras")
-        coeff = pair_coefficients(algebra, [(a.coords, b.coords) for a, b in pairs])
-        return cls(algebra, coeff, display_pairs=pairs, _validated=True)
+        exact = algebra.scalar_mode == RATIONAL
+        d, f = pair_coefficients(algebra, pairs if exact else
+                                 [(a.coords, b.coords) for a, b in pairs])
+        return cls(algebra, [Fraction(v, d) for v in f] if exact else f,
+                   display_pairs=pairs, _validated=True)
 
     @classmethod
     def identity(cls, algebra: Algebra) -> "TensorOp":
         """The unit tensor 1 (x) 1, which acts as the identity map."""
-        return _tensor(algebra, _unit(algebra.dim ** 2, algebra.scalar_one(),
-                                      algebra.scalar_zero()))
+        return cls(algebra, _unit(algebra.dim ** 2, algebra.scalar_one(),
+                                  algebra.scalar_zero()), _validated=True)
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "TensorOp":
@@ -101,18 +108,23 @@ class TensorOp:
         if other.algebra != alg:
             raise AlgebraMismatch("tensors over different algebras")
         if alg.scalar_mode != RATIONAL:
-            return _tensor(alg, _compose(alg, self._coords, other._coords, 0.0))
+            return TensorOp(alg, _compose(alg, self._coords, other._coords, 0.0),
+                            _validated=True)
         (df, xf), (dg, xg) = cleared(self._coords), cleared(other._coords)
         den = df * dg * alg._dc ** 2
-        return _tensor(alg, [Fraction(v, den) for v in _compose(alg, xf, xg, 0)])
+        return TensorOp(alg, [Fraction(v, den) for v in _compose(alg, xf, xg, 0)],
+                        _validated=True)
 
     def operator_matrix(self) -> FieldMatrix:
         """Field-level matrix M with M @ coords(x) = coords(self.apply(x)).
 
-        Built as sum_ij f[i][j] L(e_i) @ R(e_j) from the regular
-        representations (cached per algebra), independently of apply().
+        Built as sum_ij f[i][j] L(e_i) @ R(e_j) by `algebra.operator_rows`,
+        independently of apply(); exact coordinates are contracted as
+        cleared integers, with one `Fraction` per entry of M.
         """
-        return FieldMatrix(operator_rows(self.algebra, self.coeff))
+        alg = self.algebra
+        d, f = cleared(self._coords) if alg.scalar_mode == RATIONAL else (1, self._coords)
+        return field_matrix(alg, *operator_rows(alg, d, f))
 
     def invert(self) -> "TensorOp":
         """The tensor g with self o g = g o self = 1 (x) 1: the inverse in
@@ -140,7 +152,7 @@ class TensorOp:
                 for h in (_compose(alg, f, g, zero), _compose(alg, g, f, zero))
                 for v, w in zip(h, _unit(m, one, zero)))):
             raise SingularTensor("tensor has no two-sided inverse in A⊗A^op")
-        return _tensor(alg, g)
+        return TensorOp(alg, g, _validated=True)
 
     # -- presentation ---------------------------------------------------------------
 
@@ -188,45 +200,6 @@ class TensorOp:
         return cls.from_pairs(pairs)
 
 
-def pair_coefficients(algebra: Algebra, pairs) -> list:
-    """The n*n coefficients f[i][j] of sum_s a_s (x) b_s, for pairs of
-    coordinate sequences; zero coordinates are skipped."""
-    coeff = [[algebra.scalar_zero()] * algebra.dim for _ in range(algebra.dim)]
-    for a, b in pairs:
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            row = coeff[i]
-            for j, bj in enumerate(b):
-                if bj != 0:
-                    row[j] += ai * bj
-    return coeff
-
-
-def operator_rows(algebra: Algebra, coeff) -> list:
-    """Rows of sum_ij f[i][j] L(e_i) @ R(e_j) for the n*n coefficients f,
-    from the algebra's cached `pair_products()`."""
-    n, pair = algebra.dim, algebra.pair_products()
-    out = [[algebra.scalar_zero()] * n for _ in range(n)]
-    for i, row in enumerate(coeff):
-        for j, v in enumerate(row):
-            if v == 0:
-                continue
-            for q, p, w in pair[i][j]:
-                if w == 1:
-                    out[q][p] += v
-                elif w == -1:
-                    out[q][p] -= v
-                else:
-                    out[q][p] += v * w
-    return out
-
-
-def _tensor(algebra: Algebra, flat) -> TensorOp:
-    n = algebra.dim
-    return TensorOp(algebra, [flat[i * n:i * n + n] for i in range(n)], _validated=True)
-
-
 def _unit(size: int, one, zero, index: int = 0) -> list:
     return [one if t == index else zero for t in range(size)]
 
@@ -251,6 +224,22 @@ def _compose(algebra: Algebra, f, g, zero) -> list:
                 for q, d in cells:
                     out[p * n + q] += uv * (c * d)
     return out
+
+
+def right_multiples(op: TensorOp) -> list:
+    """For each basis unit e_l, the map x -> op(x) e_l, the product
+    (1 (x) e_l) o op by `_compose`, as its coefficients: element p is
+    sum_u h[u][p] e_u for the coordinates h[u][p] of e_u (x) e_p, and
+    multiplies x e_p.  Exact ones are cleared pairs of the integers."""
+    alg, n = op.algebra, op.algebra.dim
+    if alg.scalar_mode == RATIONAL:
+        d, g = cleared(op._coords)
+        zero, entry = 0, functools.partial(cleared_element, alg, d * alg._dc ** 2)
+    else:
+        g, zero, entry = op._coords, 0.0, functools.partial(Element, alg, _validated=True)
+    # the unit's int 1 multiplies a float coordinate exactly
+    return [[entry(h[p::n]) for p in range(n)]
+            for h in (_compose(alg, _unit(n * n, 1, 0, l), g, zero) for l in range(n))]
 
 
 def tensor_from_pairs(pairs) -> TensorOp:

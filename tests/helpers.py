@@ -1,5 +1,6 @@
 """Shared randomized-input builders and independent test-side oracles."""
 
+import functools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -205,7 +206,7 @@ def envelope_invert(alg, f):
     one = [1.0] + [0.0] * (len(table) - 1)
     if all(v == 0 for v in f):
         return None
-    sol = nc.row_reduce(nc.FieldMatrix(algebra_module._left_rows(table, f, 0.0)), one)
+    sol = nc.row_reduce(nc.FieldMatrix(_left_rows(table, f)), one)
     if sol.kind == nc.INCONSISTENT:
         return None
     y = sol.particular
@@ -214,6 +215,20 @@ def envelope_invert(alg, f):
         if not all(abs(a - b) <= algebra_module.FLOAT_CHECK_TOL for a, b in zip(h, one)):
             return None
     return y
+
+
+def _left_rows(table, xa):
+    """Rows of L(a) through a sparse float table, for a's coordinates xa:
+    row k, column j sums a_i C[i][j][k] over i ascending."""
+    n = len(xa)
+    rows = [[0.0] * n for _ in range(n)]
+    for i, a in enumerate(xa):
+        if a == 0:
+            continue
+        for j in range(n):
+            for k, c in table[i][j]:
+                rows[k][j] = rows[k][j] + a * c
+    return rows
 
 
 # -- Newton oracles: the per-monomial loops, every factor rebuilt from its end
@@ -260,15 +275,40 @@ def naive_coefficients(alg, pairs):
     return coeff
 
 
+@functools.lru_cache
+def naive_pair_products(alg):
+    """{(i, j): the sorted nonzero (q, p, v) of L(e_i) R(e_j)} from the dense
+    constants: v, the e_q-coordinate of e_i (e_p e_j), sums
+    C[p][j][m] C[i][m][q] over m ascending, as `Algebra.pair_products`
+    sums them, so that float entries agree bit for bit."""
+    n, C = alg.dim, alg.constants
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            cell = []
+            for p in range(n):
+                sums = {}
+                for m in range(n):
+                    if C[p][j][m] == 0:
+                        continue
+                    for q in range(n):
+                        if C[i][m][q] != 0:
+                            term = C[p][j][m] * C[i][m][q]
+                            sums[q] = sums[q] + term if q in sums else term
+                cell += [(q, p, v) for q, v in sums.items() if v != 0]
+            out[i, j] = sorted(cell)
+    return out
+
+
 def naive_operator_matrix(alg, coeff):
     """sum_ij f[i][j] L(e_i) R(e_j), summed in row-major (i, j) order."""
-    n, pair = alg.dim, alg.pair_products()
+    n, pair = alg.dim, naive_pair_products(alg)
     out = [[alg.scalar_zero()] * n for _ in range(n)]
     for i, row in enumerate(coeff):
         for j, v in enumerate(row):
             if v == 0:
                 continue
-            for q, p, w in pair[i][j]:
+            for q, p, w in pair[i, j]:
                 if w == 1:
                     out[q][p] = out[q][p] + v
                 elif w == -1:

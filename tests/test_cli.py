@@ -174,6 +174,12 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    def test_fraction_exponent_exit_2(self, capsys):
+        for argv in (["solve", "x = i^4/2"], ["solve", "--scalar", "float", "x = i^4/2"]):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out, err) == (
+                2, "", "error: exponent must be a positive integer (column 7)\n"), argv
+
     def test_nonlinear_exit_2(self, capsys):
         code, _, err = invoke(capsys, "solve", "x*x = 1")
         assert code == 2

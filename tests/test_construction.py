@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 import ncalg as nc
-from helpers import (algebra_from_data, clifford_algebra, matrix_algebra, rand_nonzero,
-                     scaled_quaternion_algebra)
+from helpers import (algebra_from_data, clifford_algebra, constructor_constants,
+                     matrix_algebra, naive_product, rand_nonzero, scaled_quaternion_algebra)
 
 MODES = [nc.RATIONAL, nc.FLOAT]
 
@@ -77,16 +77,21 @@ class TestPairProducts:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", list(ALGEBRAS))
     def test_equal_left_times_right(self, name, mode):
-        alg = ALGEBRAS[name](mode)
-        n, pairs = alg.dim, alg.pair_products()
+        # L(e_i) @ R(e_j) maps e_p to e_i e_p e_j, here multiplied out over
+        # the constants handed to the constructor; the entries are ints over
+        # the table scale _dc**2 in rational mode
+        alg, C = constructor_constants(ALGEBRAS[name], mode)
+        n, pairs, scale = alg.dim, alg.pair_products(), alg._dc ** 2
+        unit = [[Fraction(int(t == k)) for t in range(n)] for k in range(n)]
         for i in range(n):
             for j in range(n):
-                left, right = alg.basis(i).left_matrix(), alg.basis(j).right_matrix()
-                product = (left @ right).entries
-                expected = [(q, p, v) for q in range(n) for p in range(n)
-                            if (v := product[q][p]) != 0]
-                assert list(pairs[i][j]) == expected
-                assert all(type(v) is scalar_type(mode) for _, _, v in pairs[i][j])
+                expected = sorted(
+                    (q, p, v) for p in range(n) for q, v in enumerate(
+                        naive_product(C, naive_product(C, unit[i], unit[p]), unit[j]))
+                    if v != 0)
+                assert [(q, p, Fraction(v) / scale) for q, p, v in pairs[i][j]] == expected
+                assert all(type(v) is (int if mode == nc.RATIONAL else float)
+                           for _, _, v in pairs[i][j])
 
     def test_scaled_basis_has_non_integral_constants(self):
         C = scaled_quaternion_algebra().constants

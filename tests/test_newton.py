@@ -17,9 +17,10 @@ from ncalg.newton import (
     NewtonConfig,
     newton_solve,
 )
+from ncalg import newton as newton_module
 from helpers import (algebra_from_data, clifford_algebra, matrix_algebra,
                      naive_coefficients, naive_derivative_pairs, naive_evaluate,
-                     naive_newton, rand_element)
+                     naive_newton, rand_element, scaled_quaternion_algebra)
 
 
 @functools.cache
@@ -163,6 +164,33 @@ class TestNewton:
             "7/408 - 1/408i + 409/408j",
             "7/79152 + 11/79152i + 79141/79152j",
         ]
+
+    @pytest.mark.parametrize("name", ["H", "H/357", "M2", "complex"])
+    def test_exact_steps_solve_the_derivative_equation(self, name, monkeypatch):
+        # each step solves D(x_(k+1) - x_k) = -r_k with D's integer operator
+        # rows; `TensorOp.apply` checks it on D's own pairs.  H/357 has the
+        # table scale _dc = 11025, so a slip between _dc and _dc**2 shows
+        alg = _algebra(name, nc.RATIONAL) if name != "H/357" else \
+            scaled_quaternion_algebra(nc.RATIONAL, (1, 3, 5, 7))
+        if alg.dim == 4:
+            one, a, b, c = (alg.basis(t) for t in range(4))
+            p = GeneralizedPolynomial(alg, [[one, one, one], [-a, one], [one, -b], [c]])
+            target, x0 = alg.zero(), one + b
+        else:
+            one = alg.one()
+            p = GeneralizedPolynomial(alg, [[one, one, one]])
+            target, x0 = -one, alg.basis(1).scale(2)
+        integer_systems = []
+
+        def spy(matrix, rhs):
+            integer_systems.append(all(type(v) is int for row in matrix.entries
+                                       for v in row + tuple(rhs)))
+            return nc.row_reduce(matrix, rhs)
+        monkeypatch.setattr(newton_module, "row_reduce", spy)
+        trace = newton_solve(p, target, x0, NewtonConfig(max_iter=5))
+        assert len(trace.iterates) == 6 and integer_systems == [True] * 5
+        for (x, r, _), (y, _, _) in zip(trace.iterates, trace.iterates[1:]):
+            assert p.derivative_at(x).apply(y - x) == -r
 
     @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
     def test_complex_algebra_converges_to_u(self, mode):

@@ -129,6 +129,20 @@ class TestGrammar:
         with pytest.raises(nc.EquationSyntaxError):
             parse_expression("x^(2)", hq)
 
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    @pytest.mark.parametrize("text", ["x = i^4/2", "x = i^2/1"])
+    def test_exponent_is_decimal_digits(self, text, mode):
+        # a p/q literal equal to an integer is no exponent; "/" is no operator
+        with pytest.raises(nc.EquationSyntaxError) as err:
+            parse_equation(text, nc.quaternion_algebra(mode))
+        assert (str(err.value), err.value.column) == (
+            "exponent must be a positive integer (column 7)", 7)
+
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_exponent_of_other_decimal_digits(self, mode):
+        alg = nc.quaternion_algebra(mode)
+        assert evaluate_constant(parse_expression("i^٣", alg), alg) == -alg.basis(1)
+
     def test_zero_denominator(self, hq, hq_float):
         for alg, text in ((hq, "x = 1/0"), (hq_float, "x = 3/00")):
             with pytest.raises(nc.EquationSyntaxError) as err:

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 import ncalg as nc
+from ncalg import algebra as algebra_module
 from ncalg.solvers import build_richardson, nc_row_reduce, quasideterminant
 from helpers import (
     algebra_from_data,
     clifford_algebra,
+    envelope_table,
     flat,
     matrix_algebra,
     rand_element,
@@ -145,13 +147,17 @@ class TestBuildRichardson:
                 for _ in range(2)] for _ in range(2)]
         system = nc.SylvesterSystem(alg, ops, [rand_element(alg, rng) for _ in range(2)])
         rich = build_richardson(system)
+        # the product loop on the table of A (x) A^op, whose entries carry
+        # the table scale _dc**2
+        table, scale = envelope_table(alg), alg._dc ** 2
         for i in range(2):
             for l in range(n):
-                unit_l = nc.TensorOp(alg, [[int((r, s) == (0, l)) for s in range(n)]
-                                           for r in range(n)])
+                unit_l = [int(t == l) for t in range(n * n)]  # 1 (x) e_l
                 expected = []
                 for op in ops[i]:
-                    g = flat(unit_l.compose(op))
+                    g = algebra_module._product(table, unit_l, flat(op), alg.scalar_zero())
+                    if mode == nc.RATIONAL:
+                        g = [v / scale for v in g]
                     expected.extend(alg.element(g[p::n]) for p in range(n))
                 assert rich.amat[i * n + l] == expected
                 assert repr([e.coords for e in rich.amat[i * n + l]]) == \

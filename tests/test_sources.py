@@ -14,3 +14,12 @@ def test_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+@pytest.mark.parametrize("name", ["solvers.py", "newton.py"])
+def test_table_format_stays_in_algebra_and_tensor(name):
+    # the sparse table `_mul_table` and its scale `_dc` are read only by
+    # algebra.py and tensor.py; the solvers reach them through
+    # `operator_rows`, `pair_coefficients` and `right_multiples`
+    text = (SOURCES[0].parent / name).read_text(encoding="utf-8")
+    assert "_mul_table" not in text and "_dc" not in text

@@ -11,10 +11,12 @@ from helpers import (
     algebra_from_data,
     clifford_algebra,
     compose_pairs_oracle,
+    constructor_constants,
     envelope_compose,
     envelope_invert,
     flat,
     matrix_algebra,
+    naive_product,
     naive_tensor_matrix,
     rand_element,
     rand_nonzero,
@@ -320,6 +322,45 @@ def tensors(draw, alg):
         return nc.TensorOp(alg, [flat_coeff[i * n:(i + 1) * n] for i in range(n)])
     return nc.tensor_from_pairs([(nc.Element(alg, coords(n)), nc.Element(alg, coords(n)))
                                  for _ in range(draw(st.integers(1, 2)))])
+
+
+class TestMapMatrices:
+    """`left_matrix`, `right_matrix` and `operator_matrix` share one
+    contraction, on H/357's table scale _dc = 11025.  The oracle multiplies
+    out the constants handed to the constructor: exactly in rational mode,
+    and to rounding in float mode, whose constants such as 7/15 are inexact."""
+
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_against_dense_constants(self, mode, rng):
+        alg, C = constructor_constants(TABLES["H/357"], mode)
+        n, exact = alg.dim, mode == nc.RATIONAL
+        unit = [[Fraction(int(t == k)) for t in range(n)] for k in range(n)]
+
+        def scalars(count):
+            values = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                      for _ in range(count)]
+            return values if exact else [Fraction(float(v)) for v in values]
+
+        def check(matrix, columns):
+            expected = [list(row) for row in zip(*columns)]
+            if exact:
+                assert [list(row) for row in matrix.entries] == expected
+                assert all(type(v) is Fraction for row in matrix.entries for v in row)
+            else:
+                assert all(abs(v - w) <= 1e-12 * (1 + abs(w)) for row, want
+                           in zip(matrix.entries, expected) for v, w in zip(row, want))
+        for _ in range(5):
+            a, f = scalars(n), [scalars(n) for _ in range(n)]
+            elem = alg.element(a if exact else [float(v) for v in a])
+            op = nc.TensorOp(alg, f if exact else [[float(v) for v in row] for row in f])
+            check(elem.left_matrix(), [naive_product(C, a, unit[p]) for p in range(n)])
+            check(elem.right_matrix(), [naive_product(C, unit[p], a) for p in range(n)])
+            # column p of x -> sum_ij f_ij e_i x e_j is sum_i (e_i e_p) f_i
+            check(op.operator_matrix(), [
+                [sum(col) for col in zip(*(
+                    naive_product(C, naive_product(C, unit[i], unit[p]), f[i])
+                    for i in range(n)))]
+                for p in range(n)])
 
 
 class TestInverseProperty:
