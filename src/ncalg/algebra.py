@@ -3,9 +3,12 @@
 An algebra of dimension n over the scalar field is given by an n*n*n array C
 with  e_i * e_j = sum_k C[i][j][k] e_k.  Basis index 0 is always the unit.
 Two scalar modes exist: exact rationals (`Fraction`) and binary floats; a
-single algebra, and everything computed over it, stays in one mode.  An
-exact element is integers over one denominator; its `Fraction`s are built
-on first read, the same whichever thread reads them first.
+single algebra, and everything computed over it, stays in one mode.  Both
+modes store an element, and an operator tensor (`tensor.TensorOp`), in one
+layout: numerators over one denominator, reduced integers in rational mode
+and the float coordinates over 1 in float mode (`Algebra._pair`).  Exact
+`Fraction`s are built on first read, the same whichever thread reads them
+first.
 
 All values here are immutable after construction, so instances can be shared
 freely across threads.
@@ -25,8 +28,7 @@ from .errors import (
     NotInvertible,
     UnitLawViolation,
 )
-from .linalg import (INCONSISTENT, FieldMatrix, _integer_ring, cleared, eliminate,
-                     row_reduce)
+from .linalg import INCONSISTENT, FieldMatrix, cleared, row_reduce, solve_integer
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -55,8 +57,8 @@ class Algebra:
     """
 
     __slots__ = ("name", "dim", "basis_names", "scalar_mode", "_mul_table",
-                 "_dc", "_name_to_index", "_basis_cache", "_zero", "_pair_products",
-                 "_kernel")
+                 "_dc", "_num_zero", "_name_to_index", "_basis_cache", "_zero",
+                 "_pair_products", "_kernel")
 
     def __init__(self, constants, basis_names=None, scalar_mode=RATIONAL, name=None):
         if scalar_mode not in (RATIONAL, FLOAT):
@@ -84,8 +86,10 @@ class Algebra:
             raise ValueError("constants must form an n*n*n array")
         table = tuple(tuple(self._nonzero(row) for row in plane)
                       for plane in constants)
-        self._dc = 1
+        # the stored numerators' zero, which every sum of them starts from
+        self._dc, self._num_zero = 1, 0.0
         if scalar_mode == RATIONAL:
+            self._num_zero = 0
             self._dc = dc = math.lcm(*(c.denominator for plane in table
                                        for cell in plane for _, c in cell))
             table = tuple(tuple(tuple((k, c.numerator * (dc // c.denominator))
@@ -115,15 +119,14 @@ class Algebra:
     @property
     def constants(self):
         """The dense n*n*n constants, derived from the sparse table."""
-        n, zero = self.dim, self.scalar_zero()
         dense = []
         for plane in self._mul_table:
             rows = []
             for cell in plane:
-                row = [zero] * n
+                row = [self._num_zero] * self.dim
                 for k, c in cell:
-                    row[k] = self._scalar_of(c, self._dc)
-                rows.append(tuple(row))
+                    row[k] = c
+                rows.append(self._scalars(self._dc, row))
             dense.append(tuple(rows))
         return tuple(dense)
 
@@ -190,10 +193,22 @@ class Algebra:
     def scalar_one(self):
         return Fraction(1) if self.scalar_mode == RATIONAL else 1.0
 
-    def _scalar_of(self, value, scale):
-        """The scalar value/scale, for a value read off the scaled table
-        (`scale` is a power of _dc, so always 1 in float mode)."""
-        return Fraction(value, scale) if self.scalar_mode == RATIONAL else value
+    def _pair(self, values) -> tuple:
+        """(d, nums): coerced scalars in the layout of elements and tensors,
+        numerators over one denominator.  In rational mode these are the
+        integers over the least common denominator (reduced, for reduced
+        `Fraction`s); in float mode the floats themselves over d = 1."""
+        if self.scalar_mode == RATIONAL:
+            d, nums = cleared(values)
+            return d, tuple(nums)
+        return 1, tuple(values)
+
+    def _scalars(self, d, nums) -> tuple:
+        """The scalars nums/d of a stored pair, the inverse of `_pair`: one
+        `Fraction` each in rational mode, the float numerators as they are."""
+        if self.scalar_mode == RATIONAL:
+            return tuple(Fraction(v, d) for v in nums)
+        return tuple(nums)
 
     # -- validation --------------------------------------------------------
 
@@ -203,7 +218,7 @@ class Algebra:
         return abs(a - b) <= FLOAT_CHECK_TOL
 
     def _check_unit_law(self, table):
-        n, dc, zero = self.dim, self._dc, self.scalar_zero()
+        n, dc, zero = self.dim, self._dc, self._num_zero
         left = [dict(cell) for cell in table[0]]          # e0 * e_j
         right = [dict(plane[0]) for plane in table]       # e_j * e0
         for j in range(n):
@@ -214,7 +229,7 @@ class Algebra:
                     if not self._scalar_close(got, want):
                         raise UnitLawViolation(
                             f"e{i}*e{jj} has wrong e{k}-coordinate "
-                            f"{self._scalar_of(got, dc)} "
+                            f"{self._scalars(dc, (got,))[0]} "
                             f"(indices i={i}, j={jj}, k={k})"
                         )
 
@@ -223,7 +238,7 @@ class Algebra:
         #   sum_m C[i][j][m] C[m][k][p] = sum_m C[i][m][p] C[j][k][m]
         # summed over nonzero constants, m ascending, both sides scaled by
         # _dc**2 (exact ints in rational mode); names the first (i,j,k,p)
-        n, zero, scale = self.dim, self.scalar_zero(), self._dc * self._dc
+        n, zero, scale = self.dim, self._num_zero, self._dc * self._dc
         columns = [tuple(plane[k] for plane in table) for k in range(n)]
         for i in range(n):
             for j in range(n):
@@ -235,11 +250,11 @@ class Algebra:
                     for p in sorted(lhs.keys() | rhs.keys()):
                         left, right = lhs.get(p, zero), rhs.get(p, zero)
                         if not self._scalar_close(left, right):
+                            left, right = self._scalars(scale, (left, right))
                             raise NonAssociative(
                                 f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k}) at "
                                 f"coordinate p={p} (indices i={i}, j={j}, "
-                                f"k={k}, p={p}): {self._scalar_of(left, scale)} "
-                                f"!= {self._scalar_of(right, scale)}"
+                                f"k={k}, p={p}): {left} != {right}"
                             )
 
     # -- element construction ----------------------------------------------
@@ -292,21 +307,21 @@ def _combine(coeffs, cells):
 
 def pair_coefficients(algebra: Algebra, pairs) -> tuple:
     """(d, f): the flat n*n coefficients f[i*n + j]/d of e_i (x) e_j in
-    sum_s a_s (x) b_s, zero coordinates skipped.  Rational pairs are elements,
-    summed on their cleared numerators over d, the lcm of the products of
-    their denominators; float pairs are coordinate sequences (d = 1)."""
-    n, d, zero = algebra.dim, 1, 0.0
-    if algebra.scalar_mode == RATIONAL:
-        pairs = [(a._d * b._d, a._nums, b._nums) for a, b in pairs]
-        d, zero = math.lcm(*(q for q, _, _ in pairs)), 0
-        pairs = [([d // q * v for v in xa], xb) for q, xa, xb in pairs]
-    coeff = [zero] * (n * n)
-    for a, b in pairs:
-        for i, ai in enumerate(a):
+    sum_s a_s (x) b_s, zero coordinates skipped.  The pairs come as a list of
+    numerators (q, xa, xb), a_s (x) b_s = (xa (x) xb)/q, each summed scaled
+    to d, the lcm of the q: integers in rational mode, and in float mode the
+    coordinates themselves (q = d = 1)."""
+    n = algebra.dim
+    d = math.lcm(*[q for q, _, _ in pairs])
+    coeff = [algebra._num_zero] * (n * n)
+    for q, xa, xb in pairs:
+        if q != d:
+            xa = [d // q * v for v in xa]
+        for i, ai in enumerate(xa):
             if ai == 0:
                 continue
             row = i * n
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(xb):
                 if bj != 0:
                     coeff[row + j] += ai * bj
     return d, coeff
@@ -319,7 +334,7 @@ def operator_rows(algebra: Algebra, d, coeff) -> tuple:
     Exact coeff are integers and give integer rows over den = d * _dc**2,
     the pair products' scale; float ones give float rows (d = den = 1)."""
     n = algebra.dim
-    rows = [[0 if algebra.scalar_mode == RATIONAL else 0.0] * n for _ in range(n)]
+    rows = [[algebra._num_zero] * n for _ in range(n)]
     for v, cell in zip(coeff, itertools.chain.from_iterable(algebra.pair_products())):
         if v == 0:
             continue
@@ -336,9 +351,25 @@ def operator_rows(algebra: Algebra, d, coeff) -> tuple:
 def field_matrix(algebra: Algebra, den, rows) -> FieldMatrix:
     """The `FieldMatrix` rows/den of `operator_rows`: one `Fraction` per
     exact entry, float rows as they are."""
-    if algebra.scalar_mode != RATIONAL:
-        return FieldMatrix(rows)
-    return FieldMatrix([[Fraction(v, den) for v in row] for row in rows])
+    return FieldMatrix([algebra._scalars(den, row) for row in rows])
+
+
+def solve_inverse(x, rows, rhs, build, product):
+    """The inverse of x (an `Element` or a `tensor.TensorOp`) as build(d, y),
+    y/d solving rows y = rhs, x's `operator_rows` against the unit; None if
+    there is none.  Rational systems are solved fraction-free by
+    `solve_integer`, and need no check (see `Element.inverse`); a float y
+    must make the numerators product(x, y) and product(y, x) the unit's
+    within FLOAT_CHECK_TOL."""
+    if x.algebra.scalar_mode == RATIONAL:
+        d, sol = solve_integer(rows, rhs)
+        return None if sol.kind == INCONSISTENT else build(d, sol.particular)
+    sol = row_reduce(FieldMatrix(rows), rhs)
+    if sol.kind == INCONSISTENT:
+        return None
+    y = build(1, sol.particular)
+    return y if all(abs(v - w) <= FLOAT_CHECK_TOL for h in (product(x, y), product(y, x))
+                    for v, w in zip(h, rhs)) else None
 
 
 def make_algebra(constants, basis_names=None, scalar_mode=RATIONAL, name=None) -> Algebra:
@@ -364,25 +395,32 @@ def quaternion_algebra(scalar_mode=RATIONAL) -> Algebra:
     return Algebra(C, ("1", "i", "j", "k"), scalar_mode, name="quaternion")
 
 
+def _read_coords(x) -> tuple:
+    """The scalars of an element's or a tensor's stored pair, built on the
+    first read and kept."""
+    coords = x._coords
+    if coords is None:
+        x._coords = coords = x.algebra._scalars(x._d, x._nums)
+    return coords
+
+
 class Element:
     """A vector of coordinates over the algebra's basis, with ring arithmetic.
 
-    A rational element is stored as one cleared pair: integer numerators
-    `_nums` over one denominator `_d` > 0, with gcd(_d, *_nums) = 1, so
-    equal values have equal pairs (the representation of FLINT's
-    `fmpq_poly`).  Arithmetic, equality and hashing run on the pair, and
-    products pass the numerators straight to the algebra's integer kernel
-    (`Algebra._product_kernel`), with one gcd per result.  An element built
-    from coordinates keeps them as `coords`, a tuple of `Fraction`s; one
-    computed from pairs builds its `coords` when they are first read.
-
-    A float element holds only its `coords`, which the kernel multiplies as
-    they are; its result is the sparse loop's bit for bit: a product whose
-    compiled result holds a NaN (0*inf where the loop skips the zero) is
-    recomputed by the loop.
+    Stored as one pair, numerators `_nums` over a denominator `_d`
+    (`Algebra._pair`): in rational mode integers with _d > 0 and
+    gcd(_d, *_nums) = 1, so equal values have equal pairs (FLINT's
+    `fmpq_poly` layout), in float mode the coordinates over _d = 1.
+    Arithmetic, equality and hashing run on the pair, and products pass the
+    numerators to the algebra's kernel (`Algebra._product_kernel`), with one
+    gcd per exact result.  Float sums scale no numerator and
+    `cleared_element` divides no pair over 1, so float results are the
+    coordinatewise IEEE ones; a product whose compiled result holds a NaN
+    (0*inf where the sparse loop skips the zero) is recomputed by the loop.
+    `coords` are kept from construction or built from the pair when read.
     """
 
-    __slots__ = ("algebra", "coords", "_d", "_nums")
+    __slots__ = ("algebra", "_d", "_nums", "_coords")
 
     def __init__(self, algebra: Algebra, coords, _validated=False):
         self.algebra = algebra
@@ -391,10 +429,11 @@ class Element:
             coords = tuple(algebra.coerce(c) for c in coords)
             if len(coords) != algebra.dim:
                 raise ValueError(f"need {algebra.dim} coordinates, got {len(coords)}")
-        self.coords = coords = tuple(coords)
-        if algebra.scalar_mode == RATIONAL:
-            self._d, nums = cleared(coords)
-            self._nums = tuple(nums)
+        self._coords = coords = tuple(coords)
+        self._d, self._nums = algebra._pair(coords)
+
+    coords = property(_read_coords, doc="The coordinates, as scalars of the "
+                      "algebra's mode.")
 
     def _same_algebra(self, other: "Element"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -422,26 +461,15 @@ class Element:
             self._same_algebra(other)
         else:
             other = self.algebra.one().scale(other)
-        alg = self.algebra
-        if alg.scalar_mode == RATIONAL:
-            return _pair_sum(alg, self._d, self._nums, other._d, other._nums, sign)
-        pairs = zip(self.coords, other.coords)
-        return Element(alg, [a + b for a, b in pairs] if sign > 0
-                       else [a - b for a, b in pairs], _validated=True)
+        return _pair_sum(self.algebra, self._d, self._nums, other._d, other._nums, sign)
 
     def __neg__(self):
-        alg = self.algebra
-        if alg.scalar_mode == RATIONAL:
-            return cleared_element(alg, self._d, [-v for v in self._nums])
-        return Element(alg, [-a for a in self.coords], _validated=True)
+        return cleared_element(self.algebra, self._d, [-v for v in self._nums])
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._same_algebra(other)
             alg = self.algebra
-            if alg.scalar_mode != RATIONAL:
-                return Element(alg, alg._product_kernel()(self.coords, other.coords),
-                               _validated=True)
             return cleared_element(alg, self._d * other._d * alg._dc,
                                    alg._product_kernel()(self._nums, other._nums))
         return self.scale(other)
@@ -451,40 +479,28 @@ class Element:
         return self.scale(other)
 
     def minus_product(self, f: "Element", g: "Element") -> "Element":
-        """self - f*g, the row update of the algebra-valued elimination; in
-        rational mode one integer pass over one lcm, with one gcd."""
+        """self - f*g, the row update of the algebra-valued elimination: one
+        pass over the numerators (in rational mode over one lcm, one gcd)."""
         alg = self.algebra
-        if alg.scalar_mode != RATIONAL:
-            return self - f * g
         return _pair_sum(alg, self._d, self._nums, f._d * g._d * alg._dc,
                          alg._product_kernel()(f._nums, g._nums), -1)
 
     def scale(self, factor) -> "Element":
         alg = self.algebra
-        s = alg.coerce(factor)
-        if alg.scalar_mode == RATIONAL:
-            p, q = s.as_integer_ratio()
-            return cleared_element(alg, self._d * q, [p * v for v in self._nums])
-        return Element(alg, [s * a for a in self.coords], _validated=True)
+        q, (p,) = alg._pair((alg.coerce(factor),))
+        return cleared_element(alg, self._d * q, [p * v for v in self._nums])
 
     def __eq__(self, other):
-        if not (isinstance(other, Element) and self.algebra == other.algebra):
-            return False
-        if self.algebra.scalar_mode == RATIONAL:
-            return self._d == other._d and self._nums == other._nums
-        return self.coords == other.coords
+        return (isinstance(other, Element) and self.algebra == other.algebra
+                and self._d == other._d and self._nums == other._nums)
 
     def __hash__(self):
-        if self.algebra.scalar_mode == RATIONAL:
-            return hash((self.algebra, self._d, self._nums))
-        return hash((self.algebra, self.coords))
+        return hash((self.algebra, self._d, self._nums))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol:
             return all(abs(c) <= tol for c in self.coords)
-        if self.algebra.scalar_mode == RATIONAL:
-            return not any(self._nums)
-        return all(c == 0 for c in self.coords)
+        return not any(self._nums)
 
     # -- regular representation ----------------------------------------------
 
@@ -500,53 +516,34 @@ class Element:
 
     def _operator_rows(self, left: bool) -> tuple:
         """`operator_rows` of self (x) 1 if `left`, else of 1 (x) self."""
-        alg, n = self.algebra, self.algebra.dim
-        d, xs = (self._d, self._nums) if alg.scalar_mode == RATIONAL else (1, self.coords)
+        n = self.algebra.dim
         coeff = [0] * (n * n)
         if left:
-            coeff[::n] = xs
+            coeff[::n] = self._nums
         else:
-            coeff[:n] = xs
-        return operator_rows(alg, d, coeff)
+            coeff[:n] = self._nums
+        return operator_rows(self.algebra, self._d, coeff)
 
     # -- inverse and norm ------------------------------------------------------
 
     def inverse(self) -> "Element":
         """Two-sided inverse; raises NotInvertible when there is none.
 
-        In rational mode `operator_rows` gives L(a) = rows/den on integers, so
-        the integer system rows y = den*e0 goes to fraction-free elimination,
-        and y is read off the pivot rows as integers over the last pivot.  A
-        solution needs no check: a*y = 1 in a finite-dimensional associative
-        unital algebra forces y*a = 1, since L(a) is then onto, hence
-        injective, and a*(y*a) = (a*y)*a = a.
-        In float mode L(self) y = e0 is solved by `row_reduce` and y is
-        checked on both sides within FLOAT_CHECK_TOL.
+        `operator_rows` gives L(a) = rows/den, so y solves rows y = den*e0,
+        by `solve_inverse`.  In rational mode y is read off the fraction-free
+        solve as integers over one denominator and needs no check: a*y = 1 in
+        a finite-dimensional associative unital algebra forces y*a = 1, since
+        L(a) is then onto, hence injective, and a*(y*a) = (a*y)*a = a.
+        A float y is checked on both sides within FLOAT_CHECK_TOL.
         """
         if self.is_zero():
             raise NotInvertible("zero element has no inverse")
         alg = self.algebra
-        if alg.scalar_mode == RATIONAL:
-            n = alg.dim
-            den, rows = self._operator_rows(True)
-            rhs = [den] + [0] * (n - 1)
-            pivots = eliminate(rows, rhs, **_integer_ring())
-            if any(rhs[len(pivots):]):
-                raise NotInvertible(f"left regular matrix of {self} is singular")
-            y = [0] * n
-            for r, c in pivots:
-                y[c] = rhs[r]
-            last = rows[r][c]  # every pivot entry equals the last pivot
-            if last < 0:
-                last, y = -last, [-v for v in y]
-            return cleared_element(alg, last, y)
-        one = alg.one()
-        sol = row_reduce(self.left_matrix(), list(one.coords))
-        if sol.kind == INCONSISTENT:
-            raise NotInvertible(f"left regular matrix of {self} is singular")
-        y = Element(alg, sol.particular, _validated=True)
-        if not ((self * y - one).is_zero(FLOAT_CHECK_TOL)
-                and (y * self - one).is_zero(FLOAT_CHECK_TOL)):
+        den, rows = self._operator_rows(True)
+        y = solve_inverse(self, rows, [den * v for v in alg.one()._nums],
+                          functools.partial(cleared_element, alg),
+                          lambda u, v: (u * v)._nums)
+        if y is None:
             raise NotInvertible(f"{self} has no two-sided inverse")
         return y
 
@@ -555,7 +552,7 @@ class Element:
         if self.algebra.scalar_mode == RATIONAL:
             return Fraction(sum(v * v for v in self._nums), self._d * self._d)
         total = 0.0
-        for c in self.coords:
+        for c in self._nums:
             total = total + c * c
         return total
 
@@ -573,39 +570,26 @@ class Element:
         return f"Element({self})"
 
 
-def cleared_element(algebra: Algebra, d: int, nums) -> Element:
-    """The rational element nums/d, for d > 0 and integer nums, stored as
-    its pair reduced by gcd(d, *nums)."""
-    g = math.gcd(d, *nums)
-    if g != 1:
-        d, nums = d // g, [v // g for v in nums]
-    x = object.__new__(_Cleared)
-    x.algebra, x._d, x._nums = algebra, d, tuple(nums)
+def cleared_element(algebra: Algebra, d, nums, cls=Element) -> Element:
+    """The element nums/d: integers over d > 0, stored divided by
+    gcd(d, *nums), or floats over d = 1, stored as they are; its `coords`
+    are built when first read.  With `cls` a `tensor.TensorOp`, the tensor
+    with flat coefficients nums/d, stored alike."""
+    if d != 1:
+        g = math.gcd(d, *nums)
+        if g != 1:
+            d, nums = d // g, [v // g for v in nums]
+    x = object.__new__(cls)
+    x.algebra, x._d, x._nums, x._coords = algebra, d, tuple(nums), None
     return x
 
 
-_coords_slot = Element.coords
-
-
-class _Cleared(Element):
-    """A rational element made from its pair, whose `coords` are built when
-    first read.  A subclass, so that `coords` stays a plain slot, read with
-    no call, on every element built from coordinates, float ones included."""
-
-    __slots__ = ()
-
-    @property
-    def coords(self):
-        try:
-            return _coords_slot.__get__(self)
-        except AttributeError:
-            d = self._d
-            _coords_slot.__set__(self, tuple(Fraction(v, d) for v in self._nums))
-        return _coords_slot.__get__(self)
-
-
 def _pair_sum(algebra, da, xa, db, xb, sign):
-    """xa/da + sign * xb/db as a rational element, over lcm(da, db)."""
+    """xa/da + sign * xb/db as an element, over lcm(da, db); numerators over
+    one denominator, every float pair included, add or subtract as they are."""
+    if da == db:
+        return cleared_element(algebra, da, [a + b for a, b in zip(xa, xb)] if sign > 0
+                               else [a - b for a, b in zip(xa, xb)])
     d = math.lcm(da, db)
     sa, sb = d // da, sign * (d // db)
     return cleared_element(algebra, d, [a * sa + b * sb for a, b in zip(xa, xb)])

@@ -308,20 +308,19 @@ def cleared(values):
     return d, [p * (d // q) for p, q in pairs]
 
 
-def solve_integer(rows, rhs) -> SolutionSet:
-    """Solve the integer system rows x = rhs exactly, by fraction-free
-    elimination in place; the solution set has `Fraction` values."""
+def solve_integer(rows, rhs) -> tuple:
+    """(d, S): the solution set S of the integer system rows x = rhs by
+    fraction-free elimination in place, its values integers over one d > 0,
+    the last pivot up to sign (every pivot entry ends equal to it).  The one
+    reader of that elimination: `row_reduce` builds `Fraction`s S/d, and
+    `algebra.solve_inverse` keeps the integers over d."""
     pivots = eliminate(rows, rhs, **_integer_ring())
     found = len(pivots)
-    last = rows[found - 1][pivots[-1][1]] if pivots else 1
-
-    def value(v):  # every pivot entry is the last pivot
-        return Fraction(v, last) if v else _ZERO
-
-    # the solution set reads only the pivot rows, and every right-hand side
-    rows[:found] = [[value(v) for v in row] for row in rows[:found]]
-    return solution_set(rows, [value(b) for b in rhs], pivots, _ZERO, _ONE,
-                        _is_zero_exact)
+    d = rows[found - 1][pivots[-1][1]] if pivots else 1
+    if d < 0:  # the pivot rows and right-hand sides over -d solve alike
+        d, rhs = -d, [-b for b in rhs]
+        rows[:found] = [[-v for v in row] for row in rows[:found]]
+    return d, solution_set(rows, rhs, pivots, 0, d, _is_zero_exact)
 
 
 def row_reduce(matrix: FieldMatrix, rhs) -> SolutionSet:
@@ -329,14 +328,20 @@ def row_reduce(matrix: FieldMatrix, rhs) -> SolutionSet:
 
     Inconsistency is a result kind, not an error.  Free columns receive
     generated parameter names C0, C1, ...  Exact systems are solved on
-    integers: each augmented row is scaled by the lcm of its denominators,
-    which changes neither the solution set nor the pivots.
+    integers by `solve_integer`: each augmented row is scaled by the lcm of
+    its denominators, which changes neither the solution set nor the
+    pivots, and one `Fraction` is built per value of the solution set.
     """
     if matrix.rows != len(rhs):
         raise ValueError("rhs length must match row count")
     if matrix.is_exact() and not any(isinstance(v, float) for v in rhs):
         rows = [cleared(row + (b,))[1] for row, b in zip(matrix.entries, rhs)]
-        return solve_integer(rows, [row.pop() for row in rows])
+        d, sol = solve_integer(rows, [row.pop() for row in rows])
+        if sol.particular is not None:
+            sol.particular = [Fraction(v, d) for v in sol.particular]
+            sol.nullspace_basis = [[Fraction(v, d) for v in vec]
+                                   for vec in sol.nullspace_basis]
+        return sol
     rows, b = [list(r) for r in matrix.entries], list(rhs)
     pivots = eliminate(rows, b, **_FLOAT_RING)
     return solution_set(rows, b, pivots, 0.0, 1.0, _is_zero_float)

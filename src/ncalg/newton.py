@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (RATIONAL, Algebra, Element, element_from_json, element_to_json,
-                      json_field, operator_rows, pair_coefficients, root_of_square)
+from .algebra import (RATIONAL, Algebra, Element, cleared_element, element_from_json,
+                      element_to_json, json_field, operator_rows, pair_coefficients,
+                      root_of_square)
 from .errors import AlgebraMismatch
 from .linalg import UNIQUE, FieldMatrix, row_reduce
 from .tensor import TensorOp
@@ -124,14 +125,21 @@ def _element(algebra: Algebra, value) -> Element:
     """A walk's value as an `Element`."""
     if algebra.scalar_mode == RATIONAL:
         return value
-    return Element(algebra, value, _validated=True)
+    return cleared_element(algebra, 1, value)
+
+
+def _numerators(algebra: Algebra, pairs) -> list:
+    """The walk's pairs a (x) b as `pair_coefficients` takes them."""
+    if algebra.scalar_mode == RATIONAL:
+        return [(a._d * b._d, a._nums, b._nums) for a, b in pairs]
+    return [(1, a, b) for a, b in pairs]
 
 
 def _walk(algebra: Algebra, mul, monomials, x: Element):
     """(sum of the monomials' values, per monomial its prefixes P_1..P_(d+1),
     x), all as `_walk_operands` gives them: float x as its coordinates."""
     exact, chains = algebra.scalar_mode == RATIONAL, []
-    total, x = (algebra.zero(), x) if exact else ([0.0] * algebra.dim, x.coords)
+    total, x = (algebra.zero(), x) if exact else ([0.0] * algebra.dim, x._nums)
     for mono in monomials:
         acc = mono[0]
         chain = [acc]
@@ -213,8 +221,8 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
 
@@ -270,7 +278,7 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
     for k in range(cfg.max_iter + 1):
         value, chains, xo = _walk(alg, mul, monos, x)
         residual = value - a if exact else Element(
-            alg, [v - t for v, t in zip(value, a.coords)], _validated=True)
+            alg, [v - t for v, t in zip(value, a._nums)], _validated=True)
         if exact and _exceeds_bits(x, residual):
             trace.status = BIT_BUDGET
             return trace
@@ -295,13 +303,12 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
             streak = 0
         if k == cfg.max_iter:
             break
-        d, coeff = pair_coefficients(alg, _pairs(mul, monos, chains, xo))
+        d, coeff = pair_coefficients(alg, _numerators(alg, _pairs(mul, monos, chains, xo)))
         den, rows = operator_rows(alg, d, coeff)
-        if exact:  # D = rows/den, residual = nums/r: solve r*rows step = -den*nums
+        # D = rows/den and residual = nums/r: solve r*rows step = -den*nums
+        if residual._d != 1:
             rows = [[residual._d * v for v in row] for row in rows]
-            rhs = [-den * v for v in residual._nums]
-        else:
-            rhs = [-c for c in residual.coords]
+        rhs = [-den * v for v in residual._nums]
         step = row_reduce(FieldMatrix(rows), rhs)
         if step.kind != UNIQUE:
             trace.status = SINGULAR_DERIVATIVE
@@ -312,5 +319,10 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
 
 
 def _exceeds_bits(*elements) -> bool:
-    return any(max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_BITS
-               for e in elements for c in e.coords)
+    """Whether a coordinate of the rational elements has a numerator or
+    denominator above MAX_BITS bits.  Neither is longer than in the element's
+    pair, so the coordinates are read only for a pair over the budget."""
+    return any(max(e._d.bit_length(), *(v.bit_length() for v in e._nums)) > MAX_BITS
+               and any(max(c.numerator.bit_length(), c.denominator.bit_length())
+                       > MAX_BITS for c in e.coords)
+               for e in elements)

@@ -1,8 +1,11 @@
 """Operator tensors: elements of A (x) A^op acting as linear maps on A.
 
 A tensor f = sum_ij f[i][j] e_i (x) e_j acts on x as sum_ij f[i][j] e_i x e_j.
-Composition, the product of A (x) A^op, is contracted from the sparse table
-(`_compose`); the inverse is one n^2 x n^2 solve.  Pairs (a, b) given at
+Its n*n coordinates are stored as an element's are (`algebra.Element`):
+flat numerators over one denominator, reduced integers in rational mode and
+the floats over 1 in float mode, with `coeff` read off them.  Composition,
+the product of A (x) A^op, is contracted from the sparse table (`_compose`)
+on the numerators; the inverse is one n^2 x n^2 solve.  Pairs (a, b) given at
 construction are kept for display and for `apply`, which sums a_s x b_s:
 the equation's own terms, independent of `operator_matrix`.
 """
@@ -11,37 +14,39 @@ from __future__ import annotations
 
 import functools
 import json
-from fractions import Fraction
 
-from .algebra import (FLOAT_CHECK_TOL, RATIONAL, Algebra, Element, check_json_scalars,
-                      cleared_element, element_from_json, field_matrix, format_terms,
-                      json_field, operator_rows, pair_coefficients)
+from .algebra import (Algebra, Element, _read_coords, check_json_scalars, cleared_element,
+                      element_from_json, field_matrix, format_terms, json_field,
+                      operator_rows, pair_coefficients, solve_inverse)
 from .errors import AlgebraMismatch, SingularTensor
-from .linalg import INCONSISTENT, FieldMatrix, cleared, row_reduce, solve_integer
+from .linalg import FieldMatrix
 
 
 class TensorOp:
-    """A linear operator on the algebra: n*n coordinates over e_i (x) e_j."""
+    """A linear operator on the algebra: n*n coordinates over e_i (x) e_j.
 
-    __slots__ = ("algebra", "_coords", "display_pairs")
+    Stored as one pair, numerators `_nums` over a denominator `_d`, with
+    f_ij at flat index i*n + j, in the layout of `Element` (`Algebra._pair`):
+    equal tensors have equal pairs, which equality and hashing compare.
+    `coeff` builds its scalars from the pair on first read.
+    """
 
-    def __init__(self, algebra: Algebra, coeff, display_pairs=None,
-                 _validated=False):
-        # _validated is the trusted internal path: coeff is flat and coerced
+    __slots__ = ("algebra", "_d", "_nums", "_coords", "display_pairs")
+
+    def __init__(self, algebra: Algebra, coeff, display_pairs=None):
         n = algebra.dim
-        if not _validated:
-            coeff = [[algebra.coerce(v) for v in row] for row in coeff]
-            if len(coeff) != n or any(len(row) != n for row in coeff):
-                raise ValueError("coefficient matrix must be n*n")
-            coeff = [v for row in coeff for v in row]
+        coeff = [[algebra.coerce(v) for v in row] for row in coeff]
+        if len(coeff) != n or any(len(row) != n for row in coeff):
+            raise ValueError("coefficient matrix must be n*n")
         self.algebra = algebra
-        self._coords = tuple(coeff)
+        self._coords = flat = tuple(v for row in coeff for v in row)
+        self._d, self._nums = algebra._pair(flat)
         self.display_pairs = tuple(display_pairs) if display_pairs else None
 
     @property
     def coeff(self) -> tuple:
         """The coordinates as an n*n matrix: coeff[i][j] multiplies e_i (x) e_j."""
-        n, flat = self.algebra.dim, self._coords
+        n, flat = self.algebra.dim, _read_coords(self)
         return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
     # -- constructors ---------------------------------------------------------
@@ -55,17 +60,15 @@ class TensorOp:
         algebra = pairs[0][0].algebra
         if any(a.algebra != algebra or b.algebra != algebra for a, b in pairs):
             raise AlgebraMismatch("tensor factors from different algebras")
-        exact = algebra.scalar_mode == RATIONAL
-        d, f = pair_coefficients(algebra, pairs if exact else
-                                 [(a.coords, b.coords) for a, b in pairs])
-        return cls(algebra, [Fraction(v, d) for v in f] if exact else f,
-                   display_pairs=pairs, _validated=True)
+        d, f = pair_coefficients(algebra, [(a._d * b._d, a._nums, b._nums)
+                                           for a, b in pairs])
+        return _tensor(algebra, d, f, pairs)
 
     @classmethod
     def identity(cls, algebra: Algebra) -> "TensorOp":
         """The unit tensor 1 (x) 1, which acts as the identity map."""
-        return cls(algebra, _unit(algebra.dim ** 2, algebra.scalar_one(),
-                                  algebra.scalar_zero()), _validated=True)
+        unit = _unit(algebra.dim ** 2, algebra.scalar_one(), algebra.scalar_zero())
+        return _tensor(algebra, *algebra._pair(unit))
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "TensorOp":
@@ -75,16 +78,16 @@ class TensorOp:
 
     def __eq__(self, other):
         return (isinstance(other, TensorOp) and self.algebra == other.algebra
-                and self._coords == other._coords)
+                and self._d == other._d and self._nums == other._nums)
 
     def __hash__(self):
-        return hash((self.algebra, self._coords))
+        return hash((self.algebra, self._d, self._nums))
 
     def __repr__(self):
         return f"TensorOp({self.to_text()})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coords)
+        return not any(self._nums)
 
     def is_identity(self) -> bool:
         return self == TensorOp.identity(self.algebra)
@@ -102,57 +105,45 @@ class TensorOp:
         return total
 
     def compose(self, other: "TensorOp") -> "TensorOp":
-        """The operator x -> self(other(x)): the product in A (x) A^op.
-        Exact coordinates are contracted as cleared integers."""
+        """The operator x -> self(other(x)): the product in A (x) A^op,
+        contracted on the numerators over the product of the denominators
+        and the table's scale _dc**2."""
         alg = self.algebra
         if other.algebra != alg:
             raise AlgebraMismatch("tensors over different algebras")
-        if alg.scalar_mode != RATIONAL:
-            return TensorOp(alg, _compose(alg, self._coords, other._coords, 0.0),
-                            _validated=True)
-        (df, xf), (dg, xg) = cleared(self._coords), cleared(other._coords)
-        den = df * dg * alg._dc ** 2
-        return TensorOp(alg, [Fraction(v, den) for v in _compose(alg, xf, xg, 0)],
-                        _validated=True)
+        return _tensor(alg, self._d * other._d * alg._dc ** 2,
+                       _compose(alg, self._nums, other._nums))
 
     def operator_matrix(self) -> FieldMatrix:
         """Field-level matrix M with M @ coords(x) = coords(self.apply(x)).
 
-        Built as sum_ij f[i][j] L(e_i) @ R(e_j) by `algebra.operator_rows`,
-        independently of apply(); exact coordinates are contracted as
-        cleared integers, with one `Fraction` per entry of M.
+        Built as sum_ij f[i][j] L(e_i) @ R(e_j) by `algebra.operator_rows`
+        on the stored numerators, independently of apply(), with one
+        `Fraction` per entry of an exact M.
         """
-        alg = self.algebra
-        d, f = cleared(self._coords) if alg.scalar_mode == RATIONAL else (1, self._coords)
-        return field_matrix(alg, *operator_rows(alg, d, f))
+        return field_matrix(self.algebra, *operator_rows(self.algebra, self._d, self._nums))
 
     def invert(self) -> "TensorOp":
         """The tensor g with self o g = g o self = 1 (x) 1: the inverse in
         A (x) A^op.  A singular operator has none, but outside central simple
         algebras an invertible operator can have none too: its tensor is then
-        a zero divisor in A (x) A^op.  f o g = 1 (x) 1 is solved exactly on
-        cleared integers (`solve_integer`), else by `row_reduce`.  As in
-        `Element.inverse`, f o g = 1 forces g o f = 1, so only a float g
-        is checked, on both sides within FLOAT_CHECK_TOL.
+        a zero divisor in A (x) A^op.  f o g = 1 (x) 1 is solved on the
+        numerators by `solve_inverse`.  As in `Element.inverse`, f o g = 1
+        forces g o f = 1, so only a float g is checked, on both sides within
+        FLOAT_CHECK_TOL.
         """
-        alg, m = self.algebra, self.algebra.dim ** 2
-        exact = alg.scalar_mode == RATIONAL
-        one, zero = (1, 0) if exact else (1.0, 0.0)
-        d, f = cleared(self._coords) if exact else (1, self._coords)
-        # column b is f o (basis tensor b)
+        alg, m, f = self.algebra, self.algebra.dim ** 2, self._nums
+        # column b is f o (basis tensor b); the unit's int 1 multiplies a
+        # float coordinate exactly
         rows = [list(row) for row in
-                zip(*(_compose(alg, f, _unit(m, one, zero, b), zero) for b in range(m)))]
-        if exact:
-            sol = solve_integer(rows, _unit(m, d * alg._dc ** 2, 0))
-        else:
-            sol = row_reduce(FieldMatrix(rows), _unit(m, one, zero))
-        g = sol.particular
-        if sol.kind == INCONSISTENT or not (exact or all(
-                abs(v - w) <= FLOAT_CHECK_TOL
-                for h in (_compose(alg, f, g, zero), _compose(alg, g, f, zero))
-                for v, w in zip(h, _unit(m, one, zero)))):
+                zip(*(_compose(alg, f, _unit(m, 1, 0, b)) for b in range(m)))]
+        den = self._d * alg._dc ** 2
+        g = solve_inverse(self, rows, [den * v for v in TensorOp.identity(alg)._nums],
+                          functools.partial(_tensor, alg),
+                          lambda u, v: _compose(alg, u._nums, v._nums))
+        if g is None:
             raise SingularTensor("tensor has no two-sided inverse in A⊗A^op")
-        return TensorOp(alg, g, _validated=True)
+        return g
 
     # -- presentation ---------------------------------------------------------------
 
@@ -164,13 +155,10 @@ class TensorOp:
         """
         if self.display_pairs is not None:
             return list(self.display_pairs)
-        alg = self.algebra
-        pairs = []
-        for i, row in enumerate(self.coeff):
-            if all(v == 0 for v in row):
-                continue
-            pairs.append((alg.basis(i), Element(alg, row, _validated=True)))
-        return pairs
+        alg, n, d, nums = self.algebra, self.algebra.dim, self._d, self._nums
+        rows = (nums[i * n:(i + 1) * n] for i in range(n))
+        return [(alg.basis(i), cleared_element(alg, d, row))
+                for i, row in enumerate(rows) if any(row)]
 
     def to_text(self) -> str:
         """Canonical rendering like '1/4(i⊗j) + 1/2(k⊗k)': the coefficients
@@ -204,14 +192,22 @@ def _unit(size: int, one, zero, index: int = 0) -> list:
     return [one if t == index else zero for t in range(size)]
 
 
-def _compose(algebra: Algebra, f, g, zero) -> list:
-    """Flat f o g from flat f and g (integers give integers over _dc**2) by
+def _tensor(algebra: Algebra, d, nums, display_pairs=None) -> TensorOp:
+    """The tensor with flat coefficients nums/d (`cleared_element`)."""
+    t = cleared_element(algebra, d, nums, TensorOp)
+    t.display_pairs = tuple(display_pairs) if display_pairs else None
+    return t
+
+
+def _compose(algebra: Algebra, f, g) -> list:
+    """Numerators of f o g from flat numerators f and g (over _dc**2 times
+    theirs) by
     (e_i (x) e_j)(e_k (x) e_l) = sum_pq C[i][k][p] C[l][j][q] e_p (x) e_q.
     Each output adds (f_ij g_kl)(C C) over nonzero f_ij, then g_kl, in the
     order of the sparse loop `algebra._product` on the table of A (x) A^op,
     so float results equal that loop's bit for bit (its C C = +-1 cases too)."""
     n, table = algebra.dim, algebra._mul_table
-    out = [zero] * (n * n)
+    out = [algebra._num_zero] * (n * n)
     right = [(divmod(b, n), v) for b, v in enumerate(g) if v != 0]
     for a, u in enumerate(f):
         if u == 0:
@@ -230,16 +226,13 @@ def right_multiples(op: TensorOp) -> list:
     """For each basis unit e_l, the map x -> op(x) e_l, the product
     (1 (x) e_l) o op by `_compose`, as its coefficients: element p is
     sum_u h[u][p] e_u for the coordinates h[u][p] of e_u (x) e_p, and
-    multiplies x e_p.  Exact ones are cleared pairs of the integers."""
+    multiplies x e_p.  Each is made straight from the product's numerators
+    (`cleared_element`)."""
     alg, n = op.algebra, op.algebra.dim
-    if alg.scalar_mode == RATIONAL:
-        d, g = cleared(op._coords)
-        zero, entry = 0, functools.partial(cleared_element, alg, d * alg._dc ** 2)
-    else:
-        g, zero, entry = op._coords, 0.0, functools.partial(Element, alg, _validated=True)
+    den = op._d * alg._dc ** 2
     # the unit's int 1 multiplies a float coordinate exactly
-    return [[entry(h[p::n]) for p in range(n)]
-            for h in (_compose(alg, _unit(n * n, 1, 0, l), g, zero) for l in range(n))]
+    return [[cleared_element(alg, den, h[p::n]) for p in range(n)]
+            for h in (_compose(alg, _unit(n * n, 1, 0, l), op._nums) for l in range(n))]
 
 
 def tensor_from_pairs(pairs) -> TensorOp:

@@ -318,6 +318,13 @@ def naive_operator_matrix(alg, coeff):
     return nc.FieldMatrix(out)
 
 
+def coordinates_exceed_bits(*elements):
+    """The bit budget's rule on the coordinates themselves: whether one of
+    them has a numerator or denominator above `newton.MAX_BITS` bits."""
+    return any(max(c.numerator.bit_length(), c.denominator.bit_length())
+               > newton.MAX_BITS for x in elements for c in x.coords)
+
+
 def naive_newton(p, a, x0, cfg):
     """(iterates, status) of Newton's loop on the oracles above, under
     `newton_solve`'s stopping rules: float norms in float mode, exact
@@ -329,8 +336,7 @@ def naive_newton(p, a, x0, cfg):
     iterates, x, initial, streak = [], x0, None, 0
     for k in range(cfg.max_iter + 1):
         residual = naive_evaluate(p, x) - a
-        if exact and any(max(c.numerator.bit_length(), c.denominator.bit_length())
-                         > newton.MAX_BITS for c in x.coords + residual.coords):
+        if exact and coordinates_exceed_bits(x, residual):
             return iterates, newton.BIT_BUDGET
         norm = residual.norm()
         iterates.append((x, residual, norm))

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ncalg as nc
 from ncalg import cli
 from ncalg.cli import _sort_unknowns, run
@@ -262,6 +264,16 @@ class TestNewton:
         assert [row["k"] for row in rows] == list(range(len(rows)))
         assert set(rows[0]) == {"k", "x", "residual", "norm"}
         assert rows[-1]["norm"] < 1e-6
+
+    @pytest.mark.parametrize("scalar", ["float", "rational"])
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exit_2(self, capsys, scalar, tol):
+        # inf used to report x = 5 converged, nan to run out its steps, and
+        # in rational mode both died converting tol to a Fraction
+        code, out, err = invoke(capsys, "newton", "--scalar", scalar, "--tol", tol,
+                                "--x0", "5", "x^2 = 1")
+        assert (code, out) == (2, "")
+        assert err == f"error: tol must be positive and finite, not {float(tol)!r}\n"
 
     def test_singular_derivative_exit_1(self, capsys):
         code, out, _ = invoke(capsys, "newton", "--x0", "0",

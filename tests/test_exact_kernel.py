@@ -14,6 +14,7 @@ end in a value or a named status.
 import json
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -174,7 +175,12 @@ class TestIntegerProduct:
 
 
 SPECIAL_FLOATS = (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
-                  math.inf, -math.inf, math.nan)
+                  math.inf, -math.inf, math.nan, -math.nan)
+
+
+def float_bits(values):
+    """The IEEE bit patterns of floats, so that zeros and NaNs compare by sign."""
+    return [struct.pack("<d", v) for v in values]
 
 
 class TestCompiledKernel:
@@ -211,9 +217,23 @@ class TestCompiledKernel:
                     for value in SPECIAL_FLOATS for k in range(n)]
         operands += [[scalar() for _ in range(n)] for _ in range(60)]
         for xa in operands:
+            a = alg.element(xa)
             for xb in rng.sample(operands, 40):
-                assert repr(kernel(xa, xb)) == \
-                    repr(algebra_module._product(alg._mul_table, xa, xb, 0.0))
+                product = algebra_module._product(alg._mul_table, xa, xb, 0.0)
+                assert repr(kernel(xa, xb)) == repr(product)
+                # float elements are their numerators over 1: each operation
+                # is the IEEE result coordinate by coordinate, NaN signs too
+                b = alg.element(xb)
+                assert float_bits((a * b).coords) == float_bits(product)
+                assert float_bits(a.minus_product(b, a).coords) == float_bits(
+                    u - v for u, v in zip(xa, algebra_module._product(
+                        alg._mul_table, xb, xa, 0.0)))
+                assert float_bits((a + b).coords) == float_bits(u + v for u, v in zip(xa, xb))
+                assert float_bits((a - b).coords) == float_bits(u - v for u, v in zip(xa, xb))
+            assert float_bits((-a).coords) == float_bits(-u for u in xa)
+            for s in (1.0, -1.0):
+                assert float_bits(a.scale(s).coords) == float_bits(s * u for u in xa)
+            assert all(type(c) is float for c in (a * a - a).coords)
 
     def test_shared_by_equal_algebras(self):
         first, second = built("H/2")[0], built("H/2")[0]

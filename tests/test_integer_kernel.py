@@ -3,7 +3,8 @@
 Exact `row_reduce`, `rank` and `pivot_columns` are checked against sympy's
 `Matrix.rref`, and on the same inputs every step of the fraction-free
 sweep is checked to divide exactly, keep integers and leave every pivot
-entry equal to the last.  Exact `Element.inverse`, and the pivot division
+entry equal to the last, and `solve_integer` to give the same solution set
+as integers over one positive denominator.  Exact `Element.inverse`, and the pivot division
 of the algebra-valued elimination (`nc_row_reduce` on one entry), are
 checked against a written-out `Fraction` sweep over the structure
 constants, zero divisors included, and `TensorOp.apply` against the
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import ncalg as nc
 from ncalg import linalg
@@ -140,6 +141,10 @@ def checked_fraction_free_step():
 
 class TestAgainstSympy:
     @given(systems())
+    # last pivots -3 (one row) and -1 (the 2x2 determinant)
+    @example(([[Fraction(-3)]], [Fraction(1)]))
+    @example(([[Fraction(1), Fraction(2), Fraction(1)], [Fraction(1), Fraction(1), 0]],
+              [Fraction(5), Fraction(-2)]))
     def test_row_reduce(self, system):
         # every step of the sweep is checked on the way
         rows, rhs = system
@@ -150,6 +155,18 @@ class TestAgainstSympy:
             sympy_solution(rows, rhs)
         values = (sol.particular or []) + [v for vec in sol.nullspace_basis for v in vec]
         assert all(type(v) is Fraction for v in values)
+        # the integer solve under it: one positive d, over which the
+        # solution set is integers, whatever the last pivot's sign
+        cleared = [linalg.cleared(row + [b])[1] for row, b in zip(rows, rhs)]
+        d, ints = linalg.solve_integer([row[:-1] for row in cleared],
+                                       [row[-1] for row in cleared])
+        assert type(d) is int and d > 0
+        assert ints.kind == sol.kind and ints.free_names == sol.free_names
+        if ints.particular is not None:
+            vectors = [ints.particular, *ints.nullspace_basis]
+            assert all(type(v) is int for vec in vectors for v in vec)
+            assert [[Fraction(v, d) for v in vec] for vec in vectors] == \
+                [sol.particular, *sol.nullspace_basis]
 
     @given(systems())
     def test_rank_and_pivot_columns(self, system):

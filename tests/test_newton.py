@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import ncalg as nc
 from ncalg.newton import (
@@ -18,8 +18,8 @@ from ncalg.newton import (
     newton_solve,
 )
 from ncalg import newton as newton_module
-from helpers import (algebra_from_data, clifford_algebra, matrix_algebra,
-                     naive_coefficients, naive_derivative_pairs, naive_evaluate,
+from helpers import (algebra_from_data, clifford_algebra, coordinates_exceed_bits,
+                     matrix_algebra, naive_coefficients, naive_derivative_pairs, naive_evaluate,
                      naive_newton, rand_element, scaled_quaternion_algebra)
 
 
@@ -324,10 +324,30 @@ class TestNewton:
             assert norm == again.norm()
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(tol=0.0)
+        for tol in (0.0, -1e-9, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                NewtonConfig(tol=tol)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
+
+    @given(coords=st.lists(st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-2 ** 8200, 2 ** 8200), st.integers(1, 2 ** 8200)),
+        st.builds(lambda e, f: Fraction(2 ** e, 2 ** f + 1),
+                  st.integers(8150, 8250), st.integers(8150, 8250))),
+        min_size=8, max_size=8))
+    @example(coords=[Fraction(1, 2 ** 4100 - 1), Fraction(1, 2 ** 4101 - 1)] + [0] * 6)
+    @example(coords=[Fraction(2 ** 8192), Fraction(1, 2 ** 8192)] + [0] * 6)
+    @example(coords=[Fraction(2 ** 8191, 3)] + [0] * 7)
+    def test_bit_budget_read_off_the_pair(self, hq, coords):
+        # the pair's bit lengths bound the coordinates', so the pair decides
+        # whenever it is within the budget; the first example's pair is over
+        # it (d = p*q with coprime p, q of 4100 and 4101 bits), while every
+        # coordinate 1/p, 1/q is under it
+        x, r = hq.element(coords[:4]), hq.element(coords[4:])
+        assert newton_module._exceeds_bits(x, r) == coordinates_exceed_bits(x, r)
+        if coords[0] == Fraction(1, 2 ** 4100 - 1):
+            assert x._d.bit_length() > MAX_BITS and not newton_module._exceeds_bits(x)
 
 
 # coordinates with zeros and halves; float mode draws -0.0 for some zeros

@@ -374,6 +374,14 @@ class TestInverseProperty:
         alg = ALGEBRAS[key]
         f, h = data.draw(tensors(alg)), data.draw(tensors(alg))
         exact = alg.scalar_mode == nc.RATIONAL
+        scalar = Fraction if exact else float
+        assert all(type(v) is scalar for t in (f, f.compose(h)) for row in t.coeff
+                   for v in row)
+        # one value, one stored pair: equal and equally hashed however built
+        ident = nc.TensorOp.identity(alg)
+        for same in (nc.TensorOp(alg, f.coeff), ident.compose(f), f.compose(ident),
+                     nc.TensorOp.from_pairs(f.simple_pairs() or [(alg.zero(),) * 2])):
+            assert same == f and hash(same) == hash(f)
         if not exact:  # the A (x) A^op product loop, bit for bit
             assert repr(flat(f.compose(h))) == repr(envelope_compose(alg, flat(f), flat(h)))
             expected = envelope_invert(alg, flat(f))
@@ -383,13 +391,15 @@ class TestInverseProperty:
             assert rank(naive_tensor_matrix(alg, f.coeff)) < alg.dim ** 2
             assert exact or expected is None
             return
-        ident = nc.TensorOp.identity(alg)
         for product in (f.compose(g), g.compose(f)):
             if exact:
                 assert product == ident
             else:
                 assert all(abs(a - b) <= FLOAT_CHECK_TOL
                            for a, b in zip(flat(product), flat(ident)))
+        if exact and alg.dim <= 4:  # an inverse's digits make Cl(3,0)'s second take seconds
+            again = g.invert()
+            assert again == f and hash(again) == hash(f)
         if not exact:
             assert repr(flat(g)) == repr(expected)
 
