@@ -3,10 +3,11 @@
 An algebra of dimension n over the scalar field is given by an n*n*n array C
 with  e_i * e_j = sum_k C[i][j][k] e_k.  Basis index 0 is always the unit.
 Two scalar modes exist: exact rationals (`Fraction`) and binary floats; a
-single algebra, and everything computed over it, stays in one mode.  Both
-modes store an element, and an operator tensor (`tensor.TensorOp`), in one
-layout: numerators over one denominator, reduced integers in rational mode
-and the float coordinates over 1 in float mode (`Algebra._pair`).  Exact
+single algebra, and everything computed over it, stays in one mode.  An
+element and an operator tensor (`tensor.TensorOp`) are one stored-pair type
+(`_StoredPair`) in both modes: numerators over one denominator, reduced
+integers in rational mode and the float coordinates over 1 in float mode.
+Every value computed is made from its numerators (`cleared_element`); exact
 `Fraction`s are built on first read, the same whichever thread reads them
 first.
 
@@ -98,11 +99,10 @@ class Algebra:
         self._check_unit_law(table)
         self._check_associativity(table)
         self._mul_table, self._pair_products, self._kernel = table, None, None
-        one, zero = self.scalar_one(), self.scalar_zero()
-        self._basis_cache = tuple(
-            Element(self, [one if t == k else zero for t in range(n)], _validated=True)
-            for k in range(n))
-        self._zero = Element(self, [zero] * n, _validated=True)
+        zero = self._num_zero
+        self._basis_cache = tuple(cleared_element(self, 1, _unit(n, zero + 1, zero, k))
+                                  for k in range(n))
+        self._zero = cleared_element(self, 1, [zero] * n)
 
     def _nonzero(self, row):
         """The coerced nonzero (k, row[k]).  Int and "0" zeros are skipped
@@ -395,45 +395,57 @@ def quaternion_algebra(scalar_mode=RATIONAL) -> Algebra:
     return Algebra(C, ("1", "i", "j", "k"), scalar_mode, name="quaternion")
 
 
-def _read_coords(x) -> tuple:
-    """The scalars of an element's or a tensor's stored pair, built on the
-    first read and kept."""
-    coords = x._coords
-    if coords is None:
-        x._coords = coords = x.algebra._scalars(x._d, x._nums)
-    return coords
-
-
-class Element:
-    """A vector of coordinates over the algebra's basis, with ring arithmetic.
-
-    Stored as one pair, numerators `_nums` over a denominator `_d`
-    (`Algebra._pair`): in rational mode integers with _d > 0 and
-    gcd(_d, *_nums) = 1, so equal values have equal pairs (FLINT's
-    `fmpq_poly` layout), in float mode the coordinates over _d = 1.
-    Arithmetic, equality and hashing run on the pair, and products pass the
-    numerators to the algebra's kernel (`Algebra._product_kernel`), with one
-    gcd per exact result.  Float sums scale no numerator and
-    `cleared_element` divides no pair over 1, so float results are the
-    coordinatewise IEEE ones; a product whose compiled result holds a NaN
-    (0*inf where the sparse loop skips the zero) is recomputed by the loop.
-    `coords` are kept from construction or built from the pair when read.
-    """
+class _StoredPair:
+    """The one layout of `Element` and `tensor.TensorOp` (`Algebra._pair`):
+    numerators `_nums` over a denominator `_d`, integers with _d > 0 and
+    gcd(_d, *_nums) = 1 in rational mode, so equal values have equal pairs
+    (FLINT's `fmpq_poly` layout), floats over _d = 1 in float mode.  Equal
+    when type, algebra and pair are; scalars are built on first read."""
 
     __slots__ = ("algebra", "_d", "_nums", "_coords")
 
-    def __init__(self, algebra: Algebra, coords, _validated=False):
-        self.algebra = algebra
-        # _validated is the trusted internal path: coords are already coerced
-        if not _validated:
-            coords = tuple(algebra.coerce(c) for c in coords)
-            if len(coords) != algebra.dim:
-                raise ValueError(f"need {algebra.dim} coordinates, got {len(coords)}")
-        self._coords = coords = tuple(coords)
+    def _read_scalars(self) -> tuple:
+        """The scalars nums/d, built on the first read and kept."""
+        coords = self._coords
+        if coords is None:
+            self._coords = coords = self.algebra._scalars(self._d, self._nums)
+        return coords
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.algebra == other.algebra
+                and self._d == other._d and self._nums == other._nums)
+
+    def __hash__(self):
+        return hash((self.algebra, self._d, self._nums))
+
+    def is_zero(self, tol: float = 0.0) -> bool:
+        if tol:
+            return all(abs(c) <= tol for c in self._read_scalars())
+        return not any(self._nums)
+
+
+class Element(_StoredPair):
+    """A vector of coordinates over the algebra's basis, with ring arithmetic.
+
+    Stored as a `_StoredPair`.  Arithmetic runs on the pair, and products
+    pass the numerators to the algebra's kernel (`Algebra._product_kernel`),
+    with one gcd per exact result.  Float sums scale no numerator and
+    `cleared_element` divides no pair over 1, so float results are the
+    coordinatewise IEEE ones; a product whose compiled result holds a NaN
+    (0*inf where the sparse loop skips the zero) is recomputed by the loop.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, algebra: Algebra, coords):
+        coords = tuple(algebra.coerce(c) for c in coords)
+        if len(coords) != algebra.dim:
+            raise ValueError(f"need {algebra.dim} coordinates, got {len(coords)}")
+        self.algebra, self._coords = algebra, coords
         self._d, self._nums = algebra._pair(coords)
 
-    coords = property(_read_coords, doc="The coordinates, as scalars of the "
-                      "algebra's mode.")
+    coords = property(_StoredPair._read_scalars, doc="The coordinates, as scalars "
+                      "of the algebra's mode.")
 
     def _same_algebra(self, other: "Element"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -490,18 +502,6 @@ class Element:
         q, (p,) = alg._pair((alg.coerce(factor),))
         return cleared_element(alg, self._d * q, [p * v for v in self._nums])
 
-    def __eq__(self, other):
-        return (isinstance(other, Element) and self.algebra == other.algebra
-                and self._d == other._d and self._nums == other._nums)
-
-    def __hash__(self):
-        return hash((self.algebra, self._d, self._nums))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol:
-            return all(abs(c) <= tol for c in self.coords)
-        return not any(self._nums)
-
     # -- regular representation ----------------------------------------------
 
     def left_matrix(self) -> FieldMatrix:
@@ -548,13 +548,12 @@ class Element:
         return y
 
     def norm_squared(self):
-        """Exact sum of squared coordinates (a scalar in the algebra's mode)."""
-        if self.algebra.scalar_mode == RATIONAL:
-            return Fraction(sum(v * v for v in self._nums), self._d * self._d)
-        total = 0.0
-        for c in self._nums:
-            total = total + c * c
-        return total
+        """Exact sum of squared coordinates (a scalar in the algebra's mode):
+        the squared numerators summed in order, over _d**2."""
+        total = self.algebra._num_zero
+        for v in self._nums:
+            total = total + v * v
+        return self.algebra._scalars(self._d * self._d, (total,))[0]
 
     def norm(self) -> float:
         """Euclidean norm of the coordinate vector (the quaternion norm on H),
@@ -571,10 +570,10 @@ class Element:
 
 
 def cleared_element(algebra: Algebra, d, nums, cls=Element) -> Element:
-    """The element nums/d: integers over d > 0, stored divided by
-    gcd(d, *nums), or floats over d = 1, stored as they are; its `coords`
-    are built when first read.  With `cls` a `tensor.TensorOp`, the tensor
-    with flat coefficients nums/d, stored alike."""
+    """The element nums/d, made from its numerators as every computed value
+    is: integers over d > 0, stored divided by gcd(d, *nums), or floats over
+    d = 1, stored as they are; no scalar is built before it is read.  With
+    `cls` a `tensor.TensorOp`, the tensor with flat coefficients nums/d."""
     if d != 1:
         g = math.gcd(d, *nums)
         if g != 1:
@@ -582,6 +581,11 @@ def cleared_element(algebra: Algebra, d, nums, cls=Element) -> Element:
     x = object.__new__(cls)
     x.algebra, x._d, x._nums, x._coords = algebra, d, tuple(nums), None
     return x
+
+
+def _unit(size: int, one, zero, index: int = 0) -> list:
+    """The coordinates of basis unit `index` out of `size`."""
+    return [one if t == index else zero for t in range(size)]
 
 
 def _pair_sum(algebra, da, xa, db, xb, sign):

@@ -314,10 +314,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=default_scalar)
         p.add_argument("--output", choices=["text", "json"], default="text")
 
+    # each command reads its input from the command line or from a JSON
+    # file: exactly one of the two, so both or neither is a usage error
     p = sub.add_parser("solve", help="solve a linear system for its unknowns")
-    p.add_argument("equation", nargs="*", help="equations like "
-                   "'(i+j)*x*k + k*x*(j+k) = 1+k'")
-    p.add_argument("--system-json", help="read the system from a JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("equation", nargs="*", default=[], help="equations like "
+                        "'(i+j)*x*k + k*x*(j+k) = 1+k'")
+    source.add_argument("--system-json", help="read the system from a JSON file")
     p.add_argument("--method", choices=["auto", "field", "richardson"],
                    default="auto")
     common(p, RATIONAL)
@@ -334,15 +337,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert-tensor",
                        help="invert the operator written as a linear "
                             "expression in x")
-    p.add_argument("expression", nargs="?",
-                   help="e.g. '(i+j)*x*k + k*x*(j+k)'")
-    p.add_argument("--tensor-json", help="read the tensor from a JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("expression", nargs="?",
+                        help="e.g. '(i+j)*x*k + k*x*(j+k)'")
+    source.add_argument("--tensor-json", help="read the tensor from a JSON file")
     common(p, RATIONAL)
     p.set_defaults(func=_cmd_invert_tensor)
 
     p = sub.add_parser("check", help="substitute values and print residuals")
-    p.add_argument("equation", nargs="*")
-    p.add_argument("--system-json")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("equation", nargs="*", default=[])
+    source.add_argument("--system-json")
     p.add_argument("--x", action="append", default=[],
                    help="value for an unknown, repeat in unknown order")
     common(p, RATIONAL)

@@ -277,8 +277,8 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
     trace, x, initial, streak = NewtonTrace(), x0, None, 0
     for k in range(cfg.max_iter + 1):
         value, chains, xo = _walk(alg, mul, monos, x)
-        residual = value - a if exact else Element(
-            alg, [v - t for v, t in zip(value, a._nums)], _validated=True)
+        residual = value - a if exact else cleared_element(
+            alg, 1, [v - t for v, t in zip(value, a._nums)])
         if exact and _exceeds_bits(x, residual):
             trace.status = BIT_BUDGET
             return trace
@@ -313,7 +313,7 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
         if step.kind != UNIQUE:
             trace.status = SINGULAR_DERIVATIVE
             return trace
-        x = x + Element(alg, step.particular, _validated=True)
+        x = x + cleared_element(alg, *alg._pair(step.particular))
     trace.status = MAX_ITERATIONS
     return trace
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Algebra, Element, RATIONAL, element_from_json,
+from .algebra import (Algebra, Element, RATIONAL, cleared_element, element_from_json,
                       element_to_json, json_field)
 from .errors import AlgebraMismatch, PivotNotInvertible, QuasideterminantUndefined
 from .linalg import (
@@ -231,10 +231,9 @@ def solve_field(system: SylvesterSystem) -> AlgebraSolution:
         return AlgebraSolution(INCONSISTENT, None, [], [], None)
 
     def chunks(vector):
-        return [
-            Element(alg, vector[j * n:(j + 1) * n], _validated=True)
-            for j in range(system.m_unk)
-        ]
+        d, nums = alg._pair(vector)
+        return [cleared_element(alg, d, nums[j * n:(j + 1) * n])
+                for j in range(system.m_unk)]
 
     xs = chunks(sol.particular)
     nullspace = [tuple(chunks(vec)) for vec in sol.nullspace_basis]
@@ -273,13 +272,13 @@ def nc_row_reduce(amat, brhs) -> SolutionSet:
     whole algebra and multiply their directions from the right.
 
     This is `linalg.eliminate` with left division by the pivot's inverse,
-    `Element.inverse`.  In exact mode the pivot is the first invertible
-    entry scanning down the column, and the row updates a - f*g are fused
-    (`Element.minus_product`); every entry is a cleared integer pair, so
-    the sweep builds no `Fraction`.  In float mode the pivot is the
-    invertible entry of largest norm.  A column whose nonzero entries are
-    all non-invertible raises PivotNotInvertible (only possible outside
-    division algebras).
+    `Element.inverse`, and the row update a - f*g fused in both modes
+    (`Element.minus_product`, the float one the IEEE result of the
+    unfused update).  Every entry is a stored pair, so an exact sweep builds
+    no `Fraction`.  In exact mode the pivot is the first invertible entry
+    scanning down the column; in float mode it is the invertible entry of
+    largest norm.  A column whose nonzero entries are all non-invertible
+    raises PivotNotInvertible (only possible outside division algebras).
     """
     if not amat:
         raise ValueError("empty system")
@@ -287,14 +286,15 @@ def nc_row_reduce(amat, brhs) -> SolutionSet:
     zero, one = alg.zero(), alg.one()
     rows, rhs = [list(r) for r in amat], list(brhs)
     if alg.scalar_mode == RATIONAL:
-        is_zero, update, magnitude = Element.is_zero, Element.minus_product, None
+        is_zero, magnitude = Element.is_zero, None
     else:
         def is_zero(e):
             return e.is_zero(DEFAULT_ZERO_TOL)
 
-        update, magnitude = None, Element.norm
+        magnitude = Element.norm
     pivots = eliminate(rows, rhs, is_zero, lambda pivot: pivot.inverse().__mul__,
-                       divide_and_subtract(zero, is_zero, update), magnitude)
+                       divide_and_subtract(zero, is_zero, Element.minus_product),
+                       magnitude)
     return solution_set(rows, rhs, pivots, zero, one, is_zero)
 
 

@@ -1,13 +1,14 @@
 """Operator tensors: elements of A (x) A^op acting as linear maps on A.
 
 A tensor f = sum_ij f[i][j] e_i (x) e_j acts on x as sum_ij f[i][j] e_i x e_j.
-Its n*n coordinates are stored as an element's are (`algebra.Element`):
-flat numerators over one denominator, reduced integers in rational mode and
-the floats over 1 in float mode, with `coeff` read off them.  Composition,
-the product of A (x) A^op, is contracted from the sparse table (`_compose`)
-on the numerators; the inverse is one n^2 x n^2 solve.  Pairs (a, b) given at
-construction are kept for display and for `apply`, which sums a_s x b_s:
-the equation's own terms, independent of `operator_matrix`.
+Its n*n coordinates are stored as an element's are (`algebra._StoredPair`,
+which also gives equality, hashing and the zero test), with `coeff` read
+off them.  Composition, the product of A (x) A^op, is contracted from the
+sparse table (`_compose`) on the numerators; the inverse is one n^2 x n^2
+solve; the right multiples of the enlarged system are element products
+(`right_multiples`).  Pairs (a, b) given to `from_pairs` are kept for
+display and for `apply`, which sums a_s x b_s: the equation's own terms,
+independent of `operator_matrix`.
 """
 
 from __future__ import annotations
@@ -15,38 +16,36 @@ from __future__ import annotations
 import functools
 import json
 
-from .algebra import (Algebra, Element, _read_coords, check_json_scalars, cleared_element,
-                      element_from_json, field_matrix, format_terms, json_field,
-                      operator_rows, pair_coefficients, solve_inverse)
+from .algebra import (Algebra, Element, _StoredPair, _unit, check_json_scalars,
+                      cleared_element, element_from_json, field_matrix, format_terms,
+                      json_field, operator_rows, pair_coefficients, solve_inverse)
 from .errors import AlgebraMismatch, SingularTensor
 from .linalg import FieldMatrix
 
 
-class TensorOp:
+class TensorOp(_StoredPair):
     """A linear operator on the algebra: n*n coordinates over e_i (x) e_j.
 
-    Stored as one pair, numerators `_nums` over a denominator `_d`, with
-    f_ij at flat index i*n + j, in the layout of `Element` (`Algebra._pair`):
-    equal tensors have equal pairs, which equality and hashing compare.
-    `coeff` builds its scalars from the pair on first read.
+    Stored as an `Element` is (`algebra._StoredPair`), with f_ij at flat
+    index i*n + j, so equality, hashing and `is_zero` are the element's.
+    `display_pairs` holds the pairs given to `from_pairs`, else None.
     """
 
-    __slots__ = ("algebra", "_d", "_nums", "_coords", "display_pairs")
+    __slots__ = ("display_pairs",)
 
-    def __init__(self, algebra: Algebra, coeff, display_pairs=None):
+    def __init__(self, algebra: Algebra, coeff):
         n = algebra.dim
         coeff = [[algebra.coerce(v) for v in row] for row in coeff]
         if len(coeff) != n or any(len(row) != n for row in coeff):
             raise ValueError("coefficient matrix must be n*n")
-        self.algebra = algebra
+        self.algebra, self.display_pairs = algebra, None
         self._coords = flat = tuple(v for row in coeff for v in row)
         self._d, self._nums = algebra._pair(flat)
-        self.display_pairs = tuple(display_pairs) if display_pairs else None
 
     @property
     def coeff(self) -> tuple:
         """The coordinates as an n*n matrix: coeff[i][j] multiplies e_i (x) e_j."""
-        n, flat = self.algebra.dim, _read_coords(self)
+        n, flat = self.algebra.dim, self._read_scalars()
         return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
     # -- constructors ---------------------------------------------------------
@@ -67,27 +66,17 @@ class TensorOp:
     @classmethod
     def identity(cls, algebra: Algebra) -> "TensorOp":
         """The unit tensor 1 (x) 1, which acts as the identity map."""
-        unit = _unit(algebra.dim ** 2, algebra.scalar_one(), algebra.scalar_zero())
-        return _tensor(algebra, *algebra._pair(unit))
+        zero = algebra._num_zero
+        return _tensor(algebra, 1, _unit(algebra.dim ** 2, zero + 1, zero))
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "TensorOp":
-        return cls(algebra, [[0] * algebra.dim] * algebra.dim)
+        return _tensor(algebra, 1, [algebra._num_zero] * algebra.dim ** 2)
 
     # -- basic protocol ---------------------------------------------------------
 
-    def __eq__(self, other):
-        return (isinstance(other, TensorOp) and self.algebra == other.algebra
-                and self._d == other._d and self._nums == other._nums)
-
-    def __hash__(self):
-        return hash((self.algebra, self._d, self._nums))
-
     def __repr__(self):
         return f"TensorOp({self.to_text()})"
-
-    def is_zero(self) -> bool:
-        return not any(self._nums)
 
     def is_identity(self) -> bool:
         return self == TensorOp.identity(self.algebra)
@@ -188,10 +177,6 @@ class TensorOp:
         return cls.from_pairs(pairs)
 
 
-def _unit(size: int, one, zero, index: int = 0) -> list:
-    return [one if t == index else zero for t in range(size)]
-
-
 def _tensor(algebra: Algebra, d, nums, display_pairs=None) -> TensorOp:
     """The tensor with flat coefficients nums/d (`cleared_element`)."""
     t = cleared_element(algebra, d, nums, TensorOp)
@@ -224,15 +209,18 @@ def _compose(algebra: Algebra, f, g) -> list:
 
 def right_multiples(op: TensorOp) -> list:
     """For each basis unit e_l, the map x -> op(x) e_l, the product
-    (1 (x) e_l) o op by `_compose`, as its coefficients: element p is
-    sum_u h[u][p] e_u for the coordinates h[u][p] of e_u (x) e_p, and
-    multiplies x e_p.  Each is made straight from the product's numerators
-    (`cleared_element`)."""
+    (1 (x) e_l) o op, as its coefficients: element p multiplies x e_p.  With
+    b_u = sum_j f_uj e_j row u of op, op(x) e_l = sum_u e_u x (b_u e_l), so
+    coordinate u of element p is coordinate p of b_u e_l, read off the
+    product kernel on the numerators over op._d * _dc (`cleared_element`).
+    Float sums take `_compose`'s terms in its order, so they equal it bit
+    for bit where the table's unit constants are exactly 1."""
     alg, n = op.algebra, op.algebra.dim
-    den = op._d * alg._dc ** 2
-    # the unit's int 1 multiplies a float coordinate exactly
-    return [[cleared_element(alg, den, h[p::n]) for p in range(n)]
-            for h in (_compose(alg, _unit(n * n, 1, 0, l), op._nums) for l in range(n))]
+    product, den = alg._product_kernel(), op._d * alg._dc
+    rows = [op._nums[u * n:(u + 1) * n] for u in range(n)]
+    units = [alg.basis(l)._nums for l in range(n)]
+    return [[cleared_element(alg, den, h) for h in zip(*(product(b, e) for b in rows))]
+            for e in units]
 
 
 def tensor_from_pairs(pairs) -> TensorOp:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,6 +118,47 @@ def scaled_quaternion_algebra(scalar_mode=nc.RATIONAL, scale=(1, 2, 2, 4)):
     return nc.make_algebra(constants, ["1", "u", "v", "w"], scalar_mode)
 
 
+#: a basis of H, rows in the old coordinates, whose table is dense with
+#: constants up to 50 over _dc = 2, all exact in binary
+DENSE_H_BASIS = ((1, 0, 0, 0), (-1, 2, -1, -1), (2, 2, 0, 0), (2, -1, 3, 2))
+
+
+def dense_quaternion_algebra(scalar_mode=nc.RATIONAL):
+    """The quaternions over `DENSE_H_BASIS` (`change_basis`)."""
+    return change_basis(nc.quaternion_algebra(scalar_mode), DENSE_H_BASIS)
+
+
+@functools.lru_cache
+def _inverse(P):
+    """P^-1 as `Fraction`s, from sympy's exact inverse."""
+    import sympy
+    return tuple(tuple(Fraction(int(v.p), int(v.q)) for v in row)
+                 for row in sympy.Matrix(P).inv().tolist())
+
+
+def coordinates_in(P, v):
+    """The coordinates v P^-1, over the basis whose k-th element has old
+    coordinates P[k], of the vector with old coordinates v."""
+    inverse, v = _inverse(tuple(map(tuple, P))), [Fraction(c) for c in v]
+    return [sum((vi * row[k] for vi, row in zip(v, inverse)), Fraction(0))
+            for k in range(len(v))]
+
+
+def change_basis(alg, P):
+    """alg over the basis whose k-th element has old coordinates P[k]; row 0
+    must be the unit, which the constructor requires at index 0.  Products
+    of the new basis are multiplied out over alg's dense constants and
+    written in the new basis exactly (`coordinates_in`), then handed to the
+    constructor in alg's scalar mode.  A diagonal P rescales the basis, as
+    `scaled_quaternion_algebra` does; a dense one gives dense tables with
+    constants off +-1 and a common denominator _dc > 1."""
+    assert list(P[0]) == [1] + [0] * (alg.dim - 1), "row 0 of P must be the unit"
+    C = [[[Fraction(c) for c in row] for row in plane] for plane in alg.constants]
+    constants = [[coordinates_in(P, naive_product(C, a, b)) for b in P] for a in P]
+    return nc.make_algebra(constants, alg.basis_names, alg.scalar_mode,
+                           name=f"{alg.name}~P")
+
+
 def algebra_from_data(name, scalar_mode=nc.RATIONAL):
     path = Path(__file__).parent / "data" / f"{name}_algebra.json"
     return nc.algebra_from_json(path.read_text(), scalar_mode)
@@ -149,6 +191,16 @@ def naive_product(C, a, b):
             for k in range(n):
                 out[k] += a[i] * b[j] * C[i][j][k]
     return out
+
+
+#: zeros of both signs, extremes, infinities and NaN of both signs
+SPECIAL_FLOATS = (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+                  math.inf, -math.inf, math.nan, -math.nan)
+
+
+def float_bits(values):
+    """The IEEE bit patterns of floats, so that zeros and NaNs compare by sign."""
+    return [struct.pack("<d", v) for v in values]
 
 
 # -- operator tensor oracles

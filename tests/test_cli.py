@@ -170,6 +170,11 @@ class TestSolve:
                               "2*x = 1+i")
         assert code == 0
         assert out.strip() == "x = 0.5 + 0.5i"
+        # a Richardson family, whose directions are pruned by the pivot
+        # columns of their scalar coordinates, the same in both modes
+        for mode in ("float", "rational"):
+            assert invoke(capsys, "solve", "--method", "richardson", "--scalar", mode,
+                          "i*x - x*i = 0") == (0, "x = 0 + C0*(-i)\nfree: C0\n", ""), mode
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = invoke(capsys, "solve", "x +* 1 = 0")
@@ -340,21 +345,28 @@ class TestInvertTensor:
         _, out, _ = invoke(capsys, "invert-tensor", "--output", "json",
                            "(i+j)*x*k + k*x*(j+1)")
         assert json.loads(out)["reason"] == "singular_operator"
+        # the reason comes from the operator matrix's rank, in both modes
+        for mode in ("rational", "float"):
+            code, out, _ = invoke(capsys, "invert-tensor", "--scalar", mode,
+                                  "--output", "json", "i*x - x*i")
+            assert code == 1 and json.loads(out)["reason"] == "singular_operator", mode
 
     def test_zero_divisor_named(self, capsys):
         # x -> u x + x u = 2 u x is invertible on the complex numbers, but
         # u(x)1 + 1(x)u is a zero divisor in A(x)A^op, so no inverse tensor
-        argv = ["--algebra", str(DATA / "complex_algebra.json"), "u*x + x*u"]
-        code, out, _ = invoke(capsys, "invert-tensor", *argv)
-        assert code == 1
-        lines = out.strip().splitlines()
-        assert lines[0] == "tensor is singular"
-        assert lines[1] == ("the operator is invertible, but its tensor is a "
-                            "zero divisor in A⊗A^op")
-        code, out, _ = invoke(capsys, "invert-tensor", "--output", "json", *argv)
-        assert code == 1
-        assert json.loads(out) == {"status": "singular", "tensor": None,
-                                   "text": None, "reason": "zero_divisor"}
+        for mode in ("rational", "float"):
+            argv = ["--algebra", str(DATA / "complex_algebra.json"), "--scalar", mode,
+                    "u*x + x*u"]
+            code, out, _ = invoke(capsys, "invert-tensor", *argv)
+            assert code == 1
+            lines = out.strip().splitlines()
+            assert lines[0] == "tensor is singular"
+            assert lines[1] == ("the operator is invertible, but its tensor is a "
+                                "zero divisor in A⊗A^op")
+            code, out, _ = invoke(capsys, "invert-tensor", "--output", "json", *argv)
+            assert code == 1
+            assert json.loads(out) == {"status": "singular", "tensor": None,
+                                       "text": None, "reason": "zero_divisor"}
 
     def test_json_output(self, capsys):
         code, out, _ = invoke(capsys, "invert-tensor", "--output", "json",
@@ -500,6 +512,33 @@ class TestUsage:
             for mode in ("rational", "float"):
                 code, out, err = invoke(capsys, *argv, "--scalar", mode)
                 assert (code, out, err) == (2, "", f"error: {message}\n"), (data, mode)
+        # a valid file and a positional input together, or neither: the
+        # positional one used to be dropped, and no input at all crashed
+        # invert-tensor with a TypeError
+        system_path, tensor_path = tmp_path / "system.json", tmp_path / "tensor.json"
+        system_path.write_text(json.dumps(
+            {"unknowns": 1, "equations": [{"terms": [
+                {"left": [1, 0, 0, 0], "right": [1, 0, 0, 0], "var": 0}],
+                "rhs": [0, 1, 0, 0]}]}))  # x = i
+        tensor_path.write_text(json.dumps({"coeff": [[1, 0, 0, 0]] + [[0] * 4] * 3}))
+        for argv, names in (
+                (["solve", "x = k", "--system-json", str(system_path)],
+                 ("equation", "--system-json", "not allowed")),
+                (["check", "--system-json", str(system_path), "--x", "i", "x = k"],
+                 ("equation", "--system-json", "not allowed")),
+                (["invert-tensor", "2*x", "--tensor-json", str(tensor_path)],
+                 ("expression", "--tensor-json", "not allowed")),
+                (["invert-tensor"], ("expression", "--tensor-json", "required")),
+                (["solve"], ("equation", "--system-json", "required"))):
+            for mode in ("rational", "float"):
+                code, out, err = invoke(capsys, *argv, "--scalar", mode)
+                line = err.splitlines()[-1]
+                assert (code, out) == (2, "") and "error:" in line, (argv, mode, err)
+                assert all(name in line for name in names), (argv, mode, line)
+        # each file alone is read as before
+        assert invoke(capsys, "solve", "--system-json", str(system_path)) == (0, "x = i\n", "")
+        assert invoke(capsys, "invert-tensor", "--tensor-json", str(tensor_path)) == \
+            (0, "(1⊗1)\n", "")
 
     def test_malformed_algebra_json_exits_2(self, capsys, tmp_path):
         # a wrong JSON type for the object, `dim` or `basis` is named, not a

@@ -14,7 +14,6 @@ end in a value or a named status.
 import json
 import math
 import random
-import struct
 from fractions import Fraction
 
 import pytest
@@ -26,7 +25,8 @@ from ncalg.cli import run
 from ncalg.newton import (BIT_BUDGET, CONVERGED, DIVERGED, GeneralizedPolynomial,
                           newton_solve)
 from ncalg.solvers import nc_row_reduce
-from helpers import (algebra_from_data, clifford_algebra, constructor_constants, flat,
+from helpers import (SPECIAL_FLOATS, algebra_from_data, clifford_algebra,
+                     constructor_constants, dense_quaternion_algebra, flat, float_bits,
                      matrix_algebra, naive_product, scaled_quaternion_algebra)
 
 BUILDERS = {
@@ -37,6 +37,7 @@ BUILDERS = {
     "complex": lambda mode: algebra_from_data("complex", mode),
     "dual": lambda mode: algebra_from_data("dual", mode),
     "H/2": scaled_quaternion_algebra,
+    "H~P": dense_quaternion_algebra,
 }
 
 
@@ -172,15 +173,6 @@ class TestIntegerProduct:
             product = flat(f.compose(g))
             assert product == naive_envelope_product(C, flat(f), flat(g))
             assert all(type(c) is Fraction for c in product)
-
-
-SPECIAL_FLOATS = (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
-                  math.inf, -math.inf, math.nan, -math.nan)
-
-
-def float_bits(values):
-    """The IEEE bit patterns of floats, so that zeros and NaNs compare by sign."""
-    return [struct.pack("<d", v) for v in values]
 
 
 class TestCompiledKernel:

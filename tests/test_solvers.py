@@ -2,13 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ncalg as nc
 from ncalg import algebra as algebra_module
+from ncalg.linalg import rank
 from ncalg.solvers import build_richardson, nc_row_reduce, quasideterminant
 from helpers import (
+    DENSE_H_BASIS,
     algebra_from_data,
+    change_basis,
     clifford_algebra,
+    coordinates_in,
+    dense_quaternion_algebra,
     envelope_table,
     flat,
     matrix_algebra,
@@ -37,6 +43,20 @@ def example_23(hq, units):
     one, i, j, k = units
     return nc.SylvesterSystem.from_terms(
         hq, [([(i + j, k, 0), (k, j + one, 0)], j - k)], 1)
+
+
+# (algebra, the same algebra over the basis of rows of P, P) in both modes:
+# dense tables, with _dc = 2 for H and Cl(1,1)
+BASIS_CHANGES = {}
+for _name, _build, _P in (
+        ("H", nc.quaternion_algebra, DENSE_H_BASIS),
+        ("M2", lambda mode: matrix_algebra(2, mode),
+         ((1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 1, 1), (1, -1, 0, 2))),
+        ("Cl11", lambda mode: clifford_algebra(1, 1, mode),
+         ((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 2)))):
+    for _mode in (nc.RATIONAL, nc.FLOAT):
+        _alg = _build(_mode)
+        BASIS_CHANGES[_name, _mode] = _alg, change_basis(_alg, _P), _P
 
 
 def rand_sparse(alg, rng):
@@ -132,7 +152,8 @@ class TestBuildRichardson:
     @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
     @pytest.mark.parametrize("build", [nc.quaternion_algebra,
                                        lambda mode: matrix_algebra(2, mode),
-                                       lambda mode: algebra_from_data("dual", mode)])
+                                       lambda mode: algebra_from_data("dual", mode),
+                                       dense_quaternion_algebra])
     def test_entries_are_envelope_products(self, build, mode, rng):
         # entry (i, l), (j, p) is column p of (1 (x) e_l) f in A (x) A^op,
         # for f = ops[i][j]; float entries must match bit for bit
@@ -286,6 +307,47 @@ class TestSolveField:
             sol = nc.solve_field(system)
             assert sol.kind == nc.UNIQUE
             assert sol.x[0] == op.invert().apply(c)
+
+    @pytest.mark.parametrize("key", list(BASIS_CHANGES), ids="-".join)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_invariant_under_change_of_basis(self, key, data):
+        # a metamorphic relation: a system moved to another basis keeps its
+        # verdict and its number of free constants, and in rational mode its
+        # solution set, moved along
+        alg, new, P = BASIS_CHANGES[key]
+        n = alg.dim
+        coordinate = st.sampled_from((0, 0, 1, -1, 2))
+
+        def element():
+            return alg.element(data.draw(st.lists(coordinate, min_size=n, max_size=n)))
+
+        def moved(x):
+            return new.element(coordinates_in(P, x.coords))
+
+        m_unk = data.draw(st.integers(1, 2))
+        equations = [([(element(), element(), data.draw(st.integers(0, m_unk - 1)))
+                       for _ in range(data.draw(st.integers(1, 3)))], element())
+                     for _ in range(data.draw(st.integers(1, 2)))]
+        sol = nc.solve_field(nc.SylvesterSystem.from_terms(alg, equations, m_unk))
+        other = nc.solve_field(nc.SylvesterSystem.from_terms(
+            new, [([(moved(a), moved(b), j) for a, b, j in terms], moved(c))
+                  for terms, c in equations], m_unk))
+        assert (other.kind, len(other.nullspace)) == (sol.kind, len(sol.nullspace))
+        if alg.scalar_mode == nc.FLOAT or sol.kind == nc.INCONSISTENT:
+            return
+        if sol.kind == nc.UNIQUE:
+            assert [moved(x) for x in sol.x] == other.x
+            return
+
+        def column(xs):
+            return [c for x in xs for c in x.coords]
+        # equal dimensions, so equal sets when the moved particular solution
+        # and directions leave the rank of the other's directions unchanged
+        span = [column(d) for d in other.nullspace]
+        extra = [column(moved(x) - y for x, y in zip(sol.x, other.x))]
+        extra += [column(map(moved, d)) for d in sol.nullspace]
+        assert rank(nc.FieldMatrix(list(zip(*span, *extra)))) == len(span)
 
     def test_two_unknown_system(self, hq, units):
         one, i, j, k = units

@@ -7,14 +7,18 @@ import ncalg as nc
 from ncalg.algebra import FLOAT_CHECK_TOL
 from ncalg.cli import run
 from ncalg.linalg import rank
+from ncalg.tensor import right_multiples
 from helpers import (
+    SPECIAL_FLOATS,
     algebra_from_data,
     clifford_algebra,
     compose_pairs_oracle,
     constructor_constants,
+    dense_quaternion_algebra,
     envelope_compose,
     envelope_invert,
     flat,
+    float_bits,
     matrix_algebra,
     naive_product,
     naive_tensor_matrix,
@@ -46,6 +50,18 @@ class TestStandardForm:
         t = nc.tensor_from_pairs([(hq.one(), hq.one())])
         assert t == nc.TensorOp.identity(hq)
         assert t.is_identity()
+
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_element_never_equals_tensor(self, mode):
+        # over a dimension-1 algebra an element and a tensor can store the
+        # same pair; they are still different kinds of value
+        alg = nc.make_algebra([[[1]]], scalar_mode=mode)
+        x, t = alg.element([3]), nc.TensorOp(alg, [[3]])
+        assert (x._d, x._nums) == (t._d, t._nums)
+        assert x != t and t != x and not x == t
+        assert {x: "element"}.get(t) is None and len({x, t}) == 2
+        assert x == alg.element([3]) and t == nc.TensorOp(alg, [[3]])
+        assert (x - x).is_zero() and nc.TensorOp.zero(alg).is_zero()
 
     def test_display_pairs_agree_with_coeff(self, hq, rng):
         pairs = [(rand_element(hq, rng), rand_element(hq, rng)) for _ in range(3)]
@@ -293,6 +309,7 @@ TABLES = {
     "dual": lambda mode: algebra_from_data("dual", mode),
     "H/2": scaled_quaternion_algebra,
     "H/357": lambda mode: scaled_quaternion_algebra(mode, (1, 3, 5, 7)),
+    "H~P": dense_quaternion_algebra,
 }
 ALGEBRAS = {(name, mode): build(mode) for name, build in TABLES.items()
             for mode in (nc.RATIONAL, nc.FLOAT)}
@@ -361,6 +378,38 @@ class TestMapMatrices:
                     naive_product(C, naive_product(C, unit[i], unit[p]), f[i])
                     for i in range(n)))]
                 for p in range(n)])
+
+
+class TestRightMultiples:
+    """`right_multiples` reads the maps x -> f(x) e_l off element products;
+    they are the compositions (1 (x) e_l) o f, equal exactly in rational
+    mode and bit for bit in float mode, on signed zeros, extremes,
+    infinities and NaN too, and on the dense table of H~P (_dc = 2)."""
+
+    @pytest.mark.parametrize("key", [(name, mode) for name in ("H", "M2", "Cl30", "dual",
+                                                               "H/357", "H~P")
+                                     for mode in (nc.RATIONAL, nc.FLOAT)], ids="-".join)
+    def test_equal_to_composition(self, key, rng):
+        alg = ALGEBRAS[key]
+        n, exact = alg.dim, alg.scalar_mode == nc.RATIONAL
+
+        def scalar():
+            if rng.random() < 0.3:
+                return 0
+            if exact:
+                return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+            return rng.choice(SPECIAL_FLOATS) if rng.random() < 0.3 else rng.uniform(-4, 4)
+        for _ in range(8):
+            f = nc.TensorOp(alg, [[scalar() for _ in range(n)] for _ in range(n)])
+            for l, multiple in enumerate(right_multiples(f)):
+                unit = nc.TensorOp(alg, [[int(i == 0 and j == l) for j in range(n)]
+                                         for i in range(n)])  # 1 (x) e_l
+                h = flat(unit.compose(f))
+                if exact:
+                    assert multiple == [alg.element(h[p::n]) for p in range(n)]
+                else:
+                    assert [float_bits(e.coords) for e in multiple] == \
+                        [float_bits(h[p::n]) for p in range(n)]
 
 
 class TestInverseProperty:
