@@ -52,9 +52,9 @@ class Algebra:
     the common denominator of the constants and the entries are Python ints,
     so exact products run on integer numerators.  Products go through the
     kernel that `_product_kernel` compiles from this table, in both modes.
-    Validation, `pair_products()` and the operator tensors' composition
-    (`tensor._compose`) all read this table; the dense `constants` are
-    derived from it on request.
+    Validation reads this table, and keeps the sums behind `pair_products()`;
+    the operator tensors' composition (`tensor._compose`) reads it too, and
+    the dense `constants` are derived from it on request.
     """
 
     __slots__ = ("name", "dim", "basis_names", "scalar_mode", "_mul_table",
@@ -96,9 +96,9 @@ class Algebra:
             table = tuple(tuple(tuple((k, c.numerator * (dc // c.denominator))
                                       for k, c in cell) for cell in plane)
                           for plane in table)
-        self._check_unit_law(table)
-        self._check_associativity(table)
-        self._mul_table, self._pair_products, self._kernel = table, None, None
+        table = self._check_unit_law(table)
+        self._pair_products = self._check_associativity(table)
+        self._mul_table, self._kernel = table, None
         zero = self._num_zero
         self._basis_cache = tuple(cleared_element(self, 1, _unit(n, zero + 1, zero, k))
                                   for k in range(n))
@@ -144,25 +144,11 @@ class Algebra:
         return self._kernel
 
     def pair_products(self):
-        """Sparse entries of L(e_i) @ R(e_j) for every basis pair, cached.
-
-        Entry [i][j] is a tuple of (row, col, value) triples in row-major
-        order; these matrices vectorize the maps x -> e_i x e_j.  Entry (q, p),
-        the e_q-coordinate of e_i (e_p e_j), is summed from the sparse table
-        on its scale: in rational mode an int, the entry times _dc**2.
-        """
-        if self._pair_products is None:
-            n, table = self.dim, self._mul_table
-            self._pair_products = tuple(
-                tuple(
-                    tuple(sorted((q, p, value)
-                                 for p in range(n)
-                                 for q, value in _combine(table[p][j], table[i]).items()
-                                 if value != 0))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
+        """Sparse L(e_i) @ R(e_j), the maps x -> e_i x e_j, for every basis
+        pair, as kept from the associativity check: entry [i][j] lists the
+        (q, p, value) in row-major order, value the e_q-coordinate of
+        e_i (e_p e_j) on the table's scale (in rational mode an int, the
+        entry times _dc**2)."""
         return self._pair_products
 
     # -- scalar handling ---------------------------------------------------
@@ -217,7 +203,9 @@ class Algebra:
             return a == b
         return abs(a - b) <= FLOAT_CHECK_TOL
 
-    def _check_unit_law(self, table):
+    def _check_unit_law(self, table) -> tuple:
+        """Check that e_0 is the unit, naming the first wrong coordinate; return
+        the table with e_0 e_j = e_j e_0 = e_j exactly, also in float mode."""
         n, dc, zero = self.dim, self._dc, self._num_zero
         left = [dict(cell) for cell in table[0]]          # e0 * e_j
         right = [dict(plane[0]) for plane in table]       # e_j * e0
@@ -232,19 +220,24 @@ class Algebra:
                             f"{self._scalars(dc, (got,))[0]} "
                             f"(indices i={i}, j={jj}, k={k})"
                         )
+        unit = tuple(((j, zero + dc),) for j in range(n))
+        return (unit, *((unit[i], *plane[1:]) for i, plane in enumerate(table[1:], 1)))
 
-    def _check_associativity(self, table):
-        # (e_i e_j) e_k = e_i (e_j e_k), coordinate p:
-        #   sum_m C[i][j][m] C[m][k][p] = sum_m C[i][m][p] C[j][k][m]
-        # summed over nonzero constants, m ascending, both sides scaled by
-        # _dc**2 (exact ints in rational mode); names the first (i,j,k,p)
+    def _check_associativity(self, table) -> tuple:
+        """Check (e_i e_j) e_k = e_i (e_j e_k) at every coordinate p,
+            sum_m C[i][j][m] C[m][k][p] = sum_m C[i][m][p] C[j][k][m],
+        summed over nonzero constants, m ascending, scaled by _dc**2, naming
+        the first failing (i, j, k, p); return the right-hand sides, entry
+        (p, j) of `pair_products()[i][k]`."""
         n, zero, scale = self.dim, self._num_zero, self._dc * self._dc
         columns = [tuple(plane[k] for plane in table) for k in range(n)]
+        sums = [[[] for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     lhs = _combine(table[i][j], columns[k])
                     rhs = _combine(table[j][k], table[i])
+                    sums[i][k].append(rhs)
                     if lhs == rhs:
                         continue
                     for p in sorted(lhs.keys() | rhs.keys()):
@@ -256,6 +249,9 @@ class Algebra:
                                 f"coordinate p={p} (indices i={i}, j={j}, "
                                 f"k={k}, p={p}): {left} != {right}"
                             )
+        return tuple(tuple(tuple(sorted([(p, j, v) for j, rhs in enumerate(cell)
+                                         for p, v in rhs.items() if v != 0]))
+                           for cell in plane) for plane in sums)
 
     # -- element construction ----------------------------------------------
 
@@ -349,8 +345,8 @@ def operator_rows(algebra: Algebra, d, coeff) -> tuple:
 
 
 def field_matrix(algebra: Algebra, den, rows) -> FieldMatrix:
-    """The `FieldMatrix` rows/den of `operator_rows`: one `Fraction` per
-    exact entry, float rows as they are."""
+    """The public `FieldMatrix` rows/den of `operator_rows`: one `Fraction`
+    per exact entry, float rows as they are.  `solve_field` stacks the rows."""
     return FieldMatrix([algebra._scalars(den, row) for row in rows])
 
 

@@ -223,8 +223,8 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+        if type(self.max_iter) is not int or self.max_iter <= 0:  # no bool
+            raise ValueError(f"max_iter must be a positive integer, not {self.max_iter!r}")
 
 
 @dataclass

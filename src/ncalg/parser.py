@@ -167,6 +167,7 @@ class _Parser:
     def __init__(self, tokens, algebra: Algebra):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.algebra = algebra
 
     def peek(self) -> tuple:
@@ -198,9 +199,13 @@ class _Parser:
         return Sum(tuple(terms))
 
     def parse_term(self):
-        if self.accept("-"):
-            return Neg(self.parse_term())
-        return self.parse_product()
+        if self.depth > MAX_NESTING:  # the "(" and unary "-" around this term
+            raise EquationSyntaxError(f"more than {MAX_NESTING} nested parentheses "
+                                      "and unary minuses", self.peek()[2])
+        self.depth += 1
+        term = Neg(self.parse_term()) if self.accept("-") else self.parse_product()
+        self.depth -= 1
+        return term
 
     def parse_product(self):
         factors = [self.parse_power()]
@@ -288,6 +293,9 @@ def collect_unknowns(node) -> set:
 
 #: the largest polynomial degree `normalize_poly` accepts
 MAX_DEGREE = 8
+
+#: the most "(" and unary "-" around a term: far below the recursion limit
+MAX_NESTING = 100
 
 
 def _walk(node, algebra: Algebra, unknowns, max_degree: int):

@@ -2,8 +2,8 @@
 
 Two independent routes are implemented and cross-checked:
 
-* solve_field vectorizes every operator block into its field-level matrix,
-  solves one big scalar system, and maps the solution set back to elements.
+* solve_field vectorizes every operator block into its scalar rows, solves
+  one big scalar system, and maps the solution set back to elements.
 
 * solve_richardson right-multiplies every equation by every basis unit,
   obtaining an enlarged algebra-valued linear system in the unknowns
@@ -27,10 +27,11 @@ inverse, which `nc_row_reduce` already applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import (Algebra, Element, RATIONAL, cleared_element, element_from_json,
-                      element_to_json, json_field)
+                      element_to_json, json_field, operator_rows)
 from .errors import AlgebraMismatch, PivotNotInvertible, QuasideterminantUndefined
 from .linalg import (
     DEFAULT_ZERO_TOL,
@@ -208,23 +209,20 @@ def residuals_vanish(residuals) -> bool:
 def solve_field(system: SylvesterSystem) -> AlgebraSolution:
     """Vectorize the whole system over the scalar field and classify fully.
 
-    Stacks the operator matrix of every block into an (n*m_eq) x (n*m_unk)
-    scalar system, solves it, and maps the scalar solution set back to
-    elements.  Every particular solution is verified by substitution.
+    Stacks every block's `operator_rows`, with each equation's blocks and
+    right-hand side scaled to one denominator (integers in rational mode,
+    floats over 1), into one `row_reduce`, whose solution set goes back to
+    elements through `Algebra._pair`.  Every particular solution is verified.
     """
     alg = system.algebra
     n = alg.dim
-    blocks = [[op.operator_matrix() for op in row] for row in system.ops]
-    big = []
-    for i in range(system.m_eq):
-        for r in range(n):
-            stacked = []
-            for j in range(system.m_unk):
-                stacked.extend(blocks[i][j].entries[r])
-            big.append(stacked)
-    rhs = []
-    for b in system.rhs:
-        rhs.extend(b.coords)
+    big, rhs = [], []
+    for ops, b in zip(system.ops, system.rhs):
+        blocks = [operator_rows(alg, op._d, op._nums) for op in ops]
+        den = math.lcm(b._d, *(d for d, _ in blocks))
+        big += [[den // d * v for (d, _), row in zip(blocks, parts) for v in row]
+                for parts in zip(*(rows for _, rows in blocks))]
+        rhs += [den // b._d * v for v in b._nums]
 
     sol = row_reduce(FieldMatrix(big), rhs)
     if sol.kind == INCONSISTENT:

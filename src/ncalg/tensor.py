@@ -104,12 +104,9 @@ class TensorOp(_StoredPair):
                        _compose(alg, self._nums, other._nums))
 
     def operator_matrix(self) -> FieldMatrix:
-        """Field-level matrix M with M @ coords(x) = coords(self.apply(x)).
-
-        Built as sum_ij f[i][j] L(e_i) @ R(e_j) by `algebra.operator_rows`
-        on the stored numerators, independently of apply(), with one
-        `Fraction` per entry of an exact M.
-        """
+        """Field-level matrix M with M @ coords(x) = coords(self.apply(x)),
+        summed by `algebra.operator_rows` on the numerators, independently of
+        apply(), with one `Fraction` per entry of an exact M (`field_matrix`)."""
         return field_matrix(self.algebra, *operator_rows(self.algebra, self._d, self._nums))
 
     def invert(self) -> "TensorOp":
@@ -213,8 +210,8 @@ def right_multiples(op: TensorOp) -> list:
     b_u = sum_j f_uj e_j row u of op, op(x) e_l = sum_u e_u x (b_u e_l), so
     coordinate u of element p is coordinate p of b_u e_l, read off the
     product kernel on the numerators over op._d * _dc (`cleared_element`).
-    Float sums take `_compose`'s terms in its order, so they equal it bit
-    for bit where the table's unit constants are exactly 1."""
+    Float sums take `_compose`'s terms in its order, over the exact unit
+    constants construction stores, so they equal it bit for bit."""
     alg, n = op.algebra, op.algebra.dim
     product, den = alg._product_kernel(), op._d * alg._dc
     rows = [op._nums[u * n:(u + 1) * n] for u in range(n)]

@@ -118,6 +118,15 @@ def scaled_quaternion_algebra(scalar_mode=nc.RATIONAL, scale=(1, 2, 2, 4)):
     return nc.make_algebra(constants, ["1", "u", "v", "w"], scalar_mode)
 
 
+def near_unit_quaternion_algebra():
+    """The float quaternions with unit constants C[0][j][j] = C[j][0][j] =
+    1 + 2**-40: within FLOAT_CHECK_TOL of 1, so the unit law accepts them."""
+    C = [[list(row) for row in plane] for plane in nc.quaternion_algebra(nc.FLOAT).constants]
+    for j in range(4):
+        C[0][j][j] = C[j][0][j] = 1 + 2.0 ** -40
+    return nc.make_algebra(C, scalar_mode=nc.FLOAT, name="H~1")
+
+
 #: a basis of H, rows in the old coordinates, whose table is dense with
 #: constants up to 50 over _dc = 2, all exact in binary
 DENSE_H_BASIS = ((1, 0, 0, 0), (-1, 2, -1, -1), (2, 2, 0, 0), (2, -1, 3, 2))
@@ -157,6 +166,14 @@ def change_basis(alg, P):
     constants = [[coordinates_in(P, naive_product(C, a, b)) for b in P] for a in P]
     return nc.make_algebra(constants, alg.basis_names, alg.scalar_mode,
                            name=f"{alg.name}~P")
+
+
+def opposite(alg):
+    """The opposite algebra A^op, x * y = y x in A: C^op[i][j][k] = C[j][i][k],
+    over the same basis and in the same scalar mode."""
+    C, n = alg.constants, alg.dim
+    return nc.make_algebra([[C[j][i] for j in range(n)] for i in range(n)],
+                           alg.basis_names, alg.scalar_mode, name=f"{alg.name}^op")
 
 
 def algebra_from_data(name, scalar_mode=nc.RATIONAL):

@@ -7,7 +7,7 @@ on every table of `test_exact_kernel` and on H/357, whose constants such as
 the reduced one, a denominator d > 0 with gcd(d, *numerators) = 1, so that
 equal values have equal pairs and equal hashes however they were computed.
 The enlarged (Richardson) elimination must build no `Fraction` before its
-solution set is read.
+solution set is read, and the field route none beyond its solution's values.
 """
 
 import math
@@ -140,3 +140,30 @@ def test_enlarged_elimination_builds_no_fraction(name, fraction_count, rng):
     # the counter does see the coordinates being read
     assert sol.kind != nc.INCONSISTENT and sol.particular[0].coords
     assert fraction_count
+
+
+@pytest.mark.parametrize("name", ["H", "M2", "Cl30", "H/357"])
+def test_field_route_builds_fractions_only_for_its_solution(name, fraction_count, rng):
+    # solve_field stacks integer rows, so the only `Fraction`s are the n*m
+    # values of the particular solution and of each free direction
+    alg = BUILT[name][0]
+    n = alg.dim
+
+    def element():
+        return alg.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                            for _ in range(n)])
+    terms = [(element(), element(), 0), (element(), element(), 1)]
+    c, other = element(), element()
+    systems = {
+        "unique": [(terms, c), ([(element(), element(), 0), (element(), element(), 1)],
+                                other)],
+        "parametric": [(terms, c), (terms, c)],
+        "inconsistent": [(terms, c), (terms, c + alg.one())],
+    }
+    for kind, equations in systems.items():
+        system = nc.SylvesterSystem.from_terms(alg, equations, 2)
+        del fraction_count[:]
+        sol = nc.solve_field(system)
+        assert sol.kind == kind
+        expected = 0 if kind == nc.INCONSISTENT else n * 2 * (1 + len(sol.nullspace))
+        assert len(fraction_count) == expected, kind

@@ -180,6 +180,12 @@ class TestSolve:
         code, _, err = invoke(capsys, "solve", "x +* 1 = 0")
         assert code == 2
         assert "error:" in err
+        # nesting beyond the parser's limit is a parse error, not a
+        # RecursionError traceback
+        for text in ("(" * 200 + "x" + ")" * 200 + " = 1", "-" * 990 + "x = 1"):
+            assert invoke(capsys, "solve", text) == (
+                2, "", "error: more than 100 nested parentheses and unary minuses "
+                "(column 102)\n")
 
     def test_fraction_exponent_exit_2(self, capsys):
         for argv in (["solve", "x = i^4/2"], ["solve", "--scalar", "float", "x = i^4/2"]):
@@ -279,6 +285,9 @@ class TestNewton:
                                 "--x0", "5", "x^2 = 1")
         assert (code, out) == (2, "")
         assert err == f"error: tol must be positive and finite, not {float(tol)!r}\n"
+        assert invoke(capsys, "newton", "--scalar", scalar, "--max-iter", "0",
+                      "--x0", "5", "x^2 = 1") == (
+            2, "", "error: max_iter must be a positive integer, not 0\n")
 
     def test_singular_derivative_exit_1(self, capsys):
         code, out, _ = invoke(capsys, "newton", "--x0", "0",

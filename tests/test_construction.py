@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import ncalg as nc
-from helpers import (algebra_from_data, clifford_algebra, constructor_constants,
-                     matrix_algebra, naive_product, rand_nonzero, scaled_quaternion_algebra)
+from helpers import (SPECIAL_FLOATS, algebra_from_data, clifford_algebra,
+                     constructor_constants, float_bits, matrix_algebra, naive_product,
+                     near_unit_quaternion_algebra, rand_nonzero, scaled_quaternion_algebra)
 
 MODES = [nc.RATIONAL, nc.FLOAT]
 
@@ -64,6 +65,21 @@ class TestValidationVerdicts:
             nc.make_algebra(C, scalar_mode=nc.FLOAT)
         assert str(err.value) == ("(e1*e1)*e2 != e1*(e1*e2) at coordinate p=2 "
                                   "(indices i=1, j=1, k=2, p=2): -1.0 != -1.000001")
+
+    def test_float_unit_within_tolerance_is_exact(self, rng):
+        # unit constants 1 + 2**-40 pass the unit law and are stored as 1,
+        # so products with the unit are the quaternions' bit for bit, and
+        # leave a nonzero finite coordinate as it is
+        alg, H = near_unit_quaternion_algebra(), nc.quaternion_algebra(nc.FLOAT)
+        assert alg.constants == H.constants
+        for _ in range(20):
+            coords = [rng.choice(SPECIAL_FLOATS) if rng.random() < 0.3
+                      else rng.uniform(-4, 4) for _ in range(4)]
+            x, y = alg.element(coords), H.element(coords)
+            assert float_bits((alg.one() * x).coords) == float_bits((H.one() * y).coords)
+            assert float_bits((x * alg.one()).coords) == float_bits((y * H.one()).coords)
+        x = alg.element([0.3, -0.7, 1e300, 5e-324])
+        assert alg.one() * x == x == x * alg.one()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_broken_unit_law(self, mode):

@@ -327,8 +327,10 @@ class TestNewton:
         for tol in (0.0, -1e-9, math.inf, math.nan):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 NewtonConfig(tol=tol)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iter=0)
+        # a positive int and no bool, as JSON integer fields are read
+        for max_iter in (0, -1, 2.5, 3.0, True, False, "3", None):
+            with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+                NewtonConfig(max_iter=max_iter)
 
     @given(coords=st.lists(st.one_of(
         st.just(Fraction(0)),

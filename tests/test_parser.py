@@ -20,6 +20,7 @@ from ncalg.parser import (
     format_element,
     normalize_linear,
     normalize_poly,
+    MAX_NESTING,
     parse_equation,
     parse_expression,
     _tokenize,
@@ -122,6 +123,41 @@ class TestGrammar:
         with pytest.raises(nc.EquationSyntaxError) as err:
             parse_expression("1 + $", hq)
         assert err.value.column == 5
+
+    def test_nesting_limit(self, hq):
+        # MAX_NESTING parentheses and unary minuses open at once parse, and
+        # every walk of the tree stays under the default recursion limit,
+        # even called from 300 frames deep; one more is a syntax error at
+        # the term it opens, well before the recursion limit
+        D = MAX_NESTING
+        deepest = {
+            "(" * D + "x" + ")" * D: hq.one(),
+            "-" * D + "x": hq.one(),
+            "(1 + " * D + "x" + ")" * D: hq.one(),
+            "(i*" * D + "x*j" + ")" * D: hq.basis(1),
+            "-(" * (D // 2) + "x" + ")" * (D // 2): hq.one(),
+            "(" * D + "i" + ")^2" * D + " + x": hq.one(),
+        }
+
+        def deep(frames, call):
+            return call() if frames == 0 else deep(frames - 1, call)
+        for text, value in deepest.items():
+            node = deep(300, lambda: parse_expression(text, hq))
+            assert deep(300, lambda: collect_unknowns(node)) == {"x"}
+            assert deep(300, lambda: expr_to_text(node)).count("x") == 1
+            system = deep(300, lambda: normalize_linear(hq, [(node, Lit(Fraction(0)))],
+                                                        ["x"]))
+            assert system.residuals([value]) == [eval_with(node, hq, {"x": value})]
+        for text, column in (("(" * (D + 1) + "x" + ")" * (D + 1), D + 2),
+                             ("-" * (D + 1) + "x", D + 2),
+                             ("-" * 990 + "x", D + 2),
+                             ("x + -(" * D + "x" + ")" * D, 6 * (D // 2) + 6),
+                             ("(" * 200 + "x" + ")" * 200, D + 2)):
+            with pytest.raises(nc.EquationSyntaxError) as err:
+                parse_equation(text + " = 1", hq)
+            assert (str(err.value), err.value.column) == (
+                f"more than {D} nested parentheses and unary minuses "
+                f"(column {column})", column)
 
     def test_exponent_validation(self, hq):
         with pytest.raises(nc.EquationSyntaxError):

@@ -18,6 +18,7 @@ from helpers import (
     envelope_table,
     flat,
     matrix_algebra,
+    opposite,
     rand_element,
     rand_nonzero,
     residuals_are_zero,
@@ -57,6 +58,17 @@ for _name, _build, _P in (
     for _mode in (nc.RATIONAL, nc.FLOAT):
         _alg = _build(_mode)
         BASIS_CHANGES[_name, _mode] = _alg, change_basis(_alg, _P), _P
+
+
+# (algebra, its opposite) in both modes, H~P dense with _dc = 2
+OPPOSITES = {}
+for _name, _build in (("H", nc.quaternion_algebra),
+                      ("M2", lambda mode: matrix_algebra(2, mode)),
+                      ("Cl11", lambda mode: clifford_algebra(1, 1, mode)),
+                      ("H~P", dense_quaternion_algebra)):
+    for _mode in (nc.RATIONAL, nc.FLOAT):
+        _alg = _build(_mode)
+        OPPOSITES[_name, _mode] = _alg, opposite(_alg)
 
 
 def rand_sparse(alg, rng):
@@ -348,6 +360,38 @@ class TestSolveField:
         extra = [column(moved(x) - y for x, y in zip(sol.x, other.x))]
         extra += [column(map(moved, d)) for d in sol.nullspace]
         assert rank(nc.FieldMatrix(list(zip(*span, *extra)))) == len(span)
+
+    @pytest.mark.parametrize("key", list(OPPOSITES), ids="-".join)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_invariant_under_opposite_algebra(self, key, data):
+        # a metamorphic relation: sum a_s x b_s = c over A is the scalar
+        # system of sum b_s x a_s = c over A^op, so the field verdict and
+        # free count are equal, and in rational mode the solution too
+        alg, op = OPPOSITES[key]
+        n = alg.dim
+        # halves give blocks and right-hand sides over different denominators
+        coordinate = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2)))
+
+        def coords():
+            return data.draw(st.lists(coordinate, min_size=n, max_size=n))
+        m_unk = data.draw(st.integers(1, 2))
+        equations = [([(coords(), coords(), data.draw(st.integers(0, m_unk - 1)))
+                       for _ in range(data.draw(st.integers(1, 3)))], coords())
+                     for _ in range(data.draw(st.integers(1, 2)))]
+        sol = nc.solve_field(nc.SylvesterSystem.from_terms(
+            alg, [([(alg.element(a), alg.element(b), j) for a, b, j in terms],
+                   alg.element(c)) for terms, c in equations], m_unk))
+        other = nc.solve_field(nc.SylvesterSystem.from_terms(
+            op, [([(op.element(b), op.element(a), j) for a, b, j in terms],
+                  op.element(c)) for terms, c in equations], m_unk))
+        assert (other.kind, len(other.nullspace)) == (sol.kind, len(sol.nullspace))
+        if alg.scalar_mode == nc.RATIONAL and sol.kind != nc.INCONSISTENT:
+            def values(xs):
+                return [x.coords for x in xs]
+            assert values(other.x) == values(sol.x)
+            assert [values(d) for d in other.nullspace] == \
+                [values(d) for d in sol.nullspace]
 
     def test_two_unknown_system(self, hq, units):
         one, i, j, k = units

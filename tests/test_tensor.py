@@ -22,6 +22,7 @@ from helpers import (
     matrix_algebra,
     naive_product,
     naive_tensor_matrix,
+    near_unit_quaternion_algebra,
     rand_element,
     rand_nonzero,
     rand_tensor,
@@ -313,6 +314,8 @@ TABLES = {
 }
 ALGEBRAS = {(name, mode): build(mode) for name, build in TABLES.items()
             for mode in (nc.RATIONAL, nc.FLOAT)}
+# float only: its unit constants 1 + 2**-40 fail the exact unit law
+ALGEBRAS["H~1", nc.FLOAT] = near_unit_quaternion_algebra()
 # zero-heavy, so that sparse and singular tensors are common; thirds and
 # sevenths are inexact as floats, so float results carry rounding
 scalars = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
@@ -384,11 +387,13 @@ class TestRightMultiples:
     """`right_multiples` reads the maps x -> f(x) e_l off element products;
     they are the compositions (1 (x) e_l) o f, equal exactly in rational
     mode and bit for bit in float mode, on signed zeros, extremes,
-    infinities and NaN too, and on the dense table of H~P (_dc = 2)."""
+    infinities and NaN too, on the dense table of H~P (_dc = 2), and on H~1,
+    whose unit constants within FLOAT_CHECK_TOL of 1 are stored as 1."""
 
     @pytest.mark.parametrize("key", [(name, mode) for name in ("H", "M2", "Cl30", "dual",
                                                                "H/357", "H~P")
-                                     for mode in (nc.RATIONAL, nc.FLOAT)], ids="-".join)
+                                     for mode in (nc.RATIONAL, nc.FLOAT)]
+                             + [("H~1", nc.FLOAT)], ids="-".join)
     def test_equal_to_composition(self, key, rng):
         alg = ALGEBRAS[key]
         n, exact = alg.dim, alg.scalar_mode == nc.RATIONAL
