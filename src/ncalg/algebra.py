@@ -532,16 +532,24 @@ class Element(_StoredPair):
         L(a) is then onto, hence injective, and a*(y*a) = (a*y)*a = a.
         A float y is checked on both sides within FLOAT_CHECK_TOL.
         """
-        if self.is_zero():
-            raise NotInvertible("zero element has no inverse")
-        alg = self.algebra
-        den, rows = self._operator_rows(True)
-        y = solve_inverse(self, rows, [den * v for v in alg.one()._nums],
-                          functools.partial(cleared_element, alg),
-                          lambda u, v: (u * v)._nums)
+        y = self._inverse()
         if y is None:
+            if self.is_zero():
+                raise NotInvertible("zero element has no inverse")
             raise NotInvertible(f"{self} has no two-sided inverse")
         return y
+
+    def _inverse(self):
+        """`inverse`, or None where it raises; formats no message, so that
+        the pivot search of `solvers.nc_row_reduce` can try zero divisors
+        without building their coordinates."""
+        if self.is_zero():
+            return None
+        alg = self.algebra
+        den, rows = self._operator_rows(True)
+        return solve_inverse(self, rows, [den * v for v in alg.one()._nums],
+                             functools.partial(cleared_element, alg),
+                             lambda u, v: (u * v)._nums)
 
     def norm_squared(self):
         """Exact sum of squared coordinates (a scalar in the algebra's mode):

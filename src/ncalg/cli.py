@@ -356,8 +356,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _attach_values(argv) -> list:
+    """argv with each `--x V` and `--x0 V` written as `--x=V` and `--x0=V`
+    when V starts with one "-": argparse takes such a V without a space,
+    like "-j" or "-1/2i", for an option, so a printed answer could not be
+    passed back.  The value itself is unchanged."""
+    out = list(argv)
+    for k in range(len(out) - 2, -1, -1):
+        value = out[k + 1]
+        if out[k] in ("--x", "--x0") and value[:1] == "-" and value[:2] != "--":
+            out[k:k + 2] = [f"{out[k]}={value}"]
+    return out
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
+    argv = _attach_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,15 +1,17 @@
 """Dense linear algebra, and the one elimination kernel of the package.
 
-`eliminate` is the only Gauss-Jordan sweep: scalar systems (`row_reduce`,
+`eliminate` is the only elimination sweep: scalar systems (`row_reduce`,
 `rank`, `pivot_columns` and the pivot inverses) and algebra-valued systems
 (`solvers.nc_row_reduce`) differ only in the zero test, the pivot inverse,
 the pivot order and the row step they hand it.  Exact scalars run
 fraction-free on integers: rows are cleared of denominators once, every
-step keeps them integral (`fraction_free_step`), and one `Fraction` is built
-per output coordinate.  Exact mode takes the first nonzero entry scanning
-top-left to bottom-right so that outputs are reproducible; float mode takes
-the largest-magnitude pivot and treats anything at or below
-`DEFAULT_ZERO_TOL` as zero.
+step keeps them integral and clears only the rows below its pivot
+(`fraction_free_step`), one `back_substitute` then gives what Gauss-Jordan
+would give, and one `Fraction` is built per output coordinate.  Exact mode
+takes the first nonzero entry scanning top-left to bottom-right so that
+outputs are reproducible; float mode runs Gauss-Jordan
+(`divide_and_subtract`), takes the largest-magnitude pivot and treats
+anything at or below `DEFAULT_ZERO_TOL` as zero.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ class SolutionSet:
 
 
 def eliminate(rows, rhs, is_zero, divider, step, magnitude=None) -> list:
-    """Gauss-Jordan elimination in place; the one sweep behind every solve.
+    """Elimination in place; the one sweep behind every solve.
 
     Entries of `rows` (and of `rhs`, which may be None) are scalars or
     algebra elements; coefficients act from the left.  The sweep owns the
@@ -151,13 +153,16 @@ def eliminate(rows, rhs, is_zero, divider, step, magnitude=None) -> list:
     through the zero test `is_zero`, the pivot inverse `divider(pivot)`,
     which returns the map v -> pivot^-1 v or raises NotInvertible for a
     nonzero non-unit, the pivot order, and the row `step(rows, rhs, r, c,
-    divide)` that clears column c with the pivot in row r
-    (`divide_and_subtract` over a field or an algebra, `fraction_free_step`
-    over the integers).  The pivot is the first usable entry down the column
-    when `magnitude` is None (exact mode, reproducible), else the usable
-    entry of largest `magnitude`.  A column whose nonzero entries are all
-    non-invertible raises PivotNotInvertible.  Returns the pivots as
-    (row, column) pairs in echelon order.
+    divide)` that clears column c with the pivot in row r: in every other
+    row (Gauss-Jordan, `divide_and_subtract` over floats or a float
+    algebra), or only in the rows below, for a back-substitution after the
+    sweep (`fraction_free_step` over the integers, `solvers._clear_below`
+    over an exact algebra).  The pivot search reads only rows r and below,
+    which both orders leave alike.  The pivot is the first usable entry
+    down the column when `magnitude` is None (exact mode, reproducible),
+    else the usable entry of largest `magnitude`.  A column whose nonzero
+    entries are all non-invertible raises PivotNotInvertible.  Returns the
+    pivots as (row, column) pairs in echelon order.
     """
     m = len(rows)
     pivots = []
@@ -224,31 +229,64 @@ def divide_and_subtract(zero, is_zero, update=None):
 
 def fraction_free_step():
     """The row step of exact elimination on integer rows: one-step
-    fraction-free Gauss-Jordan (Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 1968).
+    fraction-free forward elimination (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 1968).
 
     With pivot p in row r, column c, and q the previous pivot (1 at first),
-    every other row becomes (p*row - f*pivot row) / q, f being its entry in
-    column c, rows with f = 0 included.  Every entry is then, up to sign, a
-    minor of the input, so each division is exact.  The pivot row is kept,
-    and at the end every pivot entry equals the last pivot.  Holds q, so a step serves one
-    elimination.
+    every row t > r becomes (p*row - f*pivot row) / q from column c on, f
+    being its entry in column c, rows with f = 0 included; entries left of
+    c are already 0.  Every entry is then, up to sign, a minor of the
+    input, so each division is exact.  Rows at or above r are kept: these
+    pivot rows are what `back_substitute` reads.  Holds q, so a step serves
+    one elimination.
     """
     previous = 1
 
     def step(rows, rhs, r, c, _divide):
         nonlocal previous
         q, prow = previous, rows[r]
-        p = prow[c]
-        for t, row in enumerate(rows):
+        p, tail = prow[c], prow[c:]
+        for t in range(r + 1, len(rows)):
+            row = rows[t]
             f = row[c]
-            if t == r or (f == 0 and p == q):
+            if f == 0 and p == q:
                 continue
-            rows[t] = [(p * a - f * g) // q for a, g in zip(row, prow)]
+            row[c:] = [(p * a - f * g) // q for a, g in zip(row[c:], tail)]
             if rhs is not None:
                 rhs[t] = (p * rhs[t] - f * rhs[r]) // q
         previous = p
     return step
+
+
+def back_substitute(rows, rhs, pivots) -> int:
+    """The last pivot d, after turning the pivot rows U_k of
+    `fraction_free_step` in place into R_k = d * (reduced row echelon
+    form), what fraction-free Gauss-Jordan would have left.  From the last
+    row up, R_k = (d*U_k - sum_{j>k} U_k[c_j] * R_j) / p_k with p_k =
+    U_k[c_k], on the free columns right of c_k and on the right-hand side;
+    each division is exact, since R_k is integral.  Pivot columns become d
+    and 0."""
+    cols = [c for _, c in pivots]
+    d = rows[len(cols) - 1][cols[-1]]
+    pivot_cols = set(cols)
+    free = [u for u in range(len(rows[0])) if u not in pivot_cols]
+    for k in range(len(cols) - 2, -1, -1):
+        row, c = rows[k], cols[k]
+        tail = [u for u in free if u > c]
+        values, b = [d * row[u] for u in tail], d * rhs[k]
+        for j in range(k + 1, len(cols)):
+            f = row[cols[j]]
+            if f:
+                row[cols[j]] = 0
+                b -= f * rhs[j]
+                if tail:
+                    later = rows[j]
+                    values = [v - f * later[u] for v, u in zip(values, tail)]
+        p, row[c] = row[c], d
+        rhs[k] = b // p
+        for u, v in zip(tail, values):
+            row[u] = v // p
+    return d
 
 
 def solution_set(rows, rhs, pivots, zero, one, is_zero) -> SolutionSet:
@@ -310,16 +348,16 @@ def cleared(values):
 
 def solve_integer(rows, rhs) -> tuple:
     """(d, S): the solution set S of the integer system rows x = rhs by
-    fraction-free elimination in place, its values integers over one d > 0,
-    the last pivot up to sign (every pivot entry ends equal to it).  The one
-    reader of that elimination: `row_reduce` builds `Fraction`s S/d, and
-    `algebra.solve_inverse` keeps the integers over d."""
+    fraction-free forward elimination and one `back_substitute`, in place,
+    its values integers over one d > 0, the last pivot up to sign (every
+    pivot entry ends equal to it).  The one reader of that elimination:
+    `row_reduce` builds `Fraction`s S/d, and `algebra.solve_inverse` keeps
+    the integers over d."""
     pivots = eliminate(rows, rhs, **_integer_ring())
-    found = len(pivots)
-    d = rows[found - 1][pivots[-1][1]] if pivots else 1
+    d = back_substitute(rows, rhs, pivots) if pivots else 1
     if d < 0:  # the pivot rows and right-hand sides over -d solve alike
         d, rhs = -d, [-b for b in rhs]
-        rows[:found] = [[-v for v in row] for row in rows[:found]]
+        rows[:len(pivots)] = [[-v for v in row] for row in rows[:len(pivots)]]
     return d, solution_set(rows, rhs, pivots, 0, d, _is_zero_exact)
 
 

@@ -173,17 +173,18 @@ def _absorb_scalar_head(algebra: Algebra, mono):
 
 
 def _merge_and_sort(algebra: Algebra, monomials):
-    merged = []
+    # like monomials, keyed by their tail, add up in order of appearance
+    # and stay where the first of them was
+    merged = {}
     for mono in monomials:
         tail = tuple(mono[1:])
-        for other in merged:
-            if tuple(other[1:]) == tail:
-                other[0] = other[0] + mono[0]
-                break
+        first = merged.get(tail)
+        if first is None:
+            merged[tail] = list(mono)
         else:
-            merged.append(list(mono))
+            first[0] = first[0] + mono[0]
     merged = [
-        _absorb_scalar_head(algebra, m) for m in merged if not m[0].is_zero()
+        _absorb_scalar_head(algebra, m) for m in merged.values() if not m[0].is_zero()
     ]
 
     # exact coordinates sort as they are: float() of a rational coefficient

@@ -31,6 +31,7 @@ O(log N) products by square-and-multiply.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,6 +345,22 @@ def _walk(node, algebra: Algebra, unknowns, max_degree: int):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _fold(node, algebra: Algebra, unknowns, max_degree: int):
+    """`_walk` for its callers, with every folded constant and coefficient
+    required finite: in float mode a literal beyond the float range, or a
+    product that overflows, folds to inf or nan, which no solver can use."""
+    const, monos = _walk(node, algebra, unknowns, max_degree)
+    if algebra.scalar_mode != RATIONAL:
+        named = [(const, "the constant term")]
+        named += [(c, f"a coefficient of {names[0]}") for coeffs, names in monos
+                  for c in coeffs]
+        for value, what in named:
+            if not all(math.isfinite(v) for v in value.coords):
+                raise ValueError(f"{what} folds to {format_element(value)}, "
+                                 "which is not finite")
+    return const, monos
+
+
 def _times(lhs, rhs, node, max_degree: int):
     """(c1 + m1)(c2 + m2) = c1*c2 + c1*m2 + m1*c2 + m1*m2 as one walk result;
     the constants at each junction merge into one coefficient."""
@@ -376,7 +393,7 @@ def normalize_linear(algebra: Algebra, equations, unknowns) -> SylvesterSystem:
     column = {name: j for j, name in enumerate(unknowns)}
     rows = []
     for lhs, rhs in equations:
-        const, monos = _walk(Sum((lhs, Neg(rhs))), algebra, column, 1)
+        const, monos = _fold(Sum((lhs, Neg(rhs))), algebra, column, 1)
         rows.append(([(a, b, column[name]) for (a, b), (name,) in monos], -const))
     return SylvesterSystem.from_terms(algebra, rows, len(column))
 
@@ -391,8 +408,8 @@ def normalize_poly(algebra: Algebra, equation, unknown: str):
     sum of constants stays one coefficient: (i+j)*x*(1+k) is one monomial.
     """
     lhs, rhs = equation
-    lhs_const, lhs_monos = _walk(lhs, algebra, (unknown,), MAX_DEGREE)
-    rhs_const, rhs_monos = _walk(rhs, algebra, (unknown,), MAX_DEGREE)
+    lhs_const, lhs_monos = _fold(lhs, algebra, (unknown,), MAX_DEGREE)
+    rhs_const, rhs_monos = _fold(rhs, algebra, (unknown,), MAX_DEGREE)
     monomials = [(lhs_const,)] + [c for c, _names in lhs_monos]
     monomials += [(-c[0],) + c[1:] for c, _names in rhs_monos]
     return GeneralizedPolynomial(algebra, monomials), rhs_const
@@ -409,4 +426,4 @@ def format_element(x: Element) -> str:
 def evaluate_constant(node, algebra: Algebra) -> Element:
     """Evaluate an unknown-free expression to an element: the constant of
     the one walk, so base^N takes O(log N) products."""
-    return _walk(node, algebra, (), 0)[0]
+    return _fold(node, algebra, (), 0)[0]

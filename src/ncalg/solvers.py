@@ -7,12 +7,14 @@ Two independent routes are implemented and cross-checked:
 
 * solve_richardson right-multiplies every equation by every basis unit,
   obtaining an enlarged algebra-valued linear system in the unknowns
-  x^j e_p, and runs Gauss-Jordan elimination with left division by pivots.
-  The sweep is `linalg.eliminate`, the same one that solve_field runs over
-  the scalars; only the entries and the pivot inverse differ.  Exact
-  entries are `Element`s stored as cleared integer pairs, so the enlarged
-  entries, the pivot inverses and the row updates stay on integers, and
-  `Fraction`s are built only where the solution's coordinates are read.
+  x^j e_p, and eliminates with left division by pivots.  The sweep is
+  `linalg.eliminate`, the same one that solve_field runs over the scalars;
+  only the entries, the pivot inverse and the row step differ.  In exact
+  mode both clear only below each pivot and back-substitute once; float
+  mode runs Gauss-Jordan.  Exact entries are `Element`s stored as cleared
+  integer pairs, so the enlarged entries, the pivot inverses and the row
+  updates stay on integers, and `Fraction`s are built only where the
+  solution's coordinates are read.
   A solution of the enlarged system need NOT solve the original equation
   when the operator is singular (outside central simple algebras, not
   always even when it is invertible), so every candidate is verified by
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 
 from .algebra import (Algebra, Element, RATIONAL, cleared_element, element_from_json,
                       element_to_json, json_field, operator_rows)
-from .errors import AlgebraMismatch, PivotNotInvertible, QuasideterminantUndefined
+from .errors import (AlgebraMismatch, NotInvertible, PivotNotInvertible,
+                     QuasideterminantUndefined)
 from .linalg import (
     DEFAULT_ZERO_TOL,
     FieldMatrix,
@@ -265,18 +268,22 @@ def build_richardson(system: SylvesterSystem) -> RichardsonSystem:
 
 
 def nc_row_reduce(amat, brhs) -> SolutionSet:
-    """Gauss-Jordan elimination over the algebra, dividing rows on the left
-    by their pivots.  In the solution set the free constants range over the
-    whole algebra and multiply their directions from the right.
+    """Elimination over the algebra, dividing rows on the left by their
+    pivots.  In the solution set the free constants range over the whole
+    algebra and multiply their directions from the right.
 
     This is `linalg.eliminate` with left division by the pivot's inverse,
-    `Element.inverse`, and the row update a - f*g fused in both modes
-    (`Element.minus_product`, the float one the IEEE result of the
-    unfused update).  Every entry is a stored pair, so an exact sweep builds
-    no `Fraction`.  In exact mode the pivot is the first invertible entry
-    scanning down the column; in float mode it is the invertible entry of
-    largest norm.  A column whose nonzero entries are all non-invertible
-    raises PivotNotInvertible (only possible outside division algebras).
+    and the row update a - f*g fused in both modes (`Element.minus_product`,
+    the float one the IEEE result of the unfused update).  In exact mode the
+    pivot is the first invertible entry scanning down the column, and the
+    sweep clears only the rows below it (`_clear_below`); one
+    `_back_substitute` then gives the reduced form that Gauss-Jordan gives,
+    which is unique once the pivot positions are.  Every entry is a stored
+    pair, so an exact sweep builds no `Fraction`.  Float mode runs
+    Gauss-Jordan (`linalg.divide_and_subtract`), with the invertible entry
+    of largest norm as pivot.  A column whose nonzero entries are all
+    non-invertible raises PivotNotInvertible (only possible outside division
+    algebras).
     """
     if not amat:
         raise ValueError("empty system")
@@ -284,16 +291,69 @@ def nc_row_reduce(amat, brhs) -> SolutionSet:
     zero, one = alg.zero(), alg.one()
     rows, rhs = [list(r) for r in amat], list(brhs)
     if alg.scalar_mode == RATIONAL:
-        is_zero, magnitude = Element.is_zero, None
+        is_zero = Element.is_zero
+        pivots = eliminate(rows, rhs, is_zero, _left_divider, _clear_below)
+        _back_substitute(rows, rhs, pivots, zero)
     else:
         def is_zero(e):
             return e.is_zero(DEFAULT_ZERO_TOL)
 
-        magnitude = Element.norm
-    pivots = eliminate(rows, rhs, is_zero, lambda pivot: pivot.inverse().__mul__,
-                       divide_and_subtract(zero, is_zero, Element.minus_product),
-                       magnitude)
+        pivots = eliminate(rows, rhs, is_zero, _left_divider,
+                           divide_and_subtract(zero, is_zero, Element.minus_product),
+                           Element.norm)
     return solution_set(rows, rhs, pivots, zero, one, is_zero)
+
+
+def _left_divider(pivot):
+    """v -> pivot^-1 v.  A non-unit raises a NotInvertible with no message,
+    which `eliminate` discards, so no zero divisor is formatted."""
+    inverse = pivot._inverse()
+    if inverse is None:
+        raise NotInvertible
+    return inverse.__mul__
+
+
+def _clear_below(rows, rhs, r, c, divide):
+    """The exact row step: left-divide the pivot row's nonzero entries,
+    all in column c or right of it, then subtract f times the pivot row from
+    each row below whose entry f in column c is nonzero."""
+    prow = rows[r]
+    support = [u for u in range(c, len(prow)) if not prow[u].is_zero()]
+    for u in support:
+        prow[u] = divide(prow[u])
+    b = rhs[r] = divide(rhs[r])
+    for t in range(r + 1, len(rows)):
+        row = rows[t]
+        f = row[c]
+        if f.is_zero():
+            continue
+        for u in support:
+            row[u] = row[u].minus_product(f, prow[u])
+        rhs[t] = rhs[t].minus_product(f, b)
+
+
+def _back_substitute(rows, rhs, pivots, zero):
+    """Turn the pivot rows U_k left by `_clear_below` in place into the
+    reduced rows, from the last up: R_k = U_k - sum_{j>k} U_k[c_j] R_j on
+    the free columns where R_j is nonzero (it is zero left of c_j) and on
+    the right-hand side, with every U_k[c_j] then 0.
+    `linalg.back_substitute` is the same over the integers, on rows that
+    are not divided by their pivots."""
+    cols = [c for _, c in pivots]
+    free = [u for u in range(len(rows[0])) if u not in cols]
+    support = [None] * len(cols)
+    for k in range(len(cols) - 1, -1, -1):
+        row = rows[k]
+        for j in range(k + 1, len(cols)):
+            f = row[cols[j]]
+            if f.is_zero():
+                continue
+            later = rows[j]
+            for u in support[j]:
+                row[u] = row[u].minus_product(f, later[u])
+            rhs[k] = rhs[k].minus_product(f, rhs[j])
+            row[cols[j]] = zero
+        support[k] = [u for u in free if not row[u].is_zero()]
 
 
 # ---------------------------------------------------------------------------

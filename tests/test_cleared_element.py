@@ -7,7 +7,8 @@ on every table of `test_exact_kernel` and on H/357, whose constants such as
 the reduced one, a denominator d > 0 with gcd(d, *numerators) = 1, so that
 equal values have equal pairs and equal hashes however they were computed.
 The enlarged (Richardson) elimination must build no `Fraction` before its
-solution set is read, and the field route none beyond its solution's values.
+solution set is read, not even for a zero-divisor pivot candidate, and the
+field route none beyond its solution's values.
 """
 
 import math
@@ -140,6 +141,30 @@ def test_enlarged_elimination_builds_no_fraction(name, fraction_count, rng):
     # the counter does see the coordinates being read
     assert sol.kind != nc.INCONSISTENT and sol.particular[0].coords
     assert fraction_count
+
+
+@pytest.mark.parametrize("name, terms, rhs", [
+    ("M2", [([2, -2, 0, -2], [-2, -2, 2, -2]), ([1, -1, 1, -2], [2, -1, 1, 1])],
+     [2, -1, 0, -1]),
+    ("Cl11", [([2, -2, -2, 2], [-1, 0, -1, -1]), ([0, -1, 2, -1], [0, 0, 2, 0])],
+     [1, -1, 2, 0]),
+])
+def test_zero_divisor_pivot_candidates_build_no_fraction(name, terms, rhs,
+                                                         fraction_count):
+    # the first pivot search meets a zero divisor, whose failed inverse
+    # used to format its coordinates for a message nobody read
+    alg = BUILT[name][0]
+    system = nc.SylvesterSystem.from_terms(
+        alg, [([(alg.element(a), alg.element(b), 0) for a, b in terms],
+               alg.element(rhs))], 1)
+    first = build_richardson(system).amat[0][0]
+    assert not first.is_zero()
+    with pytest.raises(nc.NotInvertible):
+        first.inverse()
+    del fraction_count[:]
+    sol = nc.solve_richardson(system)
+    assert sol.kind == nc.UNIQUE and fraction_count == []
+    assert len(sol.x[0].coords) == len(fraction_count) == alg.dim
 
 
 @pytest.mark.parametrize("name", ["H", "M2", "Cl30", "H/357"])

@@ -289,6 +289,12 @@ class TestNewton:
                       "--x0", "5", "x^2 = 1") == (
             2, "", "error: max_iter must be a positive integer, not 0\n")
 
+    def test_start_with_leading_minus(self, capsys):
+        # as --x0=-i; argparse used to read "-i" as an option and exit 2
+        for argv in (["--x0", "-i"], ["--x0=-i"]):
+            assert invoke(capsys, "newton", *argv, "x^2 = -1") == (
+                0, "k=0  x = -i  |f(x)-a| = 0\nstatus: converged\nx = -i\n", "")
+
     def test_singular_derivative_exit_1(self, capsys):
         code, out, _ = invoke(capsys, "newton", "--x0", "0",
                               "(i+j)*x*k + k*x*(j+1) = 1+k")
@@ -409,10 +415,43 @@ class TestCheck:
         code, _, err = invoke(capsys, "check", EXAMPLE_UNIQUE)
         assert code == 2
 
+    @pytest.mark.parametrize("value, equation", [
+        ("-j", "x*i = k"), ("-1/2i", "2*x = -i"), ("- j", "x*i = k")])
+    def test_value_with_leading_minus(self, capsys, value, equation):
+        # a printed answer such as -j goes back as --x -j, as it does as
+        # --x=-j; argparse used to read it as an option and exit 2
+        for argv in (["--x", value], [f"--x={value}"]):
+            code, out, err = invoke(capsys, "check", *argv, equation)
+            assert (code, err) == (0, ""), argv
+            assert out.splitlines()[-1] == "ok"
+        assert invoke(capsys, "check", "--x", "-k", "x*i = k")[0] == 1
+
 
 class TestUsage:
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["solve", "--nope", "x = 1"]) == 2
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("argv, message", [
+        # these printed "residual_norm": NaN, and x = 0, with exit 0
+        (["solve", "x = 1e+300*1e+300"],
+         "the constant term folds to -inf, which is not finite"),
+        (["solve", "1e+300*1e+300*x = 1"],
+         "a coefficient of x folds to inf, which is not finite"),
+        (["solve", "x = (1e+300*1e+300 - 1e+300*1e+300)*i"],
+         "the constant term folds to nani, which is not finite"),
+        (["check", "--x", "-2e+200*1e+200", "x = 1"],
+         "the constant term folds to -inf, which is not finite"),
+        (["newton", "--x0", "1e+400*j", "x^2 = -1"],
+         "the constant term folds to nan + nani + infj + nank, which is not finite"),
+        (["newton", "--x0", "1", "x^2 = 1e+300*1e+300"],
+         "the constant term folds to inf, which is not finite"),
+        (["invert-tensor", "x*1e+300*1e+300"],
+         "a coefficient of x folds to inf, which is not finite"),
+    ])
+    def test_non_finite_float_constant_exit_2(self, capsys, argv, message, output):
+        code, out, err = invoke(capsys, *argv, "--scalar", "float", "--output", output)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_command_exit_2(self, capsys):
         assert run([]) == 2

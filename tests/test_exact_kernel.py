@@ -99,9 +99,10 @@ def reference_float_product(C, a, b):
 def reference_nc_row_reduce(amat, brhs, tol=1e-12):
     """Gauss-Jordan over the algebra written out with `a - f*g` updates.
 
-    Pivot rules as in `linalg.eliminate`: first invertible entry in exact
-    mode, largest norm in float mode; the systems used here are over H, so
-    every nonzero entry is invertible.
+    Pivot rules as in `linalg.eliminate`: the first invertible entry down
+    the column in exact mode, in order of decreasing norm in float mode; a
+    column whose nonzero entries are all zero divisors raises
+    PivotNotInvertible with the message `eliminate` gives.
     """
     rows, rhs = [list(r) for r in amat], list(brhs)
     exact = rhs[0].algebra.scalar_mode == nc.RATIONAL
@@ -114,10 +115,17 @@ def reference_nc_row_reduce(amat, brhs, tol=1e-12):
         if not exact:
             order.sort(key=lambda s: -rows[s][c].norm())
         live = [s for s in order if not rows[s][c].is_zero(0.0 if exact else tol)]
-        if not live:
+        for s in live:
+            try:
+                inverse = rows[s][c].inverse()
+                break
+            except nc.NotInvertible:
+                pass
+        else:
+            if live:
+                raise nc.PivotNotInvertible(
+                    f"column {c}: nonzero entries exist but none is invertible")
             continue
-        s = live[0]
-        inverse = rows[s][c].inverse()
         rows[r], rows[s], rhs[r], rhs[s] = rows[s], rows[r], rhs[s], rhs[r]
         rows[r] = [inverse * v for v in rows[r]]
         rhs[r] = inverse * rhs[r]
@@ -310,6 +318,86 @@ class TestFusedUpdate:
             expected = nc.linalg.solution_set(rows, rhs, pivots, H.zero(), H.one(),
                                               lambda e: e.is_zero())
             assert nc_row_reduce(amat, brhs) == expected
+
+
+BUILT_EXACT = {name: BUILDERS[name](nc.RATIONAL) for name in ("M2", "Cl11", "H~P")}
+
+
+@st.composite
+def nc_systems(draw):
+    """(amat, brhs) up to 5x5 over M2, Cl(1,1) or H~P, coordinates in
+    -2..2 so that zero divisors are common outside H~P: rectangular, with
+    some rows sums of left multiples of others (singular), some columns
+    zero, and some columns' entries all zero divisors (blocked)."""
+    name = draw(st.sampled_from(list(BUILT_EXACT)))
+    alg = BUILT_EXACT[name]
+    coords = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2]),
+                      min_size=alg.dim, max_size=alg.dim)
+
+    def element():
+        return alg.element(draw(coords))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    amat = [[element() for _ in range(n)] for _ in range(m)]
+    brhs = [element() for _ in range(m)]
+    for t in draw(st.sets(st.integers(0, m - 1), max_size=m // 2)):
+        s, a, b = draw(st.integers(0, m - 1)), element(), element()
+        amat[t] = [a * x + b * y for x, y in zip(amat[s], amat[t - 1])]
+        if draw(st.booleans()):  # consistent, or as the draw falls
+            brhs[t] = a * brhs[s] + b * brhs[t - 1]
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=n // 2)):
+        for row in amat:
+            row[c] = alg.zero()
+    if name != "H~P" and draw(st.booleans()):
+        # 1 + h in M2 and 1 + e1 in Cl(1,1) are zero divisors, and so are
+        # their left multiples
+        c = draw(st.integers(0, n - 1))
+        for row in amat:
+            row[c] = alg.element([1, 1, 0, 0]) * element()
+    return amat, brhs
+
+
+class TestForwardSweep:
+    @given(nc_systems())
+    def test_equals_gauss_jordan(self, system):
+        # clearing below the pivots and back-substituting once gives the
+        # reduced form, hence the solution set, that Gauss-Jordan gives, and
+        # the same blocked column
+        amat, brhs = system
+        alg = brhs[0].algebra
+        try:
+            rows, rhs, pivots = reference_nc_row_reduce(amat, brhs)
+        except nc.PivotNotInvertible as blocked:
+            with pytest.raises(nc.PivotNotInvertible) as err:
+                nc_row_reduce(amat, brhs)
+            assert str(err.value) == str(blocked)
+            return
+        expected = nc.linalg.solution_set(rows, rhs, pivots, alg.zero(), alg.one(),
+                                          lambda e: e.is_zero())
+        got = nc_row_reduce(amat, brhs)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+    def test_minus_product_count(self, monkeypatch):
+        # a dense full-rank 8x8 system over H: Gauss-Jordan made 7 updates
+        # of each pivot row's tail and right-hand side per pivot, 308
+        # `minus_product` calls; clearing below the pivot makes 196, and the
+        # back-substitution 28 more, on the right-hand side only
+        H, rng = nc.quaternion_algebra(), random.Random(8)
+        amat = [[H.element([rng.randint(1, 3) for _ in range(4)]) for _ in range(8)]
+                for _ in range(8)]
+        brhs = [H.element([rng.randint(1, 3) for _ in range(4)]) for _ in range(8)]
+        calls, update = [], nc.Element.minus_product
+
+        def counted(a, f, g):
+            calls.append(1)
+            return update(a, f, g)
+        rows, rhs, pivots = reference_nc_row_reduce(amat, brhs)
+        monkeypatch.setattr(nc.Element, "minus_product", counted)
+        sol = nc_row_reduce(amat, brhs)
+        assert sol == nc.linalg.solution_set(rows, rhs, pivots, H.zero(), H.one(),
+                                             lambda e: e.is_zero())
+        assert sol.kind == nc.UNIQUE
+        assert len(calls) == 224
 
 
 class TestExactInverse:

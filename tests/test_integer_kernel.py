@@ -2,9 +2,10 @@
 
 Exact `row_reduce`, `rank` and `pivot_columns` are checked against sympy's
 `Matrix.rref`, and on the same inputs every step of the fraction-free
-sweep is checked to divide exactly, keep integers and leave every pivot
-entry equal to the last, and `solve_integer` to give the same solution set
-as integers over one positive denominator.  Exact `Element.inverse`, and the pivot division
+forward sweep is checked to leave the rows at and above its pivot alone and
+to divide exactly below it, the back-substitution to give d times the
+reduced rows, and `solve_integer` to give the same solution set as integers
+over one positive denominator.  Exact `Element.inverse`, and the pivot division
 of the algebra-valued elimination (`nc_row_reduce` on one entry), are
 checked against a written-out `Fraction` sweep over the structure
 constants, zero divisors included, and `TensorOp.apply` against the
@@ -107,36 +108,55 @@ def sympy_solution(rows, rhs):
 
 
 FRACTION_FREE_STEP = linalg.fraction_free_step
+BACK_SUBSTITUTE = linalg.back_substitute
 
 
 def checked_fraction_free_step():
-    """`fraction_free_step` wrapped so that every step asserts its divisions
-    exact: q * new entry == p * old entry - f * pivot-row entry, for every
-    row but the pivot row, which must stay as it was.  Every entry must stay
-    an int, and every pivot entry so far must equal the newest pivot."""
-    step, previous, pivot_cols = FRACTION_FREE_STEP(), [1], []
+    """`fraction_free_step` wrapped so that every step asserts the forward
+    invariant: the rows at or above the pivot row stay as they were, and
+    below it every division is exact, q * new entry == p * old entry - f *
+    pivot-row entry.  Every entry must stay an int."""
+    step, previous = FRACTION_FREE_STEP(), [1]
 
     def checked(rows, rhs, r, c, divide):
         before = [list(row) for row in rows]
         before_rhs = None if rhs is None else list(rhs)
         p, q = rows[r][c], previous[0]
         step(rows, rhs, r, c, divide)
-        assert rows[r] == before[r]
-        for t, (new, old) in enumerate(zip(rows, before)):
-            if t == r:
-                continue
-            f = old[c]
+        assert rows[:r + 1] == before[:r + 1]
+        assert rhs is None or rhs[:r + 1] == before_rhs[:r + 1]
+        for t in range(r + 1, len(rows)):
+            new, old, f = rows[t], before[t], before[t][c]
             assert all(q * v == p * a - f * g for v, a, g in zip(new, old, before[r]))
             if rhs is not None:
                 assert q * rhs[t] == p * before_rhs[t] - f * before_rhs[r]
         assert all(type(v) is int for row in rows for v in row)
         assert rhs is None or all(type(v) is int for v in rhs)
-        # eliminate puts the k-th pivot in row k
-        pivot_cols.append(c)
-        assert len(pivot_cols) == r + 1
-        assert all(rows[s][cs] == p for s, cs in enumerate(pivot_cols))
         previous[0] = p
     return checked
+
+
+def checked_back_substitute(rows, rhs, pivots):
+    """`back_substitute` checked row by row: with d the last pivot and p_k
+    row k's own pivot, p_k * R_k == d * U_k - sum_{j>k} U_k[c_j] * R_j on
+    every column and the right-hand side, and R_k holds d at c_k and 0 at
+    every other pivot column."""
+    upper = [list(row) for row in rows[:len(pivots)]]
+    upper_rhs = list(rhs[:len(pivots)])
+    d = BACK_SUBSTITUTE(rows, rhs, pivots)
+    cols = [c for _, c in pivots]
+    assert d == upper[-1][cols[-1]]
+    for k, c in enumerate(cols):
+        later = range(k + 1, len(cols))
+        p = upper[k][c]
+        for u in range(len(rows[0])):
+            assert p * rows[k][u] == d * upper[k][u] - sum(
+                upper[k][cols[j]] * rows[j][u] for j in later)
+        assert p * rhs[k] == d * upper_rhs[k] - sum(
+            upper[k][cols[j]] * rhs[j] for j in later)
+        assert [rows[k][cj] for cj in cols] == [d if cj == c else 0 for cj in cols]
+        assert all(type(v) is int for v in rows[k] + [rhs[k]])
+    return d
 
 
 class TestAgainstSympy:
@@ -146,10 +166,12 @@ class TestAgainstSympy:
     @example(([[Fraction(1), Fraction(2), Fraction(1)], [Fraction(1), Fraction(1), 0]],
               [Fraction(5), Fraction(-2)]))
     def test_row_reduce(self, system):
-        # every step of the sweep is checked on the way
+        # every step of the sweep, and the back-substitution, is checked on
+        # the way
         rows, rhs = system
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linalg, "fraction_free_step", checked_fraction_free_step)
+            patch.setattr(linalg, "back_substitute", checked_back_substitute)
             sol = linalg.row_reduce(linalg.FieldMatrix(rows), rhs)
         assert (sol.kind, sol.particular, sol.nullspace_basis) == \
             sympy_solution(rows, rhs)

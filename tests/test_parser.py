@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ncalg as nc
-from ncalg.algebra import format_coords
+from ncalg.algebra import _StoredPair, format_coords
 from ncalg.newton import GeneralizedPolynomial
 from ncalg.parser import (
     BasisUnit,
@@ -420,6 +420,24 @@ class TestNormalizePoly:
                 x = rand_element(hq, rng)
                 direct = eval_with(lhs, hq, {"x": x}) - eval_with(rhs, hq, {"x": x})
                 assert poly.evaluate(x) - target == direct
+
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_merge_compares_each_monomial_once(self, mode, monkeypatch):
+        # (x + i*x + x*j + k)^4 expands to 4^4 = 256 monomials, 151 after
+        # like ones merge.  The merge used to scan the merged list for each
+        # one, 19841 element comparisons (4.4 M for ^6); keyed by the tail,
+        # it compares only on a repeated tail
+        alg = nc.quaternion_algebra(mode)
+        pair = parse_equation("(x + i*x + x*j + k)^4 = 1", alg)
+        calls, eq = [], _StoredPair.__eq__
+
+        def counted(a, b):
+            calls.append(1)
+            return eq(a, b)
+        monkeypatch.setattr(_StoredPair, "__eq__", counted)
+        poly, _ = normalize_poly(alg, pair, "x")
+        assert len(poly.monomials) == 151
+        assert len(calls) < 4 ** 4
 
     def test_degree_bound(self, hq):
         pair = parse_equation("x^9 = 0", hq)
