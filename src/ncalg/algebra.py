@@ -21,6 +21,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -59,7 +60,7 @@ class Algebra:
 
     __slots__ = ("name", "dim", "basis_names", "scalar_mode", "_mul_table",
                  "_dc", "_num_zero", "_name_to_index", "_basis_cache", "_zero",
-                 "_pair_products", "_kernel")
+                 "_pair_products", "_kernel", "_traces")
 
     def __init__(self, constants, basis_names=None, scalar_mode=RATIONAL, name=None):
         if scalar_mode not in (RATIONAL, FLOAT):
@@ -98,7 +99,7 @@ class Algebra:
                           for plane in table)
         table = self._check_unit_law(table)
         self._pair_products = self._check_associativity(table)
-        self._mul_table, self._kernel = table, None
+        self._mul_table, self._kernel, self._traces = table, None, None
         zero = self._num_zero
         self._basis_cache = tuple(cleared_element(self, 1, _unit(n, zero + 1, zero, k))
                                   for k in range(n))
@@ -142,6 +143,16 @@ class Algebra:
         if self._kernel is None:
             self._kernel = _compiled_product(self._mul_table, self.scalar_mode)
         return self._kernel
+
+    def _trace_vector(self) -> tuple:
+        """The nonzero (m, T_m), T_m = tr L(e_m) on the table's scale (the
+        entries C[m][j][j] * _dc summed over j), so that tr L(_dc * q) =
+        sum_m T_m q_m for integer q.  Built on first use and kept."""
+        if self._traces is None:
+            traces = ((m, sum(c for j, cell in enumerate(plane) for k, c in cell if k == j))
+                      for m, plane in enumerate(self._mul_table))
+            self._traces = tuple((m, t) for m, t in traces if t)
+        return self._traces
 
     def pair_products(self):
         """Sparse L(e_i) @ R(e_j), the maps x -> e_i x e_j, for every basis
@@ -351,8 +362,9 @@ def field_matrix(algebra: Algebra, den, rows) -> FieldMatrix:
 
 
 def solve_inverse(x, rows, rhs, build, product):
-    """The inverse of x (an `Element` or a `tensor.TensorOp`) as build(d, y),
-    y/d solving rows y = rhs, x's `operator_rows` against the unit; None if
+    """The inverse of x, a `tensor.TensorOp` in either mode or a float
+    `Element` (exact elements use `Element._inverse`), as build(d, y), y/d
+    solving rows y = rhs, x's operator matrix against the unit; None if
     there is none.  Rational systems are solved fraction-free by
     `solve_integer`, and need no check (see `Element.inverse`); a float y
     must make the numerators product(x, y) and product(y, x) the unit's
@@ -525,12 +537,13 @@ class Element(_StoredPair):
     def inverse(self) -> "Element":
         """Two-sided inverse; raises NotInvertible when there is none.
 
-        `operator_rows` gives L(a) = rows/den, so y solves rows y = den*e0,
-        by `solve_inverse`.  In rational mode y is read off the fraction-free
-        solve as integers over one denominator and needs no check: a*y = 1 in
-        a finite-dimensional associative unital algebra forces y*a = 1, since
-        L(a) is then onto, hence injective, and a*(y*a) = (a*y)*a = a.
-        A float y is checked on both sides within FLOAT_CHECK_TOL.
+        In rational mode y is read off the characteristic polynomial of
+        L(a) (`_inverse`), as integers over one denominator, and needs no
+        check: a*y = 1 in a finite-dimensional associative unital algebra
+        forces y*a = 1, since L(a) is then onto, hence injective, and
+        a*(y*a) = (a*y)*a = a.  In float mode `operator_rows` gives
+        L(a) = rows/den, y solves rows y = den*e0 (`solve_inverse`), and is
+        checked on both sides within FLOAT_CHECK_TOL.
         """
         y = self._inverse()
         if y is None:
@@ -542,14 +555,35 @@ class Element(_StoredPair):
     def _inverse(self):
         """`inverse`, or None where it raises; formats no message, so that
         the pivot search of `solvers.nc_row_reduce` can try zero divisors
-        without building their coordinates."""
+        without building their coordinates.
+
+        Rational mode runs no elimination.  B = _dc * (the numerators) is an
+        integer element, and L is a faithful homomorphism, so the
+        characteristic polynomial of L(B) (`_characteristic`) vanishes at B
+        in A (Cayley-Hamilton): B^-1 = -(c_(n-1) + sum_(j=1..n-1)
+        c_(n-1-j) B^j) / c_n, none when c_n = +-det L(B) is 0, and
+        self^-1 = _dc * _d * B^-1, one reduced pair (`cleared_element`).
+        """
         if self.is_zero():
             return None
         alg = self.algebra
-        den, rows = self._operator_rows(True)
-        return solve_inverse(self, rows, [den * v for v in alg.one()._nums],
-                             functools.partial(cleared_element, alg),
-                             lambda u, v: (u * v)._nums)
+        if alg.scalar_mode != RATIONAL:
+            den, rows = self._operator_rows(True)
+            return solve_inverse(self, rows, [den * v for v in alg.one()._nums],
+                                 functools.partial(cleared_element, alg),
+                                 lambda u, v: (u * v)._nums)
+        n, dc = alg.dim, alg._dc
+        c, powers = _characteristic(self)
+        if c[n] == 0:
+            return None
+        # sum_(j=1..n-1) c_(n-1-j) Q_j, coordinate by coordinate
+        coefficients = c[:n - 1][::-1]
+        total = [sum(map(operator.mul, coefficients, column)) for column in zip(*powers)]
+        # the sign of c_n moves into the numerators
+        scale = -dc * self._d if c[n] > 0 else dc * self._d
+        nums = [scale * dc * t for t in total]
+        nums[0] += scale * c[n - 1]
+        return cleared_element(alg, abs(c[n]), nums)
 
     def norm_squared(self):
         """Exact sum of squared coordinates (a scalar in the algebra's mode):
@@ -585,6 +619,29 @@ def cleared_element(algebra: Algebra, d, nums, cls=Element) -> Element:
     x = object.__new__(cls)
     x.algebra, x._d, x._nums, x._coords = algebra, d, tuple(nums), None
     return x
+
+
+def _characteristic(x: Element) -> tuple:
+    """(c, powers): for the integer element B = _dc * (x's numerators), the
+    integer coefficients c[0] = 1, c[1], ..., c[n] of the characteristic
+    polynomial sum_k c[k] t^(n-k) of L(B), and B^k = _dc * powers[k-1] for
+    k = 1..n, n - 1 products on the numerators (`Algebra._product_kernel`).
+
+    Le Verrier's traces of powers S_k = tr L(B^k) = sum_m T_m powers[k-1][m]
+    (`Algebra._trace_vector`) give the c[k] by Newton's identities
+    k c_k = -sum_(i=1..k) S_i c_(k-i), each division exact (Householder,
+    "The Theory of Matrices in Numerical Analysis", 1964, 6.7).
+    """
+    alg, p = x.algebra, x._nums
+    product, traces = alg._product_kernel(), alg._trace_vector()
+    powers = [p]
+    for _ in range(alg.dim - 1):
+        powers.append(product(powers[-1], p))
+    s = [sum(t * q[m] for m, t in traces) for q in powers]
+    c = [1]
+    for k in range(1, alg.dim + 1):
+        c.append(-sum(map(operator.mul, s, reversed(c))) // k)
+    return c, powers
 
 
 def _unit(size: int, one, zero, index: int = 0) -> list:

@@ -1,7 +1,8 @@
 """Dense linear algebra, and the one elimination kernel of the package.
 
 `eliminate` is the only elimination sweep: scalar systems (`row_reduce`,
-`rank`, `pivot_columns` and the pivot inverses) and algebra-valued systems
+`rank`, `pivot_columns`, the field route, Newton steps, tensor inverses and
+float element inverses) and algebra-valued systems
 (`solvers.nc_row_reduce`) differ only in the zero test, the pivot inverse,
 the pivot order and the row step they hand it.  Exact scalars run
 fraction-free on integers: rows are cleared of denominators once, every
@@ -351,8 +352,8 @@ def solve_integer(rows, rhs) -> tuple:
     fraction-free forward elimination and one `back_substitute`, in place,
     its values integers over one d > 0, the last pivot up to sign (every
     pivot entry ends equal to it).  The one reader of that elimination:
-    `row_reduce` builds `Fraction`s S/d, and `algebra.solve_inverse` keeps
-    the integers over d."""
+    `row_reduce` builds `Fraction`s S/d, while the field route, the exact
+    Newton step and `algebra.solve_inverse` keep the integers over d."""
     pivots = eliminate(rows, rhs, **_integer_ring())
     d = back_substitute(rows, rhs, pivots) if pivots else 1
     if d < 0:  # the pivot rows and right-hand sides over -d solve alike

@@ -21,7 +21,7 @@ from .algebra import (RATIONAL, Algebra, Element, cleared_element, element_from_
                       element_to_json, json_field, operator_rows, pair_coefficients,
                       root_of_square)
 from .errors import AlgebraMismatch
-from .linalg import UNIQUE, FieldMatrix, row_reduce
+from .linalg import UNIQUE, FieldMatrix, row_reduce, solve_integer
 from .tensor import TensorOp
 
 CONVERGED = "converged"
@@ -258,7 +258,8 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
     """Iterate Newton steps for p(x) = a starting at x0.
 
     Each step solves  D(delta) = -(p(x_k) - a)  with the n x n operator matrix
-    of the derivative D at x_k, summed on integers in rational mode, and sets
+    of the derivative D at x_k, summed and solved (`solve_integer`, no
+    `Fraction`) on integers in rational mode, and sets
     x_{k+1} = x_k + delta.  The run stops on residual norm < tol, on a
     singular operator matrix (even with a consistent system), after max_iter
     steps, or as DIVERGED once the residual exceeds _DIVERGENCE_FACTOR times
@@ -310,11 +311,14 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
         if residual._d != 1:
             rows = [[residual._d * v for v in row] for row in rows]
         rhs = [-den * v for v in residual._nums]
-        step = row_reduce(FieldMatrix(rows), rhs)
+        if exact:
+            d, step = solve_integer(rows, rhs)
+        else:
+            d, step = 1, row_reduce(FieldMatrix(rows), rhs)
         if step.kind != UNIQUE:
             trace.status = SINGULAR_DERIVATIVE
             return trace
-        x = x + cleared_element(alg, *alg._pair(step.particular))
+        x = x + cleared_element(alg, d, step.particular)
     trace.status = MAX_ITERATIONS
     return trace
 

@@ -347,18 +347,26 @@ def _walk(node, algebra: Algebra, unknowns, max_degree: int):
 
 def _fold(node, algebra: Algebra, unknowns, max_degree: int):
     """`_walk` for its callers, with every folded constant and coefficient
-    required finite: in float mode a literal beyond the float range, or a
-    product that overflows, folds to inf or nan, which no solver can use."""
+    required finite (`_require_finite`)."""
     const, monos = _walk(node, algebra, unknowns, max_degree)
-    if algebra.scalar_mode != RATIONAL:
-        named = [(const, "the constant term")]
-        named += [(c, f"a coefficient of {names[0]}") for coeffs, names in monos
-                  for c in coeffs]
-        for value, what in named:
-            if not all(math.isfinite(v) for v in value.coords):
-                raise ValueError(f"{what} folds to {format_element(value)}, "
-                                 "which is not finite")
+    _require_finite(algebra, [(const, "the constant term")], "folds to")
+    _require_finite(algebra, ((c, f"a coefficient of {names[0]}") for coeffs, names in monos
+                              for c in coeffs), "folds to")
     return const, monos
+
+
+def _require_finite(algebra: Algebra, named, verb: str):
+    """Raise a ValueError for the first (value, what) in `named`, an
+    `Element` or a `tensor.TensorOp`, that holds an inf or nan: in float mode a
+    literal beyond the float range, or a product or a sum of like terms
+    that overflows, gives one, which no solver can use.  Rational values
+    pass unread."""
+    if algebra.scalar_mode == RATIONAL:
+        return
+    for value, what in named:
+        if not all(math.isfinite(v) for v in value._nums):
+            text = format_element(value) if isinstance(value, Element) else value.to_text()
+            raise ValueError(f"{what} {verb} {text}, which is not finite")
 
 
 def _times(lhs, rhs, node, max_degree: int):
@@ -395,7 +403,11 @@ def normalize_linear(algebra: Algebra, equations, unknowns) -> SylvesterSystem:
     for lhs, rhs in equations:
         const, monos = _fold(Sum((lhs, Neg(rhs))), algebra, column, 1)
         rows.append(([(a, b, column[name]) for (a, b), (name,) in monos], -const))
-    return SylvesterSystem.from_terms(algebra, rows, len(column))
+    system = SylvesterSystem.from_terms(algebra, rows, len(column))
+    # like terms merge in the operators: 1e+308*x + 1e+308*x sums to inf
+    _require_finite(algebra, ((op, f"the terms in {name}") for row in system.ops
+                              for name, op in zip(column, row)), "sum to")
+    return system
 
 
 def normalize_poly(algebra: Algebra, equation, unknown: str):
@@ -412,7 +424,10 @@ def normalize_poly(algebra: Algebra, equation, unknown: str):
     rhs_const, rhs_monos = _fold(rhs, algebra, (unknown,), MAX_DEGREE)
     monomials = [(lhs_const,)] + [c for c, _names in lhs_monos]
     monomials += [(-c[0],) + c[1:] for c, _names in rhs_monos]
-    return GeneralizedPolynomial(algebra, monomials), rhs_const
+    poly = GeneralizedPolynomial(algebra, monomials)
+    _require_finite(algebra, ((c, f"a coefficient of {unknown}") for mono in poly.monomials
+                              for c in mono), "sums to")
+    return poly, rhs_const
 
 
 # -- rendering -----------------------------------------------------------------

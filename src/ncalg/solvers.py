@@ -14,7 +14,9 @@ Two independent routes are implemented and cross-checked:
   mode runs Gauss-Jordan.  Exact entries are `Element`s stored as cleared
   integer pairs, so the enlarged entries, the pivot inverses and the row
   updates stay on integers, and `Fraction`s are built only where the
-  solution's coordinates are read.
+  solution's coordinates are read.  An exact pivot inverse runs no inner
+  elimination: it is read off the pivot's characteristic polynomial
+  (`Element._inverse`).
   A solution of the enlarged system need NOT solve the original equation
   when the operator is singular (outside central simple algebras, not
   always even when it is invertible), so every candidate is verified by
@@ -49,6 +51,7 @@ from .linalg import (
     pivot_columns,
     row_reduce,
     solution_set,
+    solve_integer,
 )
 from .tensor import TensorOp, right_multiples
 
@@ -214,8 +217,10 @@ def solve_field(system: SylvesterSystem) -> AlgebraSolution:
 
     Stacks every block's `operator_rows`, with each equation's blocks and
     right-hand side scaled to one denominator (integers in rational mode,
-    floats over 1), into one `row_reduce`, whose solution set goes back to
-    elements through `Algebra._pair`.  Every particular solution is verified.
+    floats over 1), into one scalar system.  Rational systems are solved by
+    `solve_integer`, whose values over its one denominator go straight to
+    `cleared_element`, so no `Fraction` is built; float ones by `row_reduce`.
+    Every particular solution is verified.
     """
     alg = system.algebra
     n = alg.dim
@@ -227,13 +232,15 @@ def solve_field(system: SylvesterSystem) -> AlgebraSolution:
                 for parts in zip(*(rows for _, rows in blocks))]
         rhs += [den // b._d * v for v in b._nums]
 
-    sol = row_reduce(FieldMatrix(big), rhs)
+    if alg.scalar_mode == RATIONAL:
+        d, sol = solve_integer(big, rhs)
+    else:
+        d, sol = 1, row_reduce(FieldMatrix(big), rhs)
     if sol.kind == INCONSISTENT:
         return AlgebraSolution(INCONSISTENT, None, [], [], None)
 
     def chunks(vector):
-        d, nums = alg._pair(vector)
-        return [cleared_element(alg, d, nums[j * n:(j + 1) * n])
+        return [cleared_element(alg, d, vector[j * n:(j + 1) * n])
                 for j in range(system.m_unk)]
 
     xs = chunks(sol.particular)
@@ -272,9 +279,11 @@ def nc_row_reduce(amat, brhs) -> SolutionSet:
     pivots.  In the solution set the free constants range over the whole
     algebra and multiply their directions from the right.
 
-    This is `linalg.eliminate` with left division by the pivot's inverse,
-    and the row update a - f*g fused in both modes (`Element.minus_product`,
-    the float one the IEEE result of the unfused update).  In exact mode the
+    This is `linalg.eliminate` with left division by the pivot's inverse
+    (`Element._inverse`, in exact mode by Cayley-Hamilton from n - 1
+    products, not by a solve), and the row update a - f*g fused in both
+    modes (`Element.minus_product`, the float one the IEEE result of the
+    unfused update).  In exact mode the
     pivot is the first invertible entry scanning down the column, and the
     sweep clears only the rows below it (`_clear_below`); one
     `_back_substitute` then gives the reduced form that Gauss-Jordan gives,

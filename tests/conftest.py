@@ -1,5 +1,7 @@
 import os
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -47,3 +49,20 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(nc.Algebra, "__init__", counting)
     return builds
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """Fractions constructed through the module-level `Fraction` name of any
+    ncalg module, counted from here on."""
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ncalg") and getattr(module, "Fraction", None) is Fraction:
+            monkeypatch.setattr(module, "Fraction", Counting)
+    return built

@@ -453,6 +453,38 @@ class TestUsage:
         code, out, err = invoke(capsys, *argv, "--scalar", "float", "--output", output)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("argv, message", [
+        # finite terms that overflow only when like terms merge: these
+        # printed "unique" with x = 0, "diverged", and "tensor is singular"
+        (["solve", "1e+308*x + 1e+308*x = 1"],
+         "the terms in x sum to inf(1⊗1), which is not finite"),
+        (["newton", "--x0", "1", "1e+308*x^2 + 1e+308*x^2 = 1"],
+         "a coefficient of x sums to inf, which is not finite"),
+        (["invert-tensor", "1e+308*x + 1e+308*x"],
+         "the terms in x sum to inf(1⊗1), which is not finite"),
+        # both sides' terms merge, and a product of finite factors overflows
+        (["solve", "x1 + 1e+308*x2*i = -1e+308*x2*i"],
+         "the terms in x2 sum to inf(1⊗i), which is not finite"),
+        (["newton", "--x0", "1", "-1e+308*x*x = 1e+308*x^2"],
+         "a coefficient of x sums to -inf, which is not finite"),
+        (["invert-tensor", "1e+200*x*1e+200"],
+         "the terms in x sum to inf(1⊗1), which is not finite"),
+    ])
+    def test_float_terms_that_overflow_when_merged_exit_2(self, capsys, argv, message,
+                                                          output):
+        code, out, err = invoke(capsys, *argv, "--scalar", "float", "--output", output)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, last", [
+        (["solve", "1e+308*x - 1e+308*x + x = 1"], "x = 1.0"),
+        (["newton", "--x0", "1", "1e+308*x^2 - 1e+308*x^2 + x = 1"], "x = 1.0"),
+        (["invert-tensor", "1e+308*x - 1e+308*x + x"], "(1⊗1)"),
+    ])
+    def test_float_terms_that_cancel_when_merged_still_solve(self, capsys, argv, last):
+        code, out, err = invoke(capsys, *argv, "--scalar", "float")
+        assert (code, err, out.splitlines()[-1]) == (0, "", last)
+
     def test_missing_command_exit_2(self, capsys):
         assert run([]) == 2
 

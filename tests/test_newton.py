@@ -18,6 +18,7 @@ from ncalg.newton import (
     newton_solve,
 )
 from ncalg import newton as newton_module
+from ncalg.linalg import solve_integer
 from helpers import (algebra_from_data, clifford_algebra, coordinates_exceed_bits,
                      matrix_algebra, naive_coefficients, naive_derivative_pairs, naive_evaluate,
                      naive_newton, rand_element, scaled_quaternion_algebra)
@@ -182,11 +183,11 @@ class TestNewton:
             target, x0 = -one, alg.basis(1).scale(2)
         integer_systems = []
 
-        def spy(matrix, rhs):
-            integer_systems.append(all(type(v) is int for row in matrix.entries
-                                       for v in row + tuple(rhs)))
-            return nc.row_reduce(matrix, rhs)
-        monkeypatch.setattr(newton_module, "row_reduce", spy)
+        def spy(rows, rhs):
+            integer_systems.append(all(type(v) is int for row in rows + [rhs]
+                                       for v in row))
+            return solve_integer(rows, rhs)
+        monkeypatch.setattr(newton_module, "solve_integer", spy)
         trace = newton_solve(p, target, x0, NewtonConfig(max_iter=5))
         assert len(trace.iterates) == 6 and integer_systems == [True] * 5
         for (x, r, _), (y, _, _) in zip(trace.iterates, trace.iterates[1:]):
