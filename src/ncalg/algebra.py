@@ -30,7 +30,7 @@ from .errors import (
     NotInvertible,
     UnitLawViolation,
 )
-from .linalg import INCONSISTENT, FieldMatrix, cleared, row_reduce, solve_integer
+from .linalg import INCONSISTENT, FieldMatrix, cleared, solve_float, solve_integer
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -52,7 +52,9 @@ class Algebra:
     is 1 and the entries are the float constants.  In rational mode `_dc` is
     the common denominator of the constants and the entries are Python ints,
     so exact products run on integer numerators.  Products go through the
-    kernel that `_product_kernel` compiles from this table, in both modes.
+    kernel that `_product_kernel` compiles from this table, in both modes,
+    and the contractions `pair_coefficients` and `operator_rows` through
+    kernels compiled on their first call; none is compiled at construction.
     Validation reads this table, and keeps the sums behind `pair_products()`;
     the operator tensors' composition (`tensor._compose`) reads it too, and
     the dense `constants` are derived from it on request.
@@ -60,7 +62,8 @@ class Algebra:
 
     __slots__ = ("name", "dim", "basis_names", "scalar_mode", "_mul_table",
                  "_dc", "_num_zero", "_name_to_index", "_basis_cache", "_zero",
-                 "_pair_products", "_kernel", "_traces")
+                 "_pair_products", "_kernel", "_traces", "_pairs_kernel",
+                 "_rows_kernel")
 
     def __init__(self, constants, basis_names=None, scalar_mode=RATIONAL, name=None):
         if scalar_mode not in (RATIONAL, FLOAT):
@@ -100,6 +103,7 @@ class Algebra:
         table = self._check_unit_law(table)
         self._pair_products = self._check_associativity(table)
         self._mul_table, self._kernel, self._traces = table, None, None
+        self._pairs_kernel = self._rows_kernel = None
         zero = self._num_zero
         self._basis_cache = tuple(cleared_element(self, 1, _unit(n, zero + 1, zero, k))
                                   for k in range(n))
@@ -314,24 +318,22 @@ def _combine(coeffs, cells):
 
 def pair_coefficients(algebra: Algebra, pairs) -> tuple:
     """(d, f): the flat n*n coefficients f[i*n + j]/d of e_i (x) e_j in
-    sum_s a_s (x) b_s, zero coordinates skipped.  The pairs come as a list of
-    numerators (q, xa, xb), a_s (x) b_s = (xa (x) xb)/q, each summed scaled
-    to d, the lcm of the q: integers in rational mode, and in float mode the
-    coordinates themselves (q = d = 1)."""
-    n = algebra.dim
+    sum_s a_s (x) b_s, for a list of pairs.  Rational pairs come as
+    numerators (q, xa, xb), a_s (x) b_s = (xa (x) xb)/q, each scaled to d,
+    the lcm of the q, and summed on integers; float pairs come as their
+    coordinate lists (xa, xb), with d = 1.  The sum f_(i*n+j) += a_i*b_j runs
+    pair by pair through a straight-line kernel compiled on the algebra's
+    first call (`_compiled_pairs`), whose float results are the loop
+    `_pairs`'s, bit for bit."""
+    kernel = algebra._pairs_kernel
+    if kernel is None:
+        kernel = algebra._pairs_kernel = _compiled_pairs(algebra.dim,
+                                                         algebra.scalar_mode)
+    if algebra.scalar_mode != RATIONAL:
+        return 1, kernel(pairs)
     d = math.lcm(*[q for q, _, _ in pairs])
-    coeff = [algebra._num_zero] * (n * n)
-    for q, xa, xb in pairs:
-        if q != d:
-            xa = [d // q * v for v in xa]
-        for i, ai in enumerate(xa):
-            if ai == 0:
-                continue
-            row = i * n
-            for j, bj in enumerate(xb):
-                if bj != 0:
-                    coeff[row + j] += ai * bj
-    return d, coeff
+    return d, kernel([(xa if q == d else [d // q * v for v in xa], xb)
+                      for q, xa, xb in pairs])
 
 
 def operator_rows(algebra: Algebra, d, coeff) -> tuple:
@@ -339,20 +341,15 @@ def operator_rows(algebra: Algebra, d, coeff) -> tuple:
     for flat f = coeff/d (f_ij at i*n + j), summed over `pair_products()` in
     row-major (i, j) order: the one contraction behind every linear map.
     Exact coeff are integers and give integer rows over den = d * _dc**2,
-    the pair products' scale; float ones give float rows (d = den = 1)."""
-    n = algebra.dim
-    rows = [[algebra._num_zero] * n for _ in range(n)]
-    for v, cell in zip(coeff, itertools.chain.from_iterable(algebra.pair_products())):
-        if v == 0:
-            continue
-        for q, p, w in cell:
-            if w == 1:
-                rows[q][p] += v
-            elif w == -1:
-                rows[q][p] -= v
-            else:
-                rows[q][p] += v * w
-    return d * algebra._dc ** 2, rows
+    the pair products' scale; float ones give float rows (d = den = 1).
+    The sums run through a straight-line kernel compiled on the algebra's
+    first call (`_compiled_rows`), whose float results are the loop
+    `_rows`'s, bit for bit."""
+    kernel = algebra._rows_kernel
+    if kernel is None:
+        kernel = algebra._rows_kernel = _compiled_rows(algebra.pair_products(),
+                                                       algebra.scalar_mode)
+    return d * algebra._dc ** 2, kernel(coeff)
 
 
 def field_matrix(algebra: Algebra, den, rows) -> FieldMatrix:
@@ -366,18 +363,18 @@ def solve_inverse(x, rows, rhs, build, product):
     `Element` (exact elements use `Element._inverse`), as build(d, y), y/d
     solving rows y = rhs, x's operator matrix against the unit; None if
     there is none.  Rational systems are solved fraction-free by
-    `solve_integer`, and need no check (see `Element.inverse`); a float y
-    must make the numerators product(x, y) and product(y, x) the unit's
-    within FLOAT_CHECK_TOL."""
-    if x.algebra.scalar_mode == RATIONAL:
-        d, sol = solve_integer(rows, rhs)
-        return None if sol.kind == INCONSISTENT else build(d, sol.particular)
-    sol = row_reduce(FieldMatrix(rows), rhs)
+    `solve_integer`, and need no check (see `Element.inverse`); float ones
+    by `solve_float`, and y must make the numerators product(x, y) and
+    product(y, x) the unit's within FLOAT_CHECK_TOL."""
+    exact = x.algebra.scalar_mode == RATIONAL
+    # the solve works in place, and the float check reads the unit after it
+    d, sol = (solve_integer if exact else solve_float)(rows, list(rhs))
     if sol.kind == INCONSISTENT:
         return None
-    y = build(1, sol.particular)
-    return y if all(abs(v - w) <= FLOAT_CHECK_TOL for h in (product(x, y), product(y, x))
-                    for v, w in zip(h, rhs)) else None
+    y = build(d, sol.particular)
+    return y if exact or all(abs(v - w) <= FLOAT_CHECK_TOL
+                             for h in (product(x, y), product(y, x))
+                             for v, w in zip(h, rhs)) else None
 
 
 def make_algebra(constants, basis_names=None, scalar_mode=RATIONAL, name=None) -> Algebra:
@@ -525,7 +522,8 @@ class Element(_StoredPair):
     def _operator_rows(self, left: bool) -> tuple:
         """`operator_rows` of self (x) 1 if `left`, else of 1 (x) self."""
         n = self.algebra.dim
-        coeff = [0] * (n * n)
+        # the mode's zero: a float kernel adds int zeros more slowly
+        coeff = [self.algebra._num_zero] * (n * n)
         if left:
             coeff[::n] = self._nums
         else:
@@ -680,49 +678,26 @@ def _compiled_product(table, scalar_mode):
     """The product of coordinate vectors through a sparse table, as one
     straight-line function compiled from it, returning what `_product`
     returns on every input.  Output k sums a_i*b_j*c over the cells (i, j)
-    holding (k, c), in the loop's i-then-j order, with c = +-1 as an added
-    or subtracted a_i*b_j.
+    holding (k, c), in the loop's i-then-j order (`_scaled`).
 
-    Rational mode multiplies integer numerators, and the source is built
-    from int indices and int constants.  Float mode starts every output
-    from `0.0 +`, as the loop's accumulators do, so no -0.0 appears, and
-    its constants enter as bound names, never as text.  It multiplies the
-    zero coordinates the loop skips; a zero term leaves a sum unchanged
-    unless its other factor is infinite or NaN, where 0*inf gives NaN.  So
-    an output holding a NaN is computed again by `_product`.
+    Rational mode multiplies integer numerators.  Float mode starts every
+    output from `0.0 +`, as the loop's accumulators do (`_entries`).  It
+    multiplies the zero coordinates the loop skips; a zero term leaves a
+    sum unchanged unless its other factor is infinite or NaN, where 0*inf
+    gives NaN.  So an output holding a NaN is computed again by `_product`.
 
     The cache key holds the scalar mode: an int table equals, and hashes
     like, the float table of the same constants.
     """
     n, exact = len(table), scalar_mode == RATIONAL
-    scope = {} if exact else {"isnan": math.isnan,
-                              "loop": lambda xa, xb: _product(table, xa, xb, 0.0)}
+    scope = {} if exact else {"loop": lambda xa, xb: _product(table, xa, xb, 0.0)}
     sums = [[] for _ in range(n)]
     for i, plane in enumerate(table):
         for j, cell in enumerate(plane):
             for k, c in cell:
-                assert type(k) is int and (type(c) is int or not exact)
-                if c == 1 or c == -1:
-                    sums[k].append(f"{'-' if c < 0 else '+'} a{i}*b{j}")
-                    continue
-                if not exact:
-                    name = f"c{len(scope)}"
-                    scope[name] = c
-                    c = name
-                sums[k].append(f"+ a{i}*b{j}*{c}")
-    if exact:
-        entries = ", ".join(" ".join(terms).removeprefix("+ ") or "0"
-                            for terms in sums)
-        body = f"return [{entries}]"
-    else:
-        entries = ", ".join(" ".join(["0.0", *terms]) for terms in sums)
-        body = f"out = [{entries}]\n    return loop(xa, xb) if isnan(sum(out)) else out"
-    source = (f"def product(xa, xb):\n"
-              f"    {''.join(f'a{i}, ' for i in range(n))}= xa\n"
-              f"    {''.join(f'b{i}, ' for i in range(n))}= xb\n"
-              f"    {body}\n")
-    exec(compile(source, "<ncalg product kernel>", "exec"), scope)
-    return scope["product"]
+                sums[k].append(_scaled(f"a{i}*b{j}", c, scope))
+    return _compiled(scope, "xa, xb", [_unpack("a", n, "xa"), _unpack("b", n, "xb")],
+                     _entries(sums, exact), None if exact else "sum(out)")
 
 
 def _product(table, xa, xb, zero):
@@ -747,6 +722,127 @@ def _product(table, xa, xb, zero):
                 else:
                     out[k] += ab * c
     return out
+
+
+@functools.lru_cache
+def _compiled_pairs(n, scalar_mode):
+    """`pair_coefficients`' sum over a list of coordinate pairs (xa, xb),
+    compiled per dimension and scalar mode: one loop over the pairs whose
+    body is the n*n updates f_(i*n+j) += a_i*b_j, each f starting from the
+    mode's zero.  It adds the zero terms the loop `_pairs` skips, which
+    change no sum but 0*inf, so a float output holding a NaN is computed
+    again by `_pairs`."""
+    exact = scalar_mode == RATIONAL
+    scope = {} if exact else {"loop": lambda pairs: _pairs(n, pairs, 0.0)}
+    names = [f"f{t}" for t in range(n * n)]
+    lines = [" = ".join([*names, "0" if exact else "0.0"]),
+             "for xa, xb in pairs:",
+             f"    {_unpack('a', n, 'xa')}", f"    {_unpack('b', n, 'xb')}",
+             *(f"    f{i * n + j} += a{i}*b{j}" for i in range(n) for j in range(n))]
+    return _compiled(scope, "pairs", lines, f"[{', '.join(names)}]",
+                     None if exact else "sum(out)")
+
+
+def _pairs(n, pairs, zero):
+    """The flat n*n coefficients sum_s xa (x) xb of coordinate pairs, zero
+    coordinates skipped: the loop a float kernel falls back to
+    (`_compiled_pairs`)."""
+    coeff = [zero] * (n * n)
+    for xa, xb in pairs:
+        for i, ai in enumerate(xa):
+            if ai == 0:
+                continue
+            row = i * n
+            for j, bj in enumerate(xb):
+                if bj != 0:
+                    coeff[row + j] += ai * bj
+    return coeff
+
+
+@functools.lru_cache
+def _compiled_rows(pair_products, scalar_mode):
+    """`operator_rows`' contraction of flat coefficients f with the pair
+    products, compiled per table and scalar mode: output (q, p) sums f_t*w
+    over the cells t = i*n + j holding (q, p, w), in row-major order
+    (`_scaled`), from the mode's zero (`_entries`).  The zero f_t the loop
+    `_rows` skips add +-0 to a sum, which changes it only where w is not
+    finite (0*inf); only then does a float output holding a NaN get
+    computed again by `_rows`."""
+    n, exact = len(pair_products), scalar_mode == RATIONAL
+    scope = {} if exact else {"loop": lambda coeff: _rows(pair_products, coeff, 0.0)}
+    sums = [[[] for _ in range(n)] for _ in range(n)]
+    for t, cell in enumerate(itertools.chain.from_iterable(pair_products)):
+        for q, p, w in cell:
+            sums[q][p].append(_scaled(f"f{t}", w, scope))
+    finite = exact or all(math.isfinite(w) for plane in pair_products
+                          for cell in plane for _, _, w in cell)
+    rows = f"[{', '.join(_entries(row, exact) for row in sums)}]"
+    return _compiled(scope, "coeff", [_unpack("f", n * n, "coeff")], rows,
+                     None if finite else "sum(map(sum, out))")
+
+
+def _rows(pair_products, coeff, zero):
+    """The rows of `operator_rows` from flat coefficients, zero ones
+    skipped: the loop a float kernel falls back to (`_compiled_rows`)."""
+    n = len(pair_products)
+    rows = [[zero] * n for _ in range(n)]
+    for v, cell in zip(coeff, itertools.chain.from_iterable(pair_products)):
+        if v == 0:
+            continue
+        for q, p, w in cell:
+            if w == 1:
+                rows[q][p] += v
+            elif w == -1:
+                rows[q][p] -= v
+            else:
+                rows[q][p] += v * w
+    return rows
+
+
+def _scaled(term, c, scope) -> str:
+    """Source of `term` times the table constant c, signed for `_entries`:
+    added or subtracted for c = +-1, as the loops add or subtract it.  An
+    int c enters as its text; any other c (a float) as a name bound in
+    `scope`, never as text."""
+    if c == 1 or c == -1:
+        return f"{'-' if c < 0 else '+'} {term}"
+    if type(c) is not int:
+        name = f"c{len(scope)}"
+        scope[name] = c
+        c = name
+    return f"+ {term}*{c}"
+
+
+def _entries(sums, exact) -> str:
+    """Source of the list of the sums of signed terms in `sums`: "0" for
+    none in rational mode, and each from `0.0` in float mode, as the loops'
+    accumulators start, so that no -0.0 appears."""
+    if exact:
+        entries = (" ".join(terms).removeprefix("+ ") or "0" for terms in sums)
+    else:
+        entries = (" ".join(["0.0", *terms]) for terms in sums)
+    return f"[{', '.join(entries)}]"
+
+
+def _unpack(prefix, n, name) -> str:
+    """Source binding the n entries of `name` to prefix0, prefix1, ..."""
+    return f"{''.join(f'{prefix}{i}, ' for i in range(n))}= {name}"
+
+
+def _compiled(scope, params, lines, out, nan_test=None):
+    """The kernel `def kernel(params)` that runs the source `lines` and
+    returns the list `out`, compiled with `scope` as its globals.  With
+    `nan_test`, a source expression over `out` that is a NaN when an output
+    is, such a result is computed again by scope["loop"](params)."""
+    body = [*lines, f"out = {out}"]
+    if nan_test is None:
+        body.append("return out")
+    else:
+        scope["isnan"] = math.isnan
+        body.append(f"return loop({params}) if isnan({nan_test}) else out")
+    source = f"def kernel({params}):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, "<ncalg kernel>", "exec"), scope)
+    return scope["kernel"]
 
 
 def format_terms(terms) -> str:

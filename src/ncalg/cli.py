@@ -44,6 +44,8 @@ from .parser import (
     normalize_poly,
     parse_equation,
     parse_expression,
+    require_finite,
+    require_finite_system,
 )
 from .solvers import SylvesterSystem, residuals_vanish, solve_field, solve_richardson
 from .tensor import TensorOp
@@ -74,7 +76,7 @@ def _parse_system(args, algebra: Algebra):
             system = SylvesterSystem.from_json(algebra, json.load(handle))
         unknowns = [f"x{j + 1}" for j in range(system.m_unk)] \
             if system.m_unk > 1 else ["x"]
-        return system, unknowns
+        return require_finite_system(system, unknowns), unknowns
     pairs = [parse_equation(text, algebra) for text in args.equation]
     names = set()
     for lhs, rhs in pairs:
@@ -231,6 +233,7 @@ def _cmd_invert_tensor(args) -> int:
     if args.tensor_json:
         with open(args.tensor_json, "r", encoding="utf-8") as handle:
             op = TensorOp.from_json(algebra, json.load(handle))
+        require_finite(algebra, [(op, "the tensor's terms")], "sum to")
     else:
         pair = parse_equation(args.expression + " = 0", algebra)
         names = collect_unknowns(pair[0])

@@ -12,7 +12,11 @@ would give, and one `Fraction` is built per output coordinate.  Exact mode
 takes the first nonzero entry scanning top-left to bottom-right so that
 outputs are reproducible; float mode runs Gauss-Jordan
 (`divide_and_subtract`), takes the largest-magnitude pivot and treats
-anything at or below `DEFAULT_ZERO_TOL` as zero.
+anything at or below `DEFAULT_ZERO_TOL` as zero.  Plain rows of either mode
+have one solve each, `solve_integer` and `solve_float`, which return the
+solution set over one denominator; the field route, Newton steps and
+inverses hand them the rows they sum, and `row_reduce` the rows of a
+public `FieldMatrix`.
 """
 
 from __future__ import annotations
@@ -362,6 +366,16 @@ def solve_integer(rows, rhs) -> tuple:
     return d, solution_set(rows, rhs, pivots, 0, d, _is_zero_exact)
 
 
+def solve_float(rows, rhs) -> tuple:
+    """(1, S): the solution set S of the float system rows x = rhs by
+    Gauss-Jordan elimination, in place, its values floats over 1 as the
+    float stored pairs are: the float twin of `solve_integer`, which the
+    field route, the Newton step and `algebra.solve_inverse` call on the
+    rows they sum, and `row_reduce` on a float matrix's."""
+    pivots = eliminate(rows, rhs, **_FLOAT_RING)
+    return 1, solution_set(rows, rhs, pivots, 0.0, 1.0, _is_zero_float)
+
+
 def row_reduce(matrix: FieldMatrix, rhs) -> SolutionSet:
     """Solve M x = rhs, classifying the solution set completely.
 
@@ -370,6 +384,7 @@ def row_reduce(matrix: FieldMatrix, rhs) -> SolutionSet:
     integers by `solve_integer`: each augmented row is scaled by the lcm of
     its denominators, which changes neither the solution set nor the
     pivots, and one `Fraction` is built per value of the solution set.
+    Float systems are solved on copies of their rows by `solve_float`.
     """
     if matrix.rows != len(rhs):
         raise ValueError("rhs length must match row count")
@@ -381,9 +396,7 @@ def row_reduce(matrix: FieldMatrix, rhs) -> SolutionSet:
             sol.nullspace_basis = [[Fraction(v, d) for v in vec]
                                    for vec in sol.nullspace_basis]
         return sol
-    rows, b = [list(r) for r in matrix.entries], list(rhs)
-    pivots = eliminate(rows, b, **_FLOAT_RING)
-    return solution_set(rows, b, pivots, 0.0, 1.0, _is_zero_float)
+    return solve_float([list(r) for r in matrix.entries], list(rhs))[1]
 
 
 def pivot_columns(matrix: FieldMatrix) -> list:

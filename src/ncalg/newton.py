@@ -3,11 +3,15 @@
 Maps are generalized polynomials: sums of monomials c0 x c1 x ... x cd with
 fixed algebra coefficients between the occurrences of the unknown.  The
 derivative at a point is a tensor operator, and each Newton step is one
-n x n linear solve with its operator matrix (`algebra.operator_rows`, on
-integers in rational mode).  Value and derivative share one walk (after Baur
-and Strassen, 1983): a monomial's prefixes P_1 = c0, P_(t+1) = (P_t x) c_t
-end in its value and are its derivative's left factors; right factors are
-not shared as suffixes, which would move float rounding.
+n x n linear solve with its operator matrix: the walk's pairs are summed
+into the derivative's coefficients (`algebra.pair_coefficients`) and
+contracted into its rows (`algebra.operator_rows`), both by kernels compiled
+per table, then solved as plain rows (`linalg.solve_integer` on integers in
+rational mode, `linalg.solve_float` on floats, with no `FieldMatrix`).
+Value and derivative share one walk (after Baur and Strassen, 1983): a
+monomial's prefixes P_1 = c0, P_(t+1) = (P_t x) c_t end in its value and
+are its derivative's left factors; right factors are not shared as
+suffixes, which would move float rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .algebra import (RATIONAL, Algebra, Element, cleared_element, element_from_
                       element_to_json, json_field, operator_rows, pair_coefficients,
                       root_of_square)
 from .errors import AlgebraMismatch
-from .linalg import UNIQUE, FieldMatrix, row_reduce, solve_integer
+from .linalg import UNIQUE, solve_float, solve_integer
 from .tensor import TensorOp
 
 CONVERGED = "converged"
@@ -129,10 +133,11 @@ def _element(algebra: Algebra, value) -> Element:
 
 
 def _numerators(algebra: Algebra, pairs) -> list:
-    """The walk's pairs a (x) b as `pair_coefficients` takes them."""
+    """The walk's pairs a (x) b as `pair_coefficients` takes them: exact
+    elements as numerator triples, float coordinate lists as they are."""
     if algebra.scalar_mode == RATIONAL:
         return [(a._d * b._d, a._nums, b._nums) for a, b in pairs]
-    return [(1, a, b) for a, b in pairs]
+    return list(pairs)
 
 
 def _walk(algebra: Algebra, mul, monomials, x: Element):
@@ -258,8 +263,9 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
     """Iterate Newton steps for p(x) = a starting at x0.
 
     Each step solves  D(delta) = -(p(x_k) - a)  with the n x n operator matrix
-    of the derivative D at x_k, summed and solved (`solve_integer`, no
-    `Fraction`) on integers in rational mode, and sets
+    of the derivative D at x_k, summed and solved on integers in rational
+    mode (`solve_integer`, no `Fraction`) and on floats in float mode
+    (`solve_float`), and sets
     x_{k+1} = x_k + delta.  The run stops on residual norm < tol, on a
     singular operator matrix (even with a consistent system), after max_iter
     steps, or as DIVERGED once the residual exceeds _DIVERGENCE_FACTOR times
@@ -311,10 +317,7 @@ def newton_solve(p: GeneralizedPolynomial, a: Element, x0: Element,
         if residual._d != 1:
             rows = [[residual._d * v for v in row] for row in rows]
         rhs = [-den * v for v in residual._nums]
-        if exact:
-            d, step = solve_integer(rows, rhs)
-        else:
-            d, step = 1, row_reduce(FieldMatrix(rows), rhs)
+        d, step = (solve_integer if exact else solve_float)(rows, rhs)
         if step.kind != UNIQUE:
             trace.status = SINGULAR_DERIVATIVE
             return trace

@@ -347,15 +347,15 @@ def _walk(node, algebra: Algebra, unknowns, max_degree: int):
 
 def _fold(node, algebra: Algebra, unknowns, max_degree: int):
     """`_walk` for its callers, with every folded constant and coefficient
-    required finite (`_require_finite`)."""
+    required finite (`require_finite`)."""
     const, monos = _walk(node, algebra, unknowns, max_degree)
-    _require_finite(algebra, [(const, "the constant term")], "folds to")
-    _require_finite(algebra, ((c, f"a coefficient of {names[0]}") for coeffs, names in monos
-                              for c in coeffs), "folds to")
+    require_finite(algebra, [(const, "the constant term")], "folds to")
+    require_finite(algebra, ((c, f"a coefficient of {names[0]}") for coeffs, names in monos
+                             for c in coeffs), "folds to")
     return const, monos
 
 
-def _require_finite(algebra: Algebra, named, verb: str):
+def require_finite(algebra: Algebra, named, verb: str):
     """Raise a ValueError for the first (value, what) in `named`, an
     `Element` or a `tensor.TensorOp`, that holds an inf or nan: in float mode a
     literal beyond the float range, or a product or a sum of like terms
@@ -403,10 +403,19 @@ def normalize_linear(algebra: Algebra, equations, unknowns) -> SylvesterSystem:
     for lhs, rhs in equations:
         const, monos = _fold(Sum((lhs, Neg(rhs))), algebra, column, 1)
         rows.append(([(a, b, column[name]) for (a, b), (name,) in monos], -const))
-    system = SylvesterSystem.from_terms(algebra, rows, len(column))
-    # like terms merge in the operators: 1e+308*x + 1e+308*x sums to inf
-    _require_finite(algebra, ((op, f"the terms in {name}") for row in system.ops
-                              for name, op in zip(column, row)), "sum to")
+    return require_finite_system(SylvesterSystem.from_terms(algebra, rows, len(column)),
+                                 list(column))
+
+
+def require_finite_system(system: SylvesterSystem, unknowns) -> SylvesterSystem:
+    """`system`, after requiring its operators and right-hand sides finite
+    (`require_finite`): in float mode like terms merge in the operators, so
+    1e+308*x + 1e+308*x sums to inf, and a system JSON may hold Infinity."""
+    algebra = system.algebra
+    require_finite(algebra, ((op, f"the terms in {name}") for row in system.ops
+                             for name, op in zip(unknowns, row)), "sum to")
+    require_finite(algebra, ((b, f"the right-hand side of equation {i}")
+                             for i, b in enumerate(system.rhs, 1)), "is")
     return system
 
 
@@ -425,8 +434,8 @@ def normalize_poly(algebra: Algebra, equation, unknown: str):
     monomials = [(lhs_const,)] + [c for c, _names in lhs_monos]
     monomials += [(-c[0],) + c[1:] for c, _names in rhs_monos]
     poly = GeneralizedPolynomial(algebra, monomials)
-    _require_finite(algebra, ((c, f"a coefficient of {unknown}") for mono in poly.monomials
-                              for c in mono), "sums to")
+    require_finite(algebra, ((c, f"a coefficient of {unknown}") for mono in poly.monomials
+                             for c in mono), "sums to")
     return poly, rhs_const
 
 

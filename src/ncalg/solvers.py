@@ -49,8 +49,8 @@ from .linalg import (
     divide_and_subtract,
     eliminate,
     pivot_columns,
-    row_reduce,
     solution_set,
+    solve_float,
     solve_integer,
 )
 from .tensor import TensorOp, right_multiples
@@ -219,7 +219,7 @@ def solve_field(system: SylvesterSystem) -> AlgebraSolution:
     right-hand side scaled to one denominator (integers in rational mode,
     floats over 1), into one scalar system.  Rational systems are solved by
     `solve_integer`, whose values over its one denominator go straight to
-    `cleared_element`, so no `Fraction` is built; float ones by `row_reduce`.
+    `cleared_element`, so no `Fraction` is built; float ones by `solve_float`.
     Every particular solution is verified.
     """
     alg = system.algebra
@@ -232,10 +232,7 @@ def solve_field(system: SylvesterSystem) -> AlgebraSolution:
                 for parts in zip(*(rows for _, rows in blocks))]
         rhs += [den // b._d * v for v in b._nums]
 
-    if alg.scalar_mode == RATIONAL:
-        d, sol = solve_integer(big, rhs)
-    else:
-        d, sol = 1, row_reduce(FieldMatrix(big), rhs)
+    d, sol = (solve_integer if alg.scalar_mode == RATIONAL else solve_float)(big, rhs)
     if sol.kind == INCONSISTENT:
         return AlgebraSolution(INCONSISTENT, None, [], [], None)
 

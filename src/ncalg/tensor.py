@@ -16,9 +16,10 @@ from __future__ import annotations
 import functools
 import json
 
-from .algebra import (Algebra, Element, _StoredPair, _unit, check_json_scalars,
-                      cleared_element, element_from_json, field_matrix, format_terms,
-                      json_field, operator_rows, pair_coefficients, solve_inverse)
+from .algebra import (RATIONAL, Algebra, Element, _StoredPair, _unit,
+                      check_json_scalars, cleared_element, element_from_json,
+                      field_matrix, format_terms, json_field, operator_rows,
+                      pair_coefficients, solve_inverse)
 from .errors import AlgebraMismatch, SingularTensor
 from .linalg import FieldMatrix
 
@@ -59,8 +60,11 @@ class TensorOp(_StoredPair):
         algebra = pairs[0][0].algebra
         if any(a.algebra != algebra or b.algebra != algebra for a, b in pairs):
             raise AlgebraMismatch("tensor factors from different algebras")
-        d, f = pair_coefficients(algebra, [(a._d * b._d, a._nums, b._nums)
-                                           for a, b in pairs])
+        if algebra.scalar_mode == RATIONAL:
+            d, f = pair_coefficients(algebra, [(a._d * b._d, a._nums, b._nums)
+                                               for a, b in pairs])
+        else:
+            d, f = pair_coefficients(algebra, [(a._nums, b._nums) for a, b in pairs])
         return _tensor(algebra, d, f, pairs)
 
     @classmethod

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -475,6 +476,51 @@ class TestUsage:
                                                           output):
         code, out, err = invoke(capsys, *argv, "--scalar", "float", "--output", output)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_float_json_terms_that_overflow_when_merged_exit_2(self, capsys, tmp_path,
+                                                               output):
+        # the system and tensor JSON readers merge like pairs as the parser
+        # does: these printed "unique" with x = 0 and "tensor is singular"
+        big, one = [1e308, 0, 0, 0], [1, 0, 0, 0]
+        term = {"left": big, "right": one, "var": 0}
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"unknowns": 1, "equations": [
+            {"terms": [term, term], "rhs": one}]}))
+        rhs = tmp_path / "rhs.json"
+        rhs.write_text(json.dumps({"unknowns": 1, "equations": [
+            {"terms": [{"left": one, "right": one, "var": 0}], "rhs": [math.inf, 0, 0, 0]}]}))
+        pairs, coeff = tmp_path / "pairs.json", tmp_path / "coeff.json"
+        pairs.write_text(json.dumps({"pairs": [[big, one], [big, one]]}))
+        coeff.write_text(json.dumps({"coeff": [[-math.inf, 0, 0, 0]] + [[0] * 4] * 3}))
+        merged = "the terms in x sum to inf(1⊗1), which is not finite"
+        tensor = "the tensor's terms sum to {}(1⊗1), which is not finite"
+        for argv, message in (
+                (["solve", "--system-json", str(system)], merged),
+                (["solve", "--method", "richardson", "--system-json", str(system)], merged),
+                (["check", "--system-json", str(system), "--x", "1"], merged),
+                (["solve", "--system-json", str(rhs)],
+                 "the right-hand side of equation 1 is inf, which is not finite"),
+                (["invert-tensor", "--tensor-json", str(pairs)], tensor.format("inf")),
+                (["invert-tensor", "--tensor-json", str(coeff)], tensor.format("-inf"))):
+            code, out, err = invoke(capsys, *argv, "--scalar", "float", "--output", output)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+    def test_finite_float_json_still_solves(self, capsys, tmp_path):
+        one = [1, 0, 0, 0]
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"unknowns": 1, "equations": [
+            {"terms": [{"left": [1e308, 0, 0, 0], "right": one, "var": 0},
+                       {"left": [-1e308, 0, 0, 0], "right": one, "var": 0},
+                       {"left": one, "right": one, "var": 0}], "rhs": one}]}))
+        tensor = tmp_path / "tensor.json"
+        tensor.write_text(json.dumps({"pairs": [[[2.0, 0, 0, 0], one]]}))
+        code, out, err = invoke(capsys, "solve", "--system-json", str(system),
+                                "--scalar", "float")
+        assert (code, err, out.splitlines()[-1]) == (0, "", "x = 1.0")
+        code, out, err = invoke(capsys, "invert-tensor", "--tensor-json", str(tensor),
+                                "--scalar", "float")
+        assert (code, err, out) == (0, "", "0.5(1⊗1)\n")
 
     @pytest.mark.parametrize("argv, last", [
         (["solve", "1e+308*x - 1e+308*x + x = 1"], "x = 1.0"),
