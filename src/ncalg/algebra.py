@@ -111,13 +111,17 @@ class Algebra:
 
     def _nonzero(self, row):
         """The coerced nonzero (k, row[k]).  Int and "0" zeros are skipped
-        unread; anything else is coerced, and so type-checked, first."""
+        unread; anything else is coerced, and so type-checked, first.  A
+        float constant must be finite: the unit-law and associativity
+        checks find inf equal to inf."""
         cell = []
         for k, v in enumerate(row):
             if v == "0" or type(v) is int and v == 0:
                 continue
             c = self.coerce(v)
             if c != 0:
+                if self.scalar_mode == FLOAT and not math.isfinite(c):
+                    raise ValueError(f"structure constant {c} is not finite")
                 cell.append((k, c))
         return tuple(cell)
 
@@ -183,6 +187,8 @@ class Algebra:
             return float(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in scalar {value!r}") from None
+        except OverflowError:  # float() of a number beyond the float range
+            raise ValueError(f"scalar {value!r} is beyond the float range") from None
 
     def scalar_json(self, value):
         """A scalar as JSON: a 'p/q' string in rational mode, else a number."""

@@ -4,15 +4,18 @@
 `rank`, `pivot_columns`, the field route, Newton steps, tensor inverses and
 float element inverses) and algebra-valued systems
 (`solvers.nc_row_reduce`) differ only in the zero test, the pivot inverse,
-the pivot order and the row step they hand it.  Exact scalars run
-fraction-free on integers: rows are cleared of denominators once, every
-step keeps them integral and clears only the rows below its pivot
-(`fraction_free_step`), one `back_substitute` then gives what Gauss-Jordan
-would give, and one `Fraction` is built per output coordinate.  Exact mode
-takes the first nonzero entry scanning top-left to bottom-right so that
-outputs are reproducible; float mode runs Gauss-Jordan
-(`divide_and_subtract`), takes the largest-magnitude pivot and treats
-anything at or below `DEFAULT_ZERO_TOL` as zero.  Plain rows of either mode
+the pivot order and the row step they hand it.  Every step clears only
+the rows below its pivot, and one back-substitution after the sweep then
+gives the reduced row echelon form that Gauss-Jordan would give; the
+package runs no other elimination order.  Exact scalars run fraction-free
+on integers: rows are cleared of denominators once, every step keeps them
+integral (`fraction_free_step`, then `back_substitute`), and one
+`Fraction` is built per output coordinate.  Floats and algebra elements
+divide the pivot row by its pivot (`divided_step`, then
+`divided_back_substitute`).  Exact mode takes the first nonzero entry
+scanning top-left to bottom-right so that outputs are reproducible; float
+mode takes the largest-magnitude pivot and treats anything at or below
+`DEFAULT_ZERO_TOL` as zero.  Plain rows of either mode
 have one solve each, `solve_integer` and `solve_float`, which return the
 solution set over one denominator; the field route, Newton steps and
 inverses hand them the rows they sum, and `row_reduce` the rows of a
@@ -152,18 +155,17 @@ class SolutionSet:
 def eliminate(rows, rhs, is_zero, divider, step, magnitude=None) -> list:
     """Elimination in place; the one sweep behind every solve.
 
-    Entries of `rows` (and of `rhs`, which may be None) are scalars or
-    algebra elements; coefficients act from the left.  The sweep owns the
-    column loop, the pivot search and the row swap.  The ring enters only
-    through the zero test `is_zero`, the pivot inverse `divider(pivot)`,
-    which returns the map v -> pivot^-1 v or raises NotInvertible for a
-    nonzero non-unit, the pivot order, and the row `step(rows, rhs, r, c,
-    divide)` that clears column c with the pivot in row r: in every other
-    row (Gauss-Jordan, `divide_and_subtract` over floats or a float
-    algebra), or only in the rows below, for a back-substitution after the
-    sweep (`fraction_free_step` over the integers, `solvers._clear_below`
-    over an exact algebra).  The pivot search reads only rows r and below,
-    which both orders leave alike.  The pivot is the first usable entry
+    Entries of `rows` and `rhs` are scalars or algebra elements;
+    coefficients act from the left.  The sweep owns the column loop, the
+    pivot search and the row swap.  The ring enters only through the zero
+    test `is_zero`, the pivot inverse `divider(pivot)`, which returns the
+    map v -> pivot^-1 v or raises NotInvertible for a nonzero non-unit, the
+    pivot order, and the row `step(rows, rhs, r, c, divide)` that clears
+    column c with the pivot in row r, in the rows below only: over the
+    integers `fraction_free_step`, over floats and algebras `divided_step`.
+    Each has one back-substitution to run after the sweep
+    (`back_substitute`, `divided_back_substitute`), and together they give
+    the reduced row echelon form.  The pivot is the first usable entry
     down the column when `magnitude` is None (exact mode, reproducible),
     else the usable entry of largest `magnitude`.  A column whose nonzero
     entries are all non-invertible raises PivotNotInvertible.  Returns the
@@ -194,42 +196,68 @@ def eliminate(rows, rhs, is_zero, divider, step, magnitude=None) -> list:
                 )
             continue
         s, divide = pick
-        rows[r], rows[s] = rows[s], rows[r]
-        if rhs is not None:
-            rhs[r], rhs[s] = rhs[s], rhs[r]
+        rows[r], rows[s], rhs[r], rhs[s] = rows[s], rows[r], rhs[s], rhs[r]
         step(rows, rhs, r, c, divide)
         pivots.append((r, c))
     return pivots
 
 
-def divide_and_subtract(zero, is_zero, update=None):
-    """The row step over a field or an algebra: left-divide the pivot row by
-    its pivot, then subtract f times it from every other row whose entry f
-    in the pivot column is nonzero.  The update of entry a by pivot-row
-    entry g is a - f*g, written inline unless the ring supplies
-    `update(a, f, g)`."""
+def divided_step(zero, is_zero, update=None):
+    """The row step over floats or an algebra: left-divide the pivot row's
+    nonzero entries, all in column c or right of it, then clear column c
+    in the rows below (`_subtract_pivot_row`).  The rows at or above the
+    pivot row are what `divided_back_substitute` reads."""
     def step(rows, rhs, r, c, divide):
-        prow = rows[r] = [divide(v) for v in rows[r]]
-        if rhs is not None:
-            rhs[r] = divide(rhs[r])
+        prow = rows[r]
         # skipping exact zeros in the pivot row is a large win on the sparse
         # systems built from structure constants
-        support = [u for u, v in enumerate(prow) if v != zero]
-        for t, row in enumerate(rows):
-            factor = row[c]
-            if t == r or is_zero(factor):
-                continue
-            if update is None:
-                for u in support:
-                    row[u] = row[u] - factor * prow[u]
-                if rhs is not None:
-                    rhs[t] = rhs[t] - factor * rhs[r]
-            else:
-                for u in support:
-                    row[u] = update(row[u], factor, prow[u])
-                if rhs is not None:
-                    rhs[t] = update(rhs[t], factor, rhs[r])
+        support = [u for u in range(c, len(prow)) if prow[u] != zero]
+        for u in support:
+            prow[u] = divide(prow[u])
+        rhs[r] = divide(rhs[r])
+        _subtract_pivot_row(rows, rhs, r, c, range(r + 1, len(rows)), support,
+                            is_zero, update)
     return step
+
+
+def divided_back_substitute(rows, rhs, pivots, zero, is_zero, update=None):
+    """Turn the pivot rows left by `divided_step` in place into the reduced
+    rows: from the last pivot up, clear its column in the rows above
+    (`_subtract_pivot_row`) on the right-hand side and on the free columns
+    where the pivot row is nonzero, which are all that `solution_set`
+    reads; the pivot row is final by then, since the later pivots were
+    cleared from it first.
+    `back_substitute` is the same over the integers, on rows that are not
+    divided by their pivots."""
+    cols = {c for _, c in pivots}
+    free = [u for u in range(len(rows[0])) if u not in cols]
+    for r, c in reversed(pivots[1:]):  # the first pivot has no rows above
+        prow = rows[r]
+        support = [u for u in free if prow[u] != zero] if free else free
+        _subtract_pivot_row(rows, rhs, r, c, range(r), support, is_zero, update)
+
+
+def _subtract_pivot_row(rows, rhs, r, c, targets, support, is_zero, update):
+    """The one row update of divided rows: each target row whose entry f in
+    column c is nonzero takes f times the pivot row r (whose entry there is
+    1) off its `support` columns and its right-hand side.  Column c itself
+    is left as it is unless it is in `support`: no later step and no
+    `solution_set` reads it.  The update of entry a by pivot-row entry g is
+    a - f*g, written inline unless the ring supplies `update(a, f, g)`."""
+    prow, b = rows[r], rhs[r]
+    for t in targets:
+        row = rows[t]
+        f = row[c]
+        if is_zero(f):
+            continue
+        if update is None:
+            for u in support:
+                row[u] = row[u] - f * prow[u]
+            rhs[t] = rhs[t] - f * b
+        else:
+            for u in support:
+                row[u] = update(row[u], f, prow[u])
+            rhs[t] = update(rhs[t], f, b)
 
 
 def fraction_free_step():
@@ -257,8 +285,7 @@ def fraction_free_step():
             if f == 0 and p == q:
                 continue
             row[c:] = [(p * a - f * g) // q for a, g in zip(row[c:], tail)]
-            if rhs is not None:
-                rhs[t] = (p * rhs[t] - f * rhs[r]) // q
+            rhs[t] = (p * rhs[t] - f * rhs[r]) // q
         previous = p
     return step
 
@@ -337,7 +364,7 @@ def _is_zero_float(v):
 # float results correctly rounded; the step holds no state, so one ring
 # serves every float elimination
 _FLOAT_RING = dict(is_zero=_is_zero_float, divider=lambda p: lambda v: v / p,
-                   step=divide_and_subtract(0.0, _is_zero_float), magnitude=abs)
+                   step=divided_step(0.0, _is_zero_float), magnitude=abs)
 
 
 def cleared(values):
@@ -368,11 +395,16 @@ def solve_integer(rows, rhs) -> tuple:
 
 def solve_float(rows, rhs) -> tuple:
     """(1, S): the solution set S of the float system rows x = rhs by
-    Gauss-Jordan elimination, in place, its values floats over 1 as the
+    forward elimination with the largest pivot down each column and one
+    `divided_back_substitute`, in place, its values floats over 1 as the
     float stored pairs are: the float twin of `solve_integer`, which the
     field route, the Newton step and `algebra.solve_inverse` call on the
-    rows they sum, and `row_reduce` on a float matrix's."""
+    rows they sum, and `row_reduce` on a float matrix's.  This order is
+    backward stable up to the growth factor, which Gauss-Jordan is not
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2002, 9.3
+    and 14.4)."""
     pivots = eliminate(rows, rhs, **_FLOAT_RING)
+    divided_back_substitute(rows, rhs, pivots, 0.0, _is_zero_float)
     return 1, solution_set(rows, rhs, pivots, 0.0, 1.0, _is_zero_float)
 
 
@@ -385,6 +417,7 @@ def row_reduce(matrix: FieldMatrix, rhs) -> SolutionSet:
     its denominators, which changes neither the solution set nor the
     pivots, and one `Fraction` is built per value of the solution set.
     Float systems are solved on copies of their rows by `solve_float`.
+    Both eliminate forward and back-substitute once.
     """
     if matrix.rows != len(rhs):
         raise ValueError("rhs length must match row count")
@@ -406,7 +439,7 @@ def pivot_columns(matrix: FieldMatrix) -> list:
         rows, ring = [cleared(r)[1] for r in matrix.entries], _integer_ring()
     else:
         rows, ring = [list(r) for r in matrix.entries], _FLOAT_RING
-    return [c for _, c in eliminate(rows, None, **ring)]
+    return [c for _, c in eliminate(rows, [0] * len(rows), **ring)]
 
 
 def rank(matrix: FieldMatrix) -> int:

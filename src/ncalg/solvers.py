@@ -9,9 +9,9 @@ Two independent routes are implemented and cross-checked:
   obtaining an enlarged algebra-valued linear system in the unknowns
   x^j e_p, and eliminates with left division by pivots.  The sweep is
   `linalg.eliminate`, the same one that solve_field runs over the scalars;
-  only the entries, the pivot inverse and the row step differ.  In exact
-  mode both clear only below each pivot and back-substitute once; float
-  mode runs Gauss-Jordan.  Exact entries are `Element`s stored as cleared
+  only the entries, the pivot inverse and the row update differ.  In both
+  scalar modes both routes clear only below each pivot and back-substitute
+  once.  Exact entries are `Element`s stored as cleared
   integer pairs, so the enlarged entries, the pivot inverses and the row
   updates stay on integers, and `Fraction`s are built only where the
   solution's coordinates are read.  An exact pivot inverse runs no inner
@@ -46,7 +46,8 @@ from .linalg import (
     UNIQUE,
     UNVERIFIED_ENLARGED,
     SolutionSet,
-    divide_and_subtract,
+    divided_back_substitute,
+    divided_step,
     eliminate,
     pivot_columns,
     solution_set,
@@ -278,18 +279,18 @@ def nc_row_reduce(amat, brhs) -> SolutionSet:
 
     This is `linalg.eliminate` with left division by the pivot's inverse
     (`Element._inverse`, in exact mode by Cayley-Hamilton from n - 1
-    products, not by a solve), and the row update a - f*g fused in both
-    modes (`Element.minus_product`, the float one the IEEE result of the
-    unfused update).  In exact mode the
-    pivot is the first invertible entry scanning down the column, and the
-    sweep clears only the rows below it (`_clear_below`); one
-    `_back_substitute` then gives the reduced form that Gauss-Jordan gives,
-    which is unique once the pivot positions are.  Every entry is a stored
-    pair, so an exact sweep builds no `Fraction`.  Float mode runs
-    Gauss-Jordan (`linalg.divide_and_subtract`), with the invertible entry
-    of largest norm as pivot.  A column whose nonzero entries are all
-    non-invertible raises PivotNotInvertible (only possible outside division
-    algebras).
+    products, not by a solve), clearing only the rows below each pivot
+    (`linalg.divided_step`), then one `linalg.divided_back_substitute`,
+    which gives the reduced form that Gauss-Jordan gives, unique once the
+    pivot positions are.  The row update a - f*g is fused in both modes
+    (`Element.minus_product`, the float one the IEEE result of the unfused
+    update).  Only the zero test and the pivot order depend on the mode:
+    in exact mode the pivot is the first invertible entry scanning down the
+    column, in float mode the invertible entry of largest norm, and entries
+    within DEFAULT_ZERO_TOL of zero count as zero.  Every entry is a stored
+    pair, so an exact sweep builds no `Fraction`.  A column whose nonzero
+    entries are all non-invertible raises PivotNotInvertible (only possible
+    outside division algebras).
     """
     if not amat:
         raise ValueError("empty system")
@@ -297,16 +298,15 @@ def nc_row_reduce(amat, brhs) -> SolutionSet:
     zero, one = alg.zero(), alg.one()
     rows, rhs = [list(r) for r in amat], list(brhs)
     if alg.scalar_mode == RATIONAL:
-        is_zero = Element.is_zero
-        pivots = eliminate(rows, rhs, is_zero, _left_divider, _clear_below)
-        _back_substitute(rows, rhs, pivots, zero)
+        is_zero, magnitude = Element.is_zero, None
     else:
         def is_zero(e):
             return e.is_zero(DEFAULT_ZERO_TOL)
-
-        pivots = eliminate(rows, rhs, is_zero, _left_divider,
-                           divide_and_subtract(zero, is_zero, Element.minus_product),
-                           Element.norm)
+        magnitude = Element.norm
+    update = Element.minus_product
+    pivots = eliminate(rows, rhs, is_zero, _left_divider,
+                       divided_step(zero, is_zero, update), magnitude)
+    divided_back_substitute(rows, rhs, pivots, zero, is_zero, update)
     return solution_set(rows, rhs, pivots, zero, one, is_zero)
 
 
@@ -317,49 +317,6 @@ def _left_divider(pivot):
     if inverse is None:
         raise NotInvertible
     return inverse.__mul__
-
-
-def _clear_below(rows, rhs, r, c, divide):
-    """The exact row step: left-divide the pivot row's nonzero entries,
-    all in column c or right of it, then subtract f times the pivot row from
-    each row below whose entry f in column c is nonzero."""
-    prow = rows[r]
-    support = [u for u in range(c, len(prow)) if not prow[u].is_zero()]
-    for u in support:
-        prow[u] = divide(prow[u])
-    b = rhs[r] = divide(rhs[r])
-    for t in range(r + 1, len(rows)):
-        row = rows[t]
-        f = row[c]
-        if f.is_zero():
-            continue
-        for u in support:
-            row[u] = row[u].minus_product(f, prow[u])
-        rhs[t] = rhs[t].minus_product(f, b)
-
-
-def _back_substitute(rows, rhs, pivots, zero):
-    """Turn the pivot rows U_k left by `_clear_below` in place into the
-    reduced rows, from the last up: R_k = U_k - sum_{j>k} U_k[c_j] R_j on
-    the free columns where R_j is nonzero (it is zero left of c_j) and on
-    the right-hand side, with every U_k[c_j] then 0.
-    `linalg.back_substitute` is the same over the integers, on rows that
-    are not divided by their pivots."""
-    cols = [c for _, c in pivots]
-    free = [u for u in range(len(rows[0])) if u not in cols]
-    support = [None] * len(cols)
-    for k in range(len(cols) - 1, -1, -1):
-        row = rows[k]
-        for j in range(k + 1, len(cols)):
-            f = row[cols[j]]
-            if f.is_zero():
-                continue
-            later = rows[j]
-            for u in support[j]:
-                row[u] = row[u].minus_product(f, later[u])
-            rhs[k] = rhs[k].minus_product(f, rhs[j])
-            row[cols[j]] = zero
-        support[k] = [u for u in free if not row[u].is_zero()]
 
 
 # ---------------------------------------------------------------------------

@@ -522,6 +522,32 @@ class TestUsage:
                                 "--scalar", "float")
         assert (code, err, out) == (0, "", "0.5(1⊗1)\n")
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_float_algebra_constants_beyond_the_float_range_exit_2(self, capsys, tmp_path,
+                                                                   output):
+        # u^2 = inf passed the unit-law and associativity checks, which find
+        # inf equal to inf: "u*x=1" printed x = 0 and "x+u*x=1" a unique
+        # solution ["nan"], both with exit 0; a string that overflows a
+        # float raised OverflowError
+        for u_squared, message in ((math.inf, "structure constant inf is not finite"),
+                                   (-math.inf, "structure constant -inf is not finite"),
+                                   ("1e400", "scalar '1e400' is beyond the float range")):
+            table = tmp_path / "algebra.json"
+            table.write_text(json.dumps({"dim": 2, "basis": ["1", "u"], "constants": [
+                [[1, 0], [0, 1]], [[0, 1], [u_squared, 0]]]}))
+            for equation in ("u*x=1", "x+u*x=1"):
+                code, out, err = invoke(capsys, "solve", "--scalar", "float", "--algebra",
+                                        str(table), "--output", output, equation)
+                assert (code, out, err) == (2, "", f"error: {message}\n"), equation
+
+    def test_finite_float_algebra_constants_still_solve(self, capsys, tmp_path):
+        table = tmp_path / "algebra.json"
+        table.write_text(json.dumps({"dim": 2, "basis": ["1", "u"], "constants": [
+            [[1, 0], [0, 1]], [[0, 1], ["1e300", 0]]]}))
+        code, out, err = invoke(capsys, "solve", "--scalar", "float", "--algebra",
+                                str(table), "u*x=1")
+        assert (code, err, out.splitlines()[-1]) == (0, "", "x = 1e-300u")
+
     @pytest.mark.parametrize("argv, last", [
         (["solve", "1e+308*x - 1e+308*x + x = 1"], "x = 1.0"),
         (["newton", "--x0", "1", "1e+308*x^2 - 1e+308*x^2 + x = 1"], "x = 1.0"),

@@ -5,9 +5,10 @@ The compiled product kernels, products, the fused row update
 naive `Fraction` loops over the structure constants as the builders passed
 them in (not the algebra's own table).  Exact inverses, computed from
 a*y = 1 alone, are checked on both sides.
-Float mode is checked bit for bit against the same loops, and its compiled
-kernels against the sparse loop `_product` on signed zeros, extremes,
-infinities and NaN.  Norms and Newton runs on numbers beyond the float range
+Float mode is checked bit for bit against the same loops (the algebra-valued
+elimination against a written-out forward sweep and back-substitution, and
+within rounding against Gauss-Jordan), and its compiled kernels against the
+sparse loop `_product` on signed zeros, extremes, infinities and NaN.  Norms and Newton runs on numbers beyond the float range
 end in a value or a named status.
 """
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import ncalg as nc
-from ncalg import algebra as algebra_module
+from ncalg import algebra as algebra_module, solvers as solvers_module
 from ncalg.cli import run
 from ncalg.newton import (BIT_BUDGET, CONVERGED, DIVERGED, GeneralizedPolynomial,
                           newton_solve)
@@ -136,6 +137,47 @@ def reference_nc_row_reduce(amat, brhs, tol=1e-12):
             rows[t] = [a - f * g for a, g in zip(rows[t], rows[r])]
             rhs[t] = rhs[t] - f * rhs[r]
         pivots.append((r, c))
+    return rows, rhs, pivots
+
+
+def reference_forward_nc_row_reduce(amat, brhs, tol=1e-12):
+    """Float elimination over the algebra written out with `a - f*g` updates:
+    the pivot of largest norm down each column, the pivot row left-divided
+    from its column on, only the rows below cleared; then from the last
+    pivot up, its column cleared in the rows above on the free columns and
+    the right-hand side, each entry cleared set to 0."""
+    rows, rhs = [list(r) for r in amat], list(brhs)
+    zero = rhs[0].algebra.zero()
+    m, pivots = len(rows), []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        if r == m:
+            break
+        order = sorted(range(r, m), key=lambda s: -rows[s][c].norm())
+        s = next((s for s in order if not rows[s][c].is_zero(tol)), None)
+        if s is None:
+            continue
+        inverse = rows[s][c].inverse()
+        rows[r], rows[s], rhs[r], rhs[s] = rows[s], rows[r], rhs[s], rhs[r]
+        rows[r][c:] = [inverse * v for v in rows[r][c:]]
+        rhs[r] = inverse * rhs[r]
+        for t in range(r + 1, m):
+            f = rows[t][c]
+            if f.is_zero(tol):
+                continue
+            rows[t][c:] = [a - f * g for a, g in zip(rows[t][c:], rows[r][c:])]
+            rhs[t] = rhs[t] - f * rhs[r]
+        pivots.append((r, c))
+    free = [u for u in range(len(rows[0])) if u not in {c for _, c in pivots}]
+    for r, c in reversed(pivots):
+        for t in range(r):
+            f = rows[t][c]
+            if f.is_zero(tol):
+                continue
+            for u in free:
+                rows[t][u] = rows[t][u] - f * rows[r][u]
+            rhs[t] = rhs[t] - f * rhs[r]
+            rows[t][c] = zero
     return rows, rhs, pivots
 
 
@@ -431,15 +473,25 @@ class TestFloatModeUnchanged:
             expected = reference_float_product(C, a.coords, b.coords)
             assert repr((a * b).coords) == repr(tuple(expected))
 
-    def test_h_elimination_bit_identical(self, rng):
+    @staticmethod
+    def float_systems(rng):
         H = nc.quaternion_algebra(nc.FLOAT)
 
         def entry():
             return H.element([rng.choice((0.0, rng.uniform(-3, 3))) for _ in range(4)])
-        for m_rows, m_cols in ((4, 4), (3, 5)):
+        for m_rows, m_cols in ((4, 4), (3, 5), (5, 3), (4, 4), (3, 5)):
             amat = [[entry() for _ in range(m_cols)] for _ in range(m_rows)]
-            brhs = [entry() for _ in range(m_rows)]
-            rows, rhs, pivots = reference_nc_row_reduce(amat, brhs)
+            if m_rows > m_cols:  # a consistent overdetermined system
+                x = [entry() for _ in range(m_cols)]
+                brhs = [sum((a * v for a, v in zip(row, x)), H.zero()) for row in amat]
+            else:
+                brhs = [entry() for _ in range(m_rows)]
+            yield amat, brhs
+
+    def test_h_elimination_bit_identical(self, rng):
+        for amat, brhs in self.float_systems(rng):
+            H = brhs[0].algebra
+            rows, rhs, pivots = reference_forward_nc_row_reduce(amat, brhs)
             expected = nc.linalg.solution_set(
                 rows, rhs, pivots, H.zero(), H.one(), lambda e: e.is_zero(1e-12))
             got = nc_row_reduce(amat, brhs)
@@ -447,6 +499,30 @@ class TestFloatModeUnchanged:
             assert coords_repr(got.particular) == coords_repr(expected.particular)
             assert [coords_repr(v) for v in got.nullspace_basis] == \
                 [coords_repr(v) for v in expected.nullspace_basis]
+
+    def test_h_elimination_agrees_with_gauss_jordan(self, rng, monkeypatch):
+        # Gauss-Jordan is another traversal order, so it agrees only to
+        # rounding: the same kind and pivot columns, and every solution
+        # vector within 1e-9 of its size
+        pivot_rows, solution_set = [], nc.linalg.solution_set
+
+        def recorded(rows, rhs, pivots, *args):
+            pivot_rows.append(pivots)
+            return solution_set(rows, rhs, pivots, *args)
+        monkeypatch.setattr(solvers_module, "solution_set", recorded)
+        for amat, brhs in self.float_systems(rng):
+            H = brhs[0].algebra
+            rows, rhs, pivots = reference_nc_row_reduce(amat, brhs)
+            expected = solution_set(rows, rhs, pivots, H.zero(), H.one(),
+                                    lambda e: e.is_zero(1e-12))
+            got = nc_row_reduce(amat, brhs)
+            assert got.kind == expected.kind
+            assert [c for _, c in pivot_rows.pop()] == [c for _, c in pivots]
+            for u, v in zip([got.particular, *got.nullspace_basis],
+                            [expected.particular, *expected.nullspace_basis]):
+                scale = max(abs(c) for e in v for c in e.coords)
+                assert max(abs(a - b) for e, f in zip(u, v)
+                           for a, b in zip(e.coords, f.coords)) <= 1e-9 * scale
 
     def test_norms_bit_identical(self, rng):
         H = nc.quaternion_algebra(nc.FLOAT)
@@ -456,6 +532,26 @@ class TestFloatModeUnchanged:
             for c in x.coords:
                 total = total + c * c
             assert repr(x.norm()) == repr(math.sqrt(total))
+
+
+class TestFloatVerdicts:
+    def test_dense_m3_richardson_verified(self):
+        # a dense M3 system whose enlarged candidate Gauss-Jordan left with a
+        # residual of 5.3e-8, beyond RESIDUAL_TOL, so Richardson reported
+        # unverified_enlarged; the forward sweep leaves 1.5e-11.  Either
+        # side of an absolute tolerance, since the enlarged system is nearly
+        # singular (ROADMAP item 6)
+        M3 = matrix_algebra(3, nc.FLOAT)
+        terms = [([-1, -1, 2, 0, -2, -1, 2, 0, -2], [0, -2, -1, 1, 0, 2, 1, -1, 0]),
+                 ([0, -2, -2, -2, 1, -2, 1, -1, 1], [2, -1, 1, 2, -1, 1, 1, 0, 1]),
+                 ([1, 1, 0, 1, 2, -1, 0, 2, -2], [-1, -1, -2, -1, 0, 1, 0, 1, -1])]
+        rhs = M3.element([2, 1, 0, -2, -1, 0, 1, 0, -2])
+        system = nc.SylvesterSystem.from_terms(
+            M3, [([(M3.element(a), M3.element(b), 0) for a, b in terms], rhs)], 1)
+        field, richardson = nc.solve_field(system), nc.solve_richardson(system)
+        assert (field.kind, richardson.kind) == (nc.UNIQUE, nc.UNIQUE)
+        assert max(abs(a - b) for a, b in zip(field.x[0].coords,
+                                              richardson.x[0].coords)) < 1e-9
 
 
 class TestConstruction:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import ncalg as nc
-from ncalg.linalg import FieldMatrix, pivot_columns, rank, row_reduce
+from ncalg.linalg import FieldMatrix, pivot_columns, rank, row_reduce, solve_float
 
 
 def fm(rows):
@@ -101,6 +101,54 @@ class TestFloatMode:
         x = sol.particular
         assert x[0] == pytest.approx(1.0, abs=1e-9)
         assert x[1] == pytest.approx(1.0, abs=1e-9)
+
+
+def householder_product(rng, n, count):
+    """The product of `count` random Householder reflections I - 2vv^T/v^Tv:
+    an orthogonal n x n matrix, in floats."""
+    m = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(count):
+        v = [rng.gauss(0, 1) for _ in range(n)]
+        scale = 2 / sum(x * x for x in v)
+        for row in m:
+            d = sum(a * b for a, b in zip(row, v)) * scale
+            row[:] = [a - d * b for a, b in zip(row, v)]
+    return m
+
+
+def ill_conditioned_system(seed, n=8, cond=1e10):
+    """A = U diag(s) V with U, V orthogonal and s from 1 down to 1/cond,
+    so A has 2-norm condition number about cond, and a random b."""
+    rng = random.Random(seed)
+    U, V = householder_product(rng, n, 2), householder_product(rng, n, 2)
+    s = [cond ** (-k / (n - 1)) for k in range(n)]
+    A = [[sum(U[i][k] * s[k] * V[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    return A, [rng.gauss(0, 1) for _ in range(n)]
+
+
+def normwise_backward_error(A, b, x):
+    """||b - Ax||inf / (||A||inf ||x||inf + ||b||inf), the residual taken
+    exactly so that only the solve's rounding shows."""
+    A = [[Fraction(v) for v in row] for row in A]
+    b, x = [Fraction(v) for v in b], [Fraction(v) for v in x]
+    r = max(abs(bi - sum(a * xi for a, xi in zip(row, x))) for row, bi in zip(A, b))
+    norm_a = max(sum(map(abs, row)) for row in A)
+    return float(r / (norm_a * max(map(abs, x)) + max(map(abs, b))))
+
+
+class TestFloatBackwardStability:
+    @pytest.mark.parametrize("seed", range(300, 350))
+    def test_solve_float_is_backward_stable(self, seed):
+        # forward elimination with partial pivoting and one back-substitution
+        # is backward stable; Gauss-Jordan is only forward stable (Peters
+        # and Wilkinson, CACM 18(1), 1975) and leaves 10.3 units of backward
+        # error on seed 341 and 4.7 on seed 348, where the forward order
+        # leaves at most 0.33 on seeds 0-399 (a unit is 2^-52)
+        A, b = ill_conditioned_system(seed)
+        _, sol = solve_float([list(row) for row in A], list(b))
+        assert sol.kind == nc.UNIQUE
+        assert normwise_backward_error(A, b, sol.particular) <= 2 * 2.0 ** -52
 
 
 class TestFieldMatrix:
