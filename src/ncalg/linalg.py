@@ -233,7 +233,8 @@ def divided_back_substitute(rows, rhs, pivots, zero, is_zero, update=None):
     free = [u for u in range(len(rows[0])) if u not in cols]
     for r, c in reversed(pivots[1:]):  # the first pivot has no rows above
         prow = rows[r]
-        support = [u for u in free if prow[u] != zero] if free else free
+        # square unique systems, as in Newton steps, have no free columns
+        support = [u for u in free if prow[u] != zero] if free else []
         _subtract_pivot_row(rows, rhs, r, c, range(r), support, is_zero, update)
 
 

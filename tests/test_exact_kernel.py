@@ -8,8 +8,9 @@ a*y = 1 alone, are checked on both sides.
 Float mode is checked bit for bit against the same loops (the algebra-valued
 elimination against a written-out forward sweep and back-substitution, and
 within rounding against Gauss-Jordan), and its compiled kernels against the
-sparse loop `_product` on signed zeros, extremes, infinities and NaN.  Norms and Newton runs on numbers beyond the float range
-end in a value or a named status.
+sparse loop `_product` on signed zeros, extremes, infinities and NaN.  Norms
+and Newton runs on numbers beyond the float range end in a value or a named
+status.
 """
 
 import json
@@ -538,7 +539,7 @@ class TestFloatVerdicts:
     def test_dense_m3_richardson_verified(self):
         # a dense M3 system whose enlarged candidate Gauss-Jordan left with a
         # residual of 5.3e-8, beyond RESIDUAL_TOL, so Richardson reported
-        # unverified_enlarged; the forward sweep leaves 1.5e-11.  Either
+        # unverified_enlarged; the forward sweep leaves 2.7e-11.  Either
         # side of an absolute tolerance, since the enlarged system is nearly
         # singular (ROADMAP item 6)
         M3 = matrix_algebra(3, nc.FLOAT)

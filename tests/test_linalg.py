@@ -144,7 +144,7 @@ class TestFloatBackwardStability:
         # is backward stable; Gauss-Jordan is only forward stable (Peters
         # and Wilkinson, CACM 18(1), 1975) and leaves 10.3 units of backward
         # error on seed 341 and 4.7 on seed 348, where the forward order
-        # leaves at most 0.33 on seeds 0-399 (a unit is 2^-52)
+        # leaves at most 0.29 on seeds 0-399 (a unit is 2^-52)
         A, b = ill_conditioned_system(seed)
         _, sol = solve_float([list(row) for row in A], list(b))
         assert sol.kind == nc.UNIQUE
