@@ -13,7 +13,6 @@ from .algebra import (
     Algebra,
     Element,
     algebra_from_json,
-    algebra_to_json,
     element_from_json,
     element_to_json,
     make_algebra,
@@ -28,7 +27,6 @@ from .errors import (
     NonlinearTerm,
     NotInvertible,
     PivotNotInvertible,
-    QuasideterminantUndefined,
     SingularTensor,
     UnitLawViolation,
     UnknownSymbol,
@@ -53,8 +51,6 @@ from .newton import (
     NewtonConfig,
     NewtonTrace,
     newton_solve,
-    poly_from_json,
-    poly_to_json,
 )
 from .parser import (
     collect_unknowns,
@@ -71,7 +67,6 @@ from .solvers import (
     SylvesterSystem,
     build_richardson,
     nc_row_reduce,
-    quasideterminant,
     solve_field,
     solve_richardson,
 )
@@ -85,7 +80,6 @@ __all__ = [
     "Algebra",
     "Element",
     "algebra_from_json",
-    "algebra_to_json",
     "element_from_json",
     "element_to_json",
     "make_algebra",
@@ -98,7 +92,6 @@ __all__ = [
     "NonlinearTerm",
     "NotInvertible",
     "PivotNotInvertible",
-    "QuasideterminantUndefined",
     "SingularTensor",
     "UnitLawViolation",
     "UnknownSymbol",
@@ -119,8 +112,6 @@ __all__ = [
     "NewtonConfig",
     "NewtonTrace",
     "newton_solve",
-    "poly_from_json",
-    "poly_to_json",
     "collect_unknowns",
     "evaluate_constant",
     "format_element",
@@ -133,7 +124,6 @@ __all__ = [
     "SylvesterSystem",
     "build_richardson",
     "nc_row_reduce",
-    "quasideterminant",
     "solve_field",
     "solve_richardson",
     "TensorOp",

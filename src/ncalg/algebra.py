@@ -30,7 +30,7 @@ from .errors import (
     NotInvertible,
     UnitLawViolation,
 )
-from .linalg import INCONSISTENT, FieldMatrix, cleared, solve_float, solve_integer
+from .linalg import INCONSISTENT, cleared, solve_float, solve_integer
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -358,12 +358,6 @@ def operator_rows(algebra: Algebra, d, coeff) -> tuple:
     return d * algebra._dc ** 2, kernel(coeff)
 
 
-def field_matrix(algebra: Algebra, den, rows) -> FieldMatrix:
-    """The public `FieldMatrix` rows/den of `operator_rows`: one `Fraction`
-    per exact entry, float rows as they are.  `solve_field` stacks the rows."""
-    return FieldMatrix([algebra._scalars(den, row) for row in rows])
-
-
 def solve_inverse(x, rows, rhs, build, product):
     """The inverse of x, a `tensor.TensorOp` in either mode or a float
     `Element` (exact elements use `Element._inverse`), as build(d, y), y/d
@@ -513,27 +507,12 @@ class Element(_StoredPair):
         q, (p,) = alg._pair((alg.coerce(factor),))
         return cleared_element(alg, self._d * q, [p * v for v in self._nums])
 
-    # -- regular representation ----------------------------------------------
-
-    def left_matrix(self) -> FieldMatrix:
-        """L with L @ coords(x) = coords(self * x) for every x: the matrix
-        of self (x) 1, by `operator_rows`."""
-        return field_matrix(self.algebra, *self._operator_rows(True))
-
-    def right_matrix(self) -> FieldMatrix:
-        """R with R @ coords(x) = coords(x * self) for every x: the matrix
-        of 1 (x) self, by `operator_rows`."""
-        return field_matrix(self.algebra, *self._operator_rows(False))
-
-    def _operator_rows(self, left: bool) -> tuple:
-        """`operator_rows` of self (x) 1 if `left`, else of 1 (x) self."""
+    def _operator_rows(self) -> tuple:
+        """`operator_rows` of self (x) 1, the map x -> self x."""
         n = self.algebra.dim
         # the mode's zero: a float kernel adds int zeros more slowly
         coeff = [self.algebra._num_zero] * (n * n)
-        if left:
-            coeff[::n] = self._nums
-        else:
-            coeff[:n] = self._nums
+        coeff[::n] = self._nums
         return operator_rows(self.algebra, self._d, coeff)
 
     # -- inverse and norm ------------------------------------------------------
@@ -572,7 +551,7 @@ class Element(_StoredPair):
             return None
         alg = self.algebra
         if alg.scalar_mode != RATIONAL:
-            den, rows = self._operator_rows(True)
+            den, rows = self._operator_rows()
             return solve_inverse(self, rows, [den * v for v in alg.one()._nums],
                                  functools.partial(cleared_element, alg),
                                  lambda u, v: (u * v)._nums)
@@ -920,18 +899,9 @@ def json_field(data, key: str, kind):
     return value
 
 
-def algebra_to_json(algebra: Algebra) -> dict:
-    return {
-        "name": algebra.name,
-        "dim": algebra.dim,
-        "basis": list(algebra.basis_names),
-        "constants": [[[algebra.scalar_json(c) for c in row] for row in plane]
-                      for plane in algebra.constants],
-    }
-
-
 def algebra_from_json(data, scalar_mode=RATIONAL) -> Algebra:
-    """Accepts a dict or a JSON string in the format of algebra_to_json.
+    """Accepts a dict or a JSON string {"name", "dim", "basis", "constants"},
+    `constants[i][j][k]` the e_k-coordinate of e_i e_j (README's format).
     An object that is not one, a `dim` that is not an integer, `constants`
     that are not arrays of scalars, or a `basis` that is neither absent,
     `null` nor an array of strings raises a ValueError (the CLI's exit 2)."""

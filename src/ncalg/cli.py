@@ -200,9 +200,8 @@ def _cmd_newton(args) -> int:
     lhs, rhs = parse_equation(args.equation, algebra)
     names = collect_unknowns(lhs) | collect_unknowns(rhs)
     if len(names) != 1:
-        raise UnknownSymbol(
-            "newton needs exactly one unknown, found: " + ", ".join(sorted(names))
-        )
+        raise UnknownSymbol("newton needs exactly one unknown, found: "
+                            + (", ".join(sorted(names)) or "none"))
     unknown = names.pop()
     poly, target = normalize_poly(algebra, (lhs, rhs), unknown)
     x0 = evaluate_constant(parse_expression(args.x0, algebra), algebra)

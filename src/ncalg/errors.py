@@ -30,11 +30,6 @@ class PivotNotInvertible(AlgebraError):
     non-invertible.  Cannot happen in a division algebra."""
 
 
-class QuasideterminantUndefined(AlgebraError):
-    """The minor of a quasideterminant is singular, or elimination on it met a
-    column whose nonzero entries are all zero divisors."""
-
-
 class EquationSyntaxError(AlgebraError):
     """Raised by the equation parser; `column` is the 1-based input offset."""
 

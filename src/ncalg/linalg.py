@@ -37,8 +37,6 @@ PARAMETRIC = "parametric"
 INCONSISTENT = "inconsistent"
 UNVERIFIED_ENLARGED = "unverified_enlarged"
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
 
 class FieldMatrix:
     """Immutable dense matrix with scalar entries (Fraction or float)."""
@@ -56,14 +54,6 @@ class FieldMatrix:
         self.cols = width
         self.entries = entries
 
-    @classmethod
-    def identity(cls, n: int) -> "FieldMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "FieldMatrix":
-        return cls([[_ZERO] * cols for _ in range(rows)])
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldMatrix)
@@ -79,16 +69,6 @@ class FieldMatrix:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
         return f"FieldMatrix({self.rows}x{self.cols}: {body})"
 
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return FieldMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -96,9 +76,6 @@ class FieldMatrix:
         return FieldMatrix(
             [[_dot(row, col) for col in cols] for row in self.entries]
         )
-
-    def scale(self, factor) -> "FieldMatrix":
-        return FieldMatrix([[factor * v for v in row] for row in self.entries])
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(list(zip(*self.entries)))

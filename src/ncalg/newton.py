@@ -16,14 +16,12 @@ suffixes, which would move float rounding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (RATIONAL, Algebra, Element, cleared_element, element_from_json,
-                      element_to_json, json_field, operator_rows, pair_coefficients,
-                      root_of_square)
+from .algebra import (RATIONAL, Algebra, Element, cleared_element, element_to_json,
+                      operator_rows, pair_coefficients, root_of_square)
 from .errors import AlgebraMismatch
 from .linalg import UNIQUE, solve_float, solve_integer
 from .tensor import TensorOp
@@ -73,10 +71,6 @@ class GeneralizedPolynomial:
                 continue
             cleaned.append(_absorb_scalar_head(algebra, mono))
         self.monomials = tuple(_merge_and_sort(algebra, cleaned))
-
-    @property
-    def degree(self) -> int:
-        return max((len(m) - 1 for m in self.monomials), default=0)
 
     def __eq__(self, other):
         return (
@@ -198,27 +192,6 @@ def _merge_and_sort(algebra: Algebra, monomials):
         return -(len(mono) - 1), tuple(elem.coords for elem in mono)
 
     return [tuple(m) for m in sorted(merged, key=key)]
-
-
-def poly_to_json(p: GeneralizedPolynomial) -> dict:
-    """{"monomials": [[coeff, coeff, ...], ...]} with coordinate-array coeffs."""
-    return {
-        "monomials": [
-            [element_to_json(c) for c in mono] for mono in p.monomials
-        ]
-    }
-
-
-def poly_from_json(algebra: Algebra, data) -> GeneralizedPolynomial:
-    """Reads {"monomials": [[c0, c1, ...], ...]}.  A wrong JSON type where
-    the monomials or a monomial belong raises a ValueError naming them."""
-    monomials = json_field(data, "monomials", list)
-    for mono in monomials:
-        if not isinstance(mono, list):
-            raise ValueError(f"JSON 'monomials' holds {json.dumps(mono)}, not an "
-                             "array of elements")
-    return GeneralizedPolynomial(
-        algebra, [[element_from_json(algebra, c) for c in mono] for mono in monomials])
 
 
 @dataclass

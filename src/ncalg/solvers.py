@@ -22,11 +22,6 @@ Two independent routes are implemented and cross-checked:
   always even when it is invertible), so every candidate is verified by
   substitution before it is reported; a failing candidate is returned with
   kind UNVERIFIED_ENLARGED instead of being silently trusted.
-
-Quasideterminants are a standalone operation, computed by their definition
-through the same elimination.  They are not a third solve route: for an
-invertible enlarged matrix the Cramer-style formula built from them is its
-inverse, which `nc_row_reduce` already applies.
 """
 
 from __future__ import annotations
@@ -35,9 +30,8 @@ import math
 from dataclasses import dataclass
 
 from .algebra import (Algebra, Element, RATIONAL, cleared_element, element_from_json,
-                      element_to_json, json_field, operator_rows)
-from .errors import (AlgebraMismatch, NotInvertible, PivotNotInvertible,
-                     QuasideterminantUndefined)
+                      json_field, operator_rows)
+from .errors import AlgebraMismatch, NotInvertible
 from .linalg import (
     DEFAULT_ZERO_TOL,
     FieldMatrix,
@@ -122,20 +116,6 @@ class SylvesterSystem:
     def residuals(self, xs) -> list:
         """Per-equation lhs(xs) - rhs, recomputed from scratch."""
         return [v - b for v, b in zip(self.apply_ops(xs), self.rhs)]
-
-    def to_json(self) -> dict:
-        equations = []
-        for row, b in zip(self.ops, self.rhs):
-            terms = []
-            for j, op in enumerate(row):
-                for a, c in op.simple_pairs():
-                    terms.append({
-                        "left": element_to_json(a),
-                        "right": element_to_json(c),
-                        "var": j,
-                    })
-            equations.append({"terms": terms, "rhs": element_to_json(b)})
-        return {"unknowns": self.m_unk, "equations": equations}
 
     @classmethod
     def from_json(cls, algebra: Algebra, data) -> "SylvesterSystem":
@@ -317,46 +297,6 @@ def _left_divider(pivot):
     if inverse is None:
         raise NotInvertible
     return inverse.__mul__
-
-
-# ---------------------------------------------------------------------------
-# quasideterminants
-# ---------------------------------------------------------------------------
-
-
-def quasideterminant(mat, i: int, j: int) -> Element:
-    """The (i, j) quasideterminant of a square matrix over the algebra.
-
-    By definition (Gelfand, Gelfand, Retakh and Wilson, "Quasideterminants",
-    2005, 1.2) it is m_ij - r (M^ij)^-1 c, with r row i without column j,
-    c column j without row i and M^ij the minor without row i and column j.
-    The product (M^ij)^-1 c is one elimination, `nc_row_reduce` on the minor.
-    For commuting entries this equals det(M) / det(M^ij); for an invertible
-    M it is the inverse of the (j, i) entry of M^-1.  Raises
-    QuasideterminantUndefined when that elimination does not find a unique
-    solution, or hits a column whose nonzero entries are all zero divisors.
-    """
-    size = len(mat)
-    if any(len(row) != size for row in mat):
-        raise ValueError("quasideterminant needs a square matrix")
-    if not (0 <= i < size and 0 <= j < size):
-        raise ValueError("index out of range")
-    if size == 1:
-        return mat[0][0]
-    rows = [r for r in range(size) if r != i]
-    cols = [c for c in range(size) if c != j]
-    try:
-        sol = nc_row_reduce([[mat[r][c] for c in cols] for r in rows],
-                            [mat[r][j] for r in rows])
-    except PivotNotInvertible as exc:
-        raise QuasideterminantUndefined(
-            f"elimination on the minor at ({i}, {j}) is blocked: {exc}") from exc
-    if sol.kind != UNIQUE:
-        raise QuasideterminantUndefined(f"the minor at ({i}, {j}) is singular")
-    value = mat[i][j]
-    for c, y in zip(cols, sol.particular):
-        value = value - mat[i][c] * y
-    return value
 
 
 # ---------------------------------------------------------------------------

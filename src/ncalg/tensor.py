@@ -18,7 +18,7 @@ import json
 
 from .algebra import (RATIONAL, Algebra, Element, _StoredPair, _unit,
                       check_json_scalars, cleared_element, element_from_json,
-                      field_matrix, format_terms, json_field, operator_rows,
+                      format_terms, json_field, operator_rows,
                       pair_coefficients, solve_inverse)
 from .errors import AlgebraMismatch, SingularTensor
 from .linalg import FieldMatrix
@@ -82,9 +82,6 @@ class TensorOp(_StoredPair):
     def __repr__(self):
         return f"TensorOp({self.to_text()})"
 
-    def is_identity(self) -> bool:
-        return self == TensorOp.identity(self.algebra)
-
     # -- action, composition, vectorization ------------------------------------
 
     def apply(self, x: Element) -> Element:
@@ -110,8 +107,12 @@ class TensorOp(_StoredPair):
     def operator_matrix(self) -> FieldMatrix:
         """Field-level matrix M with M @ coords(x) = coords(self.apply(x)),
         summed by `algebra.operator_rows` on the numerators, independently of
-        apply(), with one `Fraction` per entry of an exact M (`field_matrix`)."""
-        return field_matrix(self.algebra, *operator_rows(self.algebra, self._d, self._nums))
+        apply(), with one `Fraction` per entry of an exact M and float rows
+        as they are.  The matrix of x -> a x is that of a (x) 1, of
+        x -> x b that of 1 (x) b."""
+        alg = self.algebra
+        den, rows = operator_rows(alg, self._d, self._nums)
+        return FieldMatrix([alg._scalars(den, row) for row in rows])
 
     def invert(self) -> "TensorOp":
         """The tensor g with self o g = g o self = 1 (x) 1: the inverse in

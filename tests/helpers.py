@@ -176,6 +176,39 @@ def opposite(alg):
                            alg.basis_names, alg.scalar_mode, name=f"{alg.name}^op")
 
 
+def direct_sum(A, B):
+    """A (+) B, with componentwise products, over the basis: the unit
+    (1_A, 1_B), A's non-unit units (a, 0), then (0, 1_B), then B's non-unit
+    units (0, b); in A's scalar mode.  `summands` splits its elements."""
+    m, n = A.dim, B.dim
+
+    def unit(t):
+        x, y = [0] * m, [0] * n
+        if t == 0:
+            x[0] = y[0] = 1
+        elif t < m:
+            x[t] = 1
+        else:
+            y[t - m] = 1
+        return A.element(x), B.element(y)
+
+    def coords(x, y):
+        # (x, y) = x_0 (1_A, 1_B) + sum x_i (a_i, 0) + (y_0 - x_0)(0, 1_B) + ...
+        return [*x.coords, y.coords[0] - x.coords[0], *y.coords[1:]]
+
+    units = [unit(t) for t in range(m + n)]
+    names = (["1"] + [f"a_{name}" for name in A.basis_names[1:]]
+             + ["b_1"] + [f"b_{name}" for name in B.basis_names[1:]])
+    return nc.make_algebra([[coords(a * c, b * d) for c, d in units] for a, b in units],
+                           names, A.scalar_mode, name=f"{A.name}+{B.name}")
+
+
+def summands(z, A, B):
+    """The components (x, y) of an element z of `direct_sum(A, B)`."""
+    c, m = z.coords, A.dim
+    return A.element(c[:m]), B.element([c[0] + c[m], *c[m + 1:]])
+
+
 def algebra_from_data(name, scalar_mode=nc.RATIONAL):
     path = Path(__file__).parent / "data" / f"{name}_algebra.json"
     return nc.algebra_from_json(path.read_text(), scalar_mode)

@@ -116,13 +116,16 @@ class TestInverse:
 
 
 class TestRegularRepresentation:
+    # the matrix of x -> a x is that of a (x) 1, of x -> x a that of 1 (x) a
     def test_left_of_unit_is_identity(self, hq):
-        assert hq.one().left_matrix() == nc.FieldMatrix.identity(4)
+        one = hq.one()
+        assert nc.TensorOp.from_pairs([(one, one)]).operator_matrix() == nc.FieldMatrix(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
     def test_left_of_i_columns(self, hq, units):
         # columns are coords of i*1, i*i, i*j, i*k: 1->i, i->-1, j->k, k->-j
         one, i, j, k = units
-        L = i.left_matrix()
+        L = nc.TensorOp.from_pairs([(i, one)]).operator_matrix()
         cols = L.transpose().entries
         assert list(cols[0]) == list(i.coords)
         assert list(cols[1]) == list((-one).coords)
@@ -131,13 +134,17 @@ class TestRegularRepresentation:
 
     def test_right_action_example(self, hq, units):
         one, i, j, k = units
-        assert i.right_matrix().matvec(list(j.coords)) == list((-k).coords)
+        R = nc.TensorOp.from_pairs([(one, i)]).operator_matrix()
+        assert R.matvec(list(j.coords)) == list((-k).coords)
 
     def test_regular_property(self, hq, rng):
+        one = hq.one()
         for _ in range(25):
             a, x = rand_element(hq, rng), rand_element(hq, rng)
-            assert a.left_matrix().matvec(list(x.coords)) == list((a * x).coords)
-            assert a.right_matrix().matvec(list(x.coords)) == list((x * a).coords)
+            L = nc.TensorOp.from_pairs([(a, one)]).operator_matrix()
+            R = nc.TensorOp.from_pairs([(one, a)]).operator_matrix()
+            assert L.matvec(list(x.coords)) == list((a * x).coords)
+            assert R.matvec(list(x.coords)) == list((x * a).coords)
 
 
 class TestNorm:
@@ -206,9 +213,13 @@ class TestConstruction:
 
 class TestJson:
     def test_round_trip(self, hq):
-        data = nc.algebra_to_json(hq)
-        again = nc.algebra_from_json(data)
-        assert again == hq
+        data = {"name": "quaternion", "dim": 4, "basis": ["1", "i", "j", "k"],
+                "constants": [
+                    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+                    [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],
+                    [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]]}
+        assert nc.algebra_from_json(data) == hq
 
     def test_from_json_string(self):
         text = """

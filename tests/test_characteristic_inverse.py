@@ -59,7 +59,7 @@ def solved_inverse(a):
     if a.is_zero():
         return None
     alg = a.algebra
-    den, rows = a._operator_rows(True)
+    den, rows = a._operator_rows()
     d, sol = linalg.solve_integer(rows, [den * v for v in alg.one()._nums])
     return None if sol.kind == nc.INCONSISTENT else cleared_element(alg, d, sol.particular)
 
@@ -152,7 +152,8 @@ def test_characteristic_polynomial_vanishes_in_the_algebra(name):
         for q in powers:
             power = power * B
             assert cleared_element(alg, 1, [dc * v for v in q]) == power
-        matrix = sympy.Matrix([list(row) for row in B.left_matrix().entries])
+        L = nc.TensorOp.from_pairs([(B, alg.one())]).operator_matrix()
+        matrix = sympy.Matrix([list(row) for row in L.entries])
         assert c == [int(v) for v in matrix.charpoly().all_coeffs()]
         # chi(B) = B^n + c_1 B^(n-1) + ... + c_n = 0 in A
         total, power = alg.zero(), alg.one()

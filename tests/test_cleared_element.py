@@ -62,7 +62,7 @@ def check(x, oracle):
     assert all(type(c) is Fraction for c in x.coords)
 
 
-def left_matrix_rank(C, a):
+def left_multiplication_rank(C, a):
     n = len(C)
     return sympy.Matrix([[sum(a[i] * C[i][j][k] for i in range(n)) for j in range(n)]
                          for k in range(n)]).rank()
@@ -99,7 +99,7 @@ def test_matches_fraction_oracle(name, data):
     try:
         inverse = x.inverse()
     except nc.NotInvertible:
-        assert left_matrix_rank(C, a) < n
+        assert left_multiplication_rank(C, a) < n
         return
     one = [Fraction(int(k == 0)) for k in range(n)]
     check(inverse, inverse.coords)

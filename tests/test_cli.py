@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import ncalg as nc
 from ncalg import cli
 from ncalg.cli import _sort_unknowns, run
+from helpers import clifford_algebra, matrix_algebra
 
 DATA = Path(__file__).parent / "data"
 
@@ -342,6 +345,13 @@ class TestNewton:
         assert code == 1
         assert json.loads(out) == {"status": "bit_budget", "solution": None,
                                    "residual_norm": None, "iterations": []}
+
+    @pytest.mark.parametrize("equation, found", [("1 = 1", "none"), ("x*y = 1", "x, y")])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_unknown_count_named(self, capsys, equation, found, output):
+        # an equation without an unknown used to print "found: " and nothing
+        assert invoke(capsys, "newton", "--output", output, "--x0", "1", equation) == (
+            2, "", f"error: newton needs exactly one unknown, found: {found}\n")
 
 
 class TestInvertTensor:
@@ -800,3 +810,49 @@ class TestParserReuse:
         # the --x values of one call never reach the next
         assert [code for code, _, _ in reused] == [0, 1, 2, 0, 0, 1, 2]
         assert "got 0" in reused[2][2]
+
+
+class TestSolveCheckRoundTrip:
+    """Every exact `solve --output json` that exits 0 prints values that
+    `check --x` accepts with exit 0 (`--x=V`, so a value may start with
+    "-"), on seeded random equations over H, M2 and Cl(1,1): 1 or 2
+    unknowns, 1 to 3 terms a*x*b per equation, coordinates from COORDINATES.
+    The generator bounds the cost: 100 systems per algebra, three methods."""
+
+    COORDINATES = (0, 1, -1, 2, Fraction(1, 2), -3)
+    ALGEBRAS = {"H": nc.quaternion_algebra, "M2": lambda: matrix_algebra(2),
+                "Cl11": lambda: clifford_algebra(1, 1)}
+
+    def equations(self, alg, rng):
+        def element():
+            coords = [rng.choice(self.COORDINATES) for _ in range(alg.dim)]
+            return nc.format_element(alg.element(coords))
+        names = rng.choice((["x"], ["x1", "x2"]))
+        return [" + ".join(f"({element()})*{rng.choice(names)}*({element()})"
+                           for _ in range(rng.randint(1, 3))) + f" = {element()}"
+                for _ in range(rng.randint(1, len(names)))]
+
+    @pytest.mark.parametrize("name", list(ALGEBRAS))
+    def test_solutions_pass_check(self, capsys, tmp_path, name):
+        alg, rng = self.ALGEBRAS[name](), random.Random(f"round-trip-{name}")
+        algebra = tmp_path / f"{name}.json"
+        algebra.write_text(json.dumps({
+            "dim": alg.dim, "basis": list(alg.basis_names),
+            "constants": [[[str(c) for c in row] for row in plane]
+                          for plane in alg.constants]}))
+        solved = set()
+        for _ in range(100):
+            equations = self.equations(alg, rng)
+            for method in ("auto", "field", "richardson"):
+                code, out, err = invoke(capsys, "solve", "--algebra", str(algebra),
+                                        "--method", method, "--output", "json",
+                                        *equations)
+                assert code in (0, 1), err
+                if code == 0:
+                    payload = json.loads(out)
+                    xs = [f"--x={value}" for value in payload["solution"]]
+                    assert invoke(capsys, "check", "--algebra", str(algebra), *xs,
+                                  *equations)[0] == 0, (method, equations, payload)
+                    solved.add((method, payload["status"]))
+        assert solved == {(method, status) for method in ("auto", "field", "richardson")
+                          for status in ("unique", "parametric")}

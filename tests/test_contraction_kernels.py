@@ -152,13 +152,16 @@ class TestFloat:
 
     def test_element_matrices_bit_for_bit(self, name):
         alg, rng = ALGEBRAS[name, nc.FLOAT], random.Random(name)
-        n = alg.dim
+        n, one = alg.dim, alg.one()
         for x in elements(alg, rng, float_values(rng, 0.3), 6):
             left, right = [0.0] * (n * n), [0.0] * (n * n)
             left[::n], right[:n] = x._nums, x._nums
-            for matrix, coeff in ((x.left_matrix(), left), (x.right_matrix(), right)):
+            # x (x) 1 as the float inverse sums it, 1 (x) x as the public matrix
+            matrices = ((x._operator_rows()[1], left),
+                        (nc.TensorOp.from_pairs([(one, x)]).operator_matrix().entries, right))
+            for rows, coeff in matrices:
                 loop = algebra_module._rows(alg.pair_products(), coeff, 0.0)
-                assert float_bits(v for row in matrix.entries for v in row) == \
+                assert float_bits(v for row in rows for v in row) == \
                     float_bits(v for row in loop for v in row)
 
 
@@ -225,11 +228,11 @@ def test_construction_compiles_nothing_and_rebuilt_algebras_reuse_kernels(monkey
         x = first.element([1, 2, 0, -1])
         pair_coefficients(first, exact_pairs([(x, x)]) if mode == nc.RATIONAL
                           else [(x._nums, x._nums)])
-        x.left_matrix()
+        x._operator_rows()
         assert compiled == ["pairs", "coeff"]
         second = clifford_algebra(1, 1, mode)
         assert second is not first and compiled == ["pairs", "coeff"]
-        second.element([0, 1, 1, 0]).right_matrix()
+        second.element([0, 1, 1, 0])._operator_rows()
         pair_coefficients(second, exact_pairs([(x, x)]) if mode == nc.RATIONAL
                           else [(x._nums, x._nums)])
         assert compiled == ["pairs", "coeff"]
@@ -240,7 +243,7 @@ def test_construction_compiles_nothing_and_rebuilt_algebras_reuse_kernels(monkey
     # float one, but their kernels differ
     exact, floats = nc.quaternion_algebra(), nc.quaternion_algebra(nc.FLOAT)
     for alg in (exact, floats):
-        alg.one().left_matrix()
+        alg.one()._operator_rows()
         pair_coefficients(alg, exact_pairs([(alg.one(),) * 2]) if alg is exact
                           else [(alg.one()._nums,) * 2])
     assert exact.pair_products() == floats.pair_products()
@@ -284,7 +287,8 @@ def test_float_steps_and_inverses_build_no_field_matrix(float_solves):
     assert float_solves == {"solve_float": len(trace.iterates) + 2, "FieldMatrix": 0}
     # the public matrices still are `FieldMatrix`es, solved by row_reduce
     # through the same float solve
-    sol = nc.row_reduce(H.basis(1).left_matrix(), [1.0, 0.0, 0.0, 0.0])
+    left = nc.TensorOp.from_pairs([(H.basis(1), H.one())]).operator_matrix()
+    sol = nc.row_reduce(left, [1.0, 0.0, 0.0, 0.0])
     assert sol.kind == nc.UNIQUE
     assert float_solves == {"solve_float": len(trace.iterates) + 2, "FieldMatrix": 1}
 

@@ -587,8 +587,8 @@ class TestConstruction:
         C[1][1][2], C[2][2][3] = "0/5", Fraction(0)
         alg = nc.make_algebra(C, ["1", "u", "v", "w"])
         assert alg == scaled_quaternion_algebra()
-        assert nc.algebra_to_json(alg)["constants"] == \
-            [[[str(Fraction(c)) for c in row] for row in plane] for plane in C]
+        assert [[list(row) for row in plane] for plane in alg.constants] == \
+            [[[Fraction(c) for c in row] for row in plane] for plane in C]
         C[3][3][1] = 0.0
         with pytest.raises(TypeError):
             nc.make_algebra(C, ["1", "u", "v", "w"])

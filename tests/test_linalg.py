@@ -68,10 +68,10 @@ class TestRowReduce:
 
 class TestRank:
     def test_identity(self):
-        assert rank(FieldMatrix.identity(5)) == 5
+        assert rank(fm([[int(i == j) for j in range(5)] for i in range(5)])) == 5
 
     def test_zero(self):
-        assert rank(FieldMatrix.zeros(3, 4)) == 0
+        assert rank(fm([[0] * 4] * 3)) == 0
 
     def test_dependent_rows(self):
         assert rank(fm([[1, 2], [2, 4]])) == 1
@@ -154,12 +154,11 @@ class TestFloatBackwardStability:
 class TestFieldMatrix:
     def test_matmul_and_identity(self):
         A = fm([[1, 2], [3, 4]])
-        assert A @ FieldMatrix.identity(2) == A
+        assert A @ fm([[1, 0], [0, 1]]) == A
         assert (A @ A).entries == ((7, 10), (15, 22))
 
-    def test_add_scale_transpose(self):
+    def test_transpose(self):
         A = fm([[1, 2], [3, 4]])
-        assert (A + A) == A.scale(2)
         assert A.transpose().entries == ((1, 3), (2, 4))
 
     def test_shape_errors(self):

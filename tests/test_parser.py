@@ -444,7 +444,7 @@ class TestNormalizePoly:
         with pytest.raises(nc.DegreeLimitExceeded):
             normalize_poly(hq, pair, "x")
         poly, _ = normalize_poly(hq, parse_equation("x^8 = 0", hq), "x")
-        assert poly.degree == 8
+        assert max(len(m) - 1 for m in poly.monomials) == 8
 
     def test_wrong_unknown(self, hq):
         pair = parse_equation("y^2 = 0", hq)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import ncalg as nc
 from ncalg import algebra as algebra_module
 from ncalg.linalg import rank
-from ncalg.solvers import build_richardson, nc_row_reduce, quasideterminant
+from ncalg.solvers import build_richardson, nc_row_reduce
 from helpers import (
     DENSE_H_BASIS,
     algebra_from_data,
@@ -15,6 +16,7 @@ from helpers import (
     clifford_algebra,
     coordinates_in,
     dense_quaternion_algebra,
+    direct_sum,
     envelope_table,
     flat,
     matrix_algebra,
@@ -22,6 +24,7 @@ from helpers import (
     rand_element,
     rand_nonzero,
     residuals_are_zero,
+    summands,
 )
 
 
@@ -77,24 +80,6 @@ def rand_sparse(alg, rng):
     for t in rng.sample(range(alg.dim), rng.choice([1, 2, alg.dim])):
         coords[t] = rng.randint(-2, 2)
     return alg.element(coords)
-
-
-def reference_quasideterminant(mat, i, j):
-    """The recursive quasideterminant: a_ij - sum_{c,r} a_ic |A^ij|_rc^-1 a_rj,
-    with |A^ij|_rc the quasideterminants of the minor A^ij.  Raises
-    NotInvertible wherever the recursion meets a singular one."""
-    size = len(mat)
-    if size == 1:
-        return mat[0][0]
-    rows = [r for r in range(size) if r != i]
-    cols = [c for c in range(size) if c != j]
-    minor = [[mat[r][c] for c in cols] for r in rows]
-    value = mat[i][j]
-    for b, r in enumerate(rows):
-        for a, c in enumerate(cols):
-            inverse = reference_quasideterminant(minor, b, a).inverse()
-            value = value - mat[i][c] * inverse * mat[r][j]
-    return value
 
 
 def enlarged_matvec(rich, vec):
@@ -258,7 +243,8 @@ class TestNCRowReduce:
             for t in range(4):
                 srow = []
                 for entry in arow:
-                    srow.extend(entry.left_matrix().entries[t])
+                    srow.extend(nc.TensorOp.from_pairs([(entry, one)])
+                                .operator_matrix().entries[t])
                 rows.append(srow)
         assert nc.rank(nc.FieldMatrix(rows)) == 8
 
@@ -393,6 +379,44 @@ class TestSolveField:
             assert [values(d) for d in other.nullspace] == \
                 [values(d) for d in sol.nullspace]
 
+    @pytest.mark.parametrize("names", [("H", "complex"), ("complex", "dual"), ("H", "dual")],
+                             ids="+".join)
+    def test_direct_sum_is_the_pair_of_its_summands(self, names):
+        # a metamorphic relation: over A (+) B a system is the pair of its
+        # components over A and over B, so it is inconsistent when either is;
+        # otherwise its free count is the sum of theirs (unique when 0), and
+        # the components of its solution and directions solve theirs
+        A, B = (nc.quaternion_algebra() if name == "H" else algebra_from_data(name)
+                for name in names)
+        S, rng = direct_sum(A, B), random.Random("direct-sum-" + "+".join(names))
+        kinds = []
+        for _ in range(150):
+            m_unk = rng.randint(1, 2)
+            equations = [([(rand_sparse(S, rng), rand_sparse(S, rng), rng.randrange(m_unk))
+                           for _ in range(rng.randint(1, 3))], rand_sparse(S, rng))
+                         for _ in range(rng.randint(1, m_unk))]
+            sol = nc.solve_field(nc.SylvesterSystem.from_terms(S, equations, m_unk))
+            kinds.append(sol.kind)
+            parts = []
+            for side, alg in enumerate((A, B)):
+                system = nc.SylvesterSystem.from_terms(alg, [
+                    ([(summands(a, A, B)[side], summands(b, A, B)[side], j)
+                      for a, b, j in terms], summands(c, A, B)[side])
+                    for terms, c in equations], m_unk)
+                parts.append((system, nc.solve_field(system)))
+            if any(part.kind == nc.INCONSISTENT for _, part in parts):
+                assert sol.kind == nc.INCONSISTENT
+                continue
+            free = sum(len(part.nullspace) for _, part in parts)
+            assert (sol.kind, len(sol.nullspace)) == (nc.UNIQUE if free == 0
+                                                      else nc.PARAMETRIC, free)
+            for side, (system, _) in enumerate(parts):
+                assert residuals_are_zero(system, [summands(x, A, B)[side] for x in sol.x])
+                for direction in sol.nullspace:
+                    assert all(v.is_zero() for v in system.apply_ops(
+                        [summands(d, A, B)[side] for d in direction]))
+        assert set(kinds) == {nc.UNIQUE, nc.PARAMETRIC, nc.INCONSISTENT}, kinds
+
     def test_two_unknown_system(self, hq, units):
         one, i, j, k = units
         # i*x1 + x2*j = k  and  x1 = 1: plant the solution
@@ -490,110 +514,17 @@ class TestSolveRichardson:
             assert sol.x[0].coords[2] == pytest.approx(-0.5, abs=1e-9)
 
 
-class TestQuasideterminant:
-    def test_base_case(self, hq, rng):
-        a = rand_element(hq, rng)
-        assert quasideterminant([[a]], 0, 0) == a
-
-    def test_noncommutative_cancellation(self, hq, units):
-        one, i, j, k = units
-        #  i - j * 1^{-1} * k = i - jk = 0
-        assert quasideterminant([[i, j], [k, one]], 0, 0) == hq.zero()
-
-    def test_commutative_matches_minor_ratio(self, hq):
-        rows = [[1, 2], [3, 4]]
-        M = [[hq.element([v, 0, 0, 0]) for v in row] for row in rows]
-        assert quasideterminant(M, 0, 0) == hq.element(["-1/2", 0, 0, 0])
-
-    def test_commutative_3x3_matches_determinant_ratio(self, hq):
-        rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-        M = [[hq.element([v, 0, 0, 0]) for v in row] for row in rows]
-        # det(M) = 18 via cofactors; det(minor at (0,0)) = 11
-        got = quasideterminant(M, 0, 0)
-        assert got == hq.element([Fraction(18, 11), 0, 0, 0])
-
-    def test_undefined_when_minor_singular(self, hq, units):
-        one, i, j, k = units
-        M = [[i, j], [k, hq.zero()]]
-        with pytest.raises(nc.QuasideterminantUndefined):
-            quasideterminant(M, 0, 0)
-
-    def test_shape_validation(self, hq, units):
-        one, i, j, k = units
-        with pytest.raises(ValueError):
-            quasideterminant([[i, j]], 0, 0)
-        with pytest.raises(ValueError):
-            quasideterminant([[i]], 1, 0)
-
-    @pytest.mark.parametrize("name", ["H", "M2", "Cl(1,1)", "complex", "dual"])
-    def test_matches_recursion_where_it_is_defined(self, name):
-        alg = {
-            "H": nc.quaternion_algebra,
-            "M2": lambda: matrix_algebra(2),
-            "Cl(1,1)": lambda: clifford_algebra(1, 1),
-            "complex": lambda: algebra_from_data("complex"),
-            "dual": lambda: algebra_from_data("dual"),
-        }[name]()
-        rng = random.Random(f"qd-{name}")
-        defined = 0
-        for _ in range(40):
-            size = rng.choice([2, 3])
-            mat = [[rand_sparse(alg, rng) for _ in range(size)]
-                   for _ in range(size)]
-            i, j = rng.randrange(size), rng.randrange(size)
-            try:
-                expected = reference_quasideterminant(mat, i, j)
-            except nc.NotInvertible:
-                continue
-            defined += 1
-            assert quasideterminant(mat, i, j) == expected
-        assert defined >= 10
-
-    def test_defined_where_the_recursion_is_not(self, hq, units):
-        # the minor [[0, 1], [1, 0]] is invertible, but its own (0, 0)
-        # quasideterminant needs 0^-1, so the recursion stops; by definition
-        # the value is 1 - (i, j) [[0, 1], [1, 0]] (k, 1) = 1 - i - jk
-        one, i, j, k = units
-        M = [[one, i, j], [k, hq.zero(), one], [one, one, hq.zero()]]
-        with pytest.raises(nc.NotInvertible):
-            reference_quasideterminant(M, 0, 0)
-        assert quasideterminant(M, 0, 0) == one - i.scale(2)
-
-    @pytest.mark.parametrize("m_unk, count", [(1, 20), (2, 3)])
-    def test_cramer_identity(self, hq, m_unk, count):
-        # for an invertible enlarged matrix A, (A^-1)_ji = |A|_ij^-1, so
-        # x^j = sum_r |A|_{r,(j,0)}^-1 b_r; an undefined quasideterminant
-        # is a zero entry of A^-1 and contributes nothing
-        rng = random.Random(f"cramer-{m_unk}")
-        checked = 0
-        while checked < count:
-            equations = [
-                ([(rand_nonzero(hq, rng), rand_nonzero(hq, rng), rng.randrange(m_unk))
-                  for _ in range(2 * m_unk)], rand_element(hq, rng))
-                for _ in range(m_unk)
-            ]
-            system = nc.SylvesterSystem.from_terms(hq, equations, m_unk)
-            rich = build_richardson(system)
-            if nc_row_reduce(rich.amat, rich.brhs).kind != nc.UNIQUE:
-                continue
-            xs = []
-            for j in range(m_unk):
-                total = hq.zero()
-                for r, b in enumerate(rich.brhs):
-                    try:
-                        q = quasideterminant(rich.amat, r, j * hq.dim)
-                    except nc.QuasideterminantUndefined:
-                        continue
-                    total = total + q.inverse() * b
-                xs.append(total)
-            assert xs == nc.solve_richardson(system).x
-            checked += 1
-
-
 class TestSystemJson:
+    # README's system example: (i+j)*x*k + k*x*(j+k) = 1+k
+    README_SYSTEM = """{"unknowns": 1,
+     "equations": [{"terms": [{"left": ["0","1","1","0"],
+                               "right": ["0","0","0","1"], "var": 0},
+                              {"left": ["0","0","0","1"],
+                               "right": ["0","0","1","1"], "var": 0}],
+                    "rhs": ["1","0","0","1"]}]}"""
+
     def test_round_trip(self, hq, units, example_21):
-        data = example_21.to_json()
-        again = nc.SylvesterSystem.from_json(hq, data)
+        again = nc.SylvesterSystem.from_json(hq, json.loads(self.README_SYSTEM))
         assert again.ops == example_21.ops
         assert again.rhs == example_21.rhs
 
@@ -601,7 +532,11 @@ class TestSystemJson:
         one, i, j, k = units
         system = nc.SylvesterSystem.from_terms(
             hq, [([(i, one, 0), (one, j, 1)], k)], 2)
-        again = nc.SylvesterSystem.from_json(hq, system.to_json())
+        again = nc.SylvesterSystem.from_json(hq, {
+            "unknowns": 2,
+            "equations": [{"terms": [{"left": [0, 1, 0, 0], "right": [1, 0, 0, 0], "var": 0},
+                                     {"left": [1, 0, 0, 0], "right": [0, 0, 1, 0], "var": 1}],
+                           "rhs": [0, 0, 0, 1]}]})
         assert again.ops == system.ops
         assert again.rhs == system.rhs
         assert again.m_unk == 2
