@@ -195,14 +195,18 @@ def _cmd_solve(args) -> int:
     return 1
 
 
+def _the_unknown(what: str, names: set) -> str:
+    """The one unknown that `what` names; else an error that lists them."""
+    if len(names) != 1:
+        raise UnknownSymbol(f"{what} needs exactly one unknown, found: "
+                            + (", ".join(sorted(names)) or "none"))
+    return names.pop()
+
+
 def _cmd_newton(args) -> int:
     algebra = _load_algebra(args.algebra, args.scalar)
     lhs, rhs = parse_equation(args.equation, algebra)
-    names = collect_unknowns(lhs) | collect_unknowns(rhs)
-    if len(names) != 1:
-        raise UnknownSymbol("newton needs exactly one unknown, found: "
-                            + (", ".join(sorted(names)) or "none"))
-    unknown = names.pop()
+    unknown = _the_unknown("newton", collect_unknowns(lhs) | collect_unknowns(rhs))
     poly, target = normalize_poly(algebra, (lhs, rhs), unknown)
     x0 = evaluate_constant(parse_expression(args.x0, algebra), algebra)
     cfg = NewtonConfig(tol=args.tol, max_iter=args.max_iter)
@@ -235,12 +239,7 @@ def _cmd_invert_tensor(args) -> int:
         require_finite(algebra, [(op, "the tensor's terms")], "sum to")
     else:
         pair = parse_equation(args.expression + " = 0", algebra)
-        names = collect_unknowns(pair[0])
-        if len(names) != 1:
-            raise UnknownSymbol(
-                "the operator expression needs exactly one unknown"
-            )
-        unknown = names.pop()
+        unknown = _the_unknown("the operator expression", collect_unknowns(pair[0]))
         system = normalize_linear(algebra, [pair], [unknown])
         if not system.rhs[0].is_zero():
             raise NonlinearTerm(

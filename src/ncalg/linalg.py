@@ -25,7 +25,6 @@ public `FieldMatrix`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInvertible, PivotNotInvertible
@@ -96,8 +95,31 @@ def _dot(u, v):
     return total
 
 
-@dataclass
-class SolutionSet:
+class _Record:
+    """Base of the package's plain records, which name their fields in
+    `__slots__` in constructor order: `==` only between records of one type
+    with equal fields, the `Name(field=value, ...)` repr, and pickling and
+    deep copies through the constructor.  Records are mutable and
+    unhashable unless a subclass says otherwise."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):  # defining it leaves __hash__ None
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class SolutionSet(_Record):
     """Complete description of the solutions of M x = rhs.
 
     kind is one of UNIQUE / PARAMETRIC / INCONSISTENT.  When consistent, the
@@ -108,10 +130,13 @@ class SolutionSet:
     algebra and multiply their direction entrywise from the right.
     """
 
-    kind: str
-    particular: list | None
-    nullspace_basis: list
-    free_names: list
+    __slots__ = ("kind", "particular", "nullspace_basis", "free_names")
+
+    def __init__(self, kind, particular, nullspace_basis, free_names):
+        self.kind = kind
+        self.particular = particular
+        self.nullspace_basis = nullspace_basis
+        self.free_names = free_names
 
     def assignment(self, params) -> list:
         """Evaluate the family at concrete parameter values, each t

@@ -17,13 +17,12 @@ suffixes, which would move float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (RATIONAL, Algebra, Element, cleared_element, element_to_json,
                       operator_rows, pair_coefficients, root_of_square)
 from .errors import AlgebraMismatch
-from .linalg import UNIQUE, solve_float, solve_integer
+from .linalg import UNIQUE, _Record, solve_float, solve_integer
 from .tensor import TensorOp
 
 CONVERGED = "converged"
@@ -194,25 +193,28 @@ def _merge_and_sort(algebra: Algebra, monomials):
     return [tuple(m) for m in sorted(merged, key=key)]
 
 
-@dataclass
-class NewtonConfig:
-    tol: float = 1e-9
-    max_iter: int = 50
+class NewtonConfig(_Record):
+    __slots__ = ("tol", "max_iter")
 
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
-        if type(self.max_iter) is not int or self.max_iter <= 0:  # no bool
-            raise ValueError(f"max_iter must be a positive integer, not {self.max_iter!r}")
+    def __init__(self, tol: float = 1e-9, max_iter: int = 50):
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, not {tol!r}")
+        if type(max_iter) is not int or max_iter <= 0:  # no bool
+            raise ValueError(f"max_iter must be a positive integer, not {max_iter!r}")
+        self.tol = tol
+        self.max_iter = max_iter
 
 
-@dataclass
-class NewtonTrace:
+class NewtonTrace(_Record):
     """iterates[k] = (x_k, residual f(x_k) - a, residual norm), with the
-    residual recomputed at every iterate rather than carried forward."""
+    residual recomputed at every iterate rather than carried forward.
+    `iterates` defaults to a fresh list per trace."""
 
-    iterates: list = field(default_factory=list)
-    status: str = MAX_ITERATIONS
+    __slots__ = ("iterates", "status")
+
+    def __init__(self, iterates: list | None = None, status: str = MAX_ITERATIONS):
+        self.iterates = [] if iterates is None else iterates
+        self.status = status
 
     @property
     def solution(self) -> Element | None:

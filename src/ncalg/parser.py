@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, Element, RATIONAL, format_coords
@@ -43,6 +42,7 @@ from .errors import (
     NonlinearTerm,
     UnknownSymbol,
 )
+from .linalg import _Record
 from .newton import GeneralizedPolynomial
 from .solvers import SylvesterSystem
 
@@ -50,41 +50,70 @@ from .solvers import SylvesterSystem
 # -- AST --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: object          # Fraction, or float in float mode
+class _Node(_Record):
+    """An immutable expression node, hashable by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
-class BasisUnit:
-    name: str
-    index: int
+class Lit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)  # Fraction, or float in float mode
 
 
-@dataclass(frozen=True)
-class Unknown:
-    name: str
+class BasisUnit(_Node):
+    __slots__ = ("name", "index")
+
+    def __init__(self, name: str, index: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+class Unknown(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+class Neg(_Node):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple         # order is meaningful: the algebra does not commute
+class Sum(_Node):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
+class Product(_Node):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        # order is meaningful: the algebra does not commute
+        object.__setattr__(self, "factors", factors)
+
+
+class Power(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 def expr_to_text(node) -> str:

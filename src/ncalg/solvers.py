@@ -27,7 +27,6 @@ Two independent routes are implemented and cross-checked:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .algebra import (Algebra, Element, RATIONAL, cleared_element, element_from_json,
                       json_field, operator_rows)
@@ -40,6 +39,7 @@ from .linalg import (
     UNIQUE,
     UNVERIFIED_ENLARGED,
     SolutionSet,
+    _Record,
     divided_back_substitute,
     divided_step,
     eliminate,
@@ -131,8 +131,7 @@ class SylvesterSystem:
         return cls.from_terms(algebra, equations, m_unk)
 
 
-@dataclass
-class RichardsonSystem:
+class RichardsonSystem(_Record):
     """The enlarged algebra-valued system.
 
     Row (i, l) is equation i of the original system right-multiplied by basis
@@ -140,15 +139,17 @@ class RichardsonSystem:
     stored blocked, index = outer * dim + inner.
     """
 
-    algebra: Algebra
-    m_eq: int
-    m_unk: int
-    amat: list        # (m_eq*n) x (m_unk*n) matrix of Elements
-    brhs: list        # m_eq*n Elements, entry (i, l) = rhs[i] * e_l
+    __slots__ = ("algebra", "m_eq", "m_unk", "amat", "brhs")
+
+    def __init__(self, algebra: Algebra, m_eq: int, m_unk: int, amat: list, brhs: list):
+        self.algebra = algebra
+        self.m_eq = m_eq
+        self.m_unk = m_unk
+        self.amat = amat      # (m_eq*n) x (m_unk*n) matrix of Elements
+        self.brhs = brhs      # m_eq*n Elements, entry (i, l) = rhs[i] * e_l
 
 
-@dataclass
-class AlgebraSolution:
+class AlgebraSolution(_Record):
     """Result of a system solve, mapped back to algebra elements.
 
     For kinds UNIQUE and PARAMETRIC, x is a verified solution and the family
@@ -163,11 +164,14 @@ class AlgebraSolution:
     candidate is x = -u.
     """
 
-    kind: str
-    x: list | None
-    nullspace: list
-    free_names: list
-    residuals: list | None
+    __slots__ = ("kind", "x", "nullspace", "free_names", "residuals")
+
+    def __init__(self, kind, x, nullspace, free_names, residuals):
+        self.kind = kind
+        self.x = x
+        self.nullspace = nullspace
+        self.free_names = free_names
+        self.residuals = residuals
 
     def assignment(self, params) -> list:
         if self.x is None:

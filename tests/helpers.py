@@ -1,7 +1,9 @@
 """Shared randomized-input builders and independent test-side oracles."""
 
+import copy
 import functools
 import math
+import pickle
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +44,13 @@ def compose_pairs_oracle(f_pairs, g_pairs):
     return nc.tensor_from_pairs(
         [(u * w, z * v) for u, v in f_pairs for w, z in g_pairs]
     )
+
+
+def assert_round_trips(record):
+    """A record comes back from pickle and from copy.deepcopy as an equal
+    record of its own type."""
+    for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(again) is type(record) and again == record
 
 
 def residuals_are_zero(system, xs):

@@ -355,6 +355,12 @@ class TestNewton:
 
 
 class TestInvertTensor:
+    @pytest.mark.parametrize("expression, found", [("i", "none"), ("y*x", "x, y")])
+    def test_unknown_count_named(self, capsys, expression, found):
+        assert invoke(capsys, "invert-tensor", expression) == (
+            2, "", "error: the operator expression needs exactly one unknown, "
+            f"found: {found}\n")
+
     def test_golden_inverse(self, capsys):
         code, out, _ = invoke(capsys, "invert-tensor",
                               "(i+j)*x*k + k*x*(j+k)")

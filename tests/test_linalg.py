@@ -6,6 +6,7 @@ import pytest
 
 import ncalg as nc
 from ncalg.linalg import FieldMatrix, pivot_columns, rank, row_reduce, solve_float
+from helpers import assert_round_trips
 
 
 def fm(rows):
@@ -169,3 +170,33 @@ class TestFieldMatrix:
             A.matvec([1])
         with pytest.raises(ValueError):
             FieldMatrix([[1, 2], [3]])
+
+
+class TestSolutionSetRecord:
+    # a plain record: fields by position or keyword, == within its type,
+    # the repr that names every field, mutable and unhashable
+    def test_construction_and_repr(self):
+        sol = nc.SolutionSet("unique", [1], [], [])
+        assert sol == nc.SolutionSet(kind="unique", particular=[1], nullspace_basis=[],
+                                     free_names=[])
+        assert (sol.kind, sol.particular, sol.nullspace_basis, sol.free_names) == \
+            ("unique", [1], [], [])
+        assert repr(sol) == \
+            "SolutionSet(kind='unique', particular=[1], nullspace_basis=[], free_names=[])"
+
+    def test_equality_needs_the_type_and_every_field(self):
+        sol = nc.SolutionSet("unique", [1], [], [])
+        assert sol != nc.SolutionSet("unique", [2], [], [])
+        assert sol != ("unique", [1], [], [])
+        assert sol != nc.AlgebraSolution("unique", [1], [], [], None)
+
+    def test_mutable_and_unhashable(self):
+        sol = row_reduce(fm([[1, 0], [0, 1]]), [Fraction(3), Fraction(-7)])
+        sol.particular = [0, 0]
+        assert sol.particular == [0, 0]
+        with pytest.raises(TypeError):
+            hash(sol)
+
+    def test_pickle_and_deepcopy(self):
+        assert_round_trips(row_reduce(fm([[1, 1]]), [Fraction(2)]))
+        assert_round_trips(row_reduce(fm([[1, 1], [1, 1]]), [Fraction(0), Fraction(1)]))

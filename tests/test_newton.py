@@ -15,11 +15,13 @@ from ncalg.newton import (
     SINGULAR_DERIVATIVE,
     GeneralizedPolynomial,
     NewtonConfig,
+    NewtonTrace,
     newton_solve,
 )
 from ncalg import newton as newton_module
 from ncalg.linalg import solve_integer
-from helpers import (algebra_from_data, clifford_algebra, coordinates_exceed_bits,
+from helpers import (algebra_from_data, assert_round_trips, clifford_algebra,
+                     coordinates_exceed_bits,
                      matrix_algebra, naive_coefficients, naive_derivative_pairs, naive_evaluate,
                      naive_newton, rand_element, scaled_quaternion_algebra)
 
@@ -326,12 +328,14 @@ class TestNewton:
 
     def test_config_validation(self):
         for tol in (0.0, -1e-9, math.inf, math.nan):
-            with pytest.raises(ValueError, match="tol must be positive and finite"):
+            with pytest.raises(ValueError) as info:
                 NewtonConfig(tol=tol)
+            assert str(info.value) == f"tol must be positive and finite, not {tol!r}"
         # a positive int and no bool, as JSON integer fields are read
         for max_iter in (0, -1, 2.5, 3.0, True, False, "3", None):
-            with pytest.raises(ValueError, match="max_iter must be a positive integer"):
-                NewtonConfig(max_iter=max_iter)
+            with pytest.raises(ValueError) as info:
+                NewtonConfig(1e-9, max_iter)
+            assert str(info.value) == f"max_iter must be a positive integer, not {max_iter!r}"
 
     @given(coords=st.lists(st.one_of(
         st.just(Fraction(0)),
@@ -458,3 +462,46 @@ class TestPolyJson:
             assert row["x"] == list(x.coords)
             assert row["residual"] == list(r.coords)
             assert row["norm"] == norm
+
+
+class TestRecords:
+    # NewtonConfig and NewtonTrace are plain records: fields by position or
+    # keyword, defaults, == within the type, the repr that names every
+    # field, mutable and unhashable
+    def test_config_construction_and_repr(self):
+        assert NewtonConfig() == NewtonConfig(1e-9, 50) == NewtonConfig(tol=1e-9, max_iter=50)
+        assert (NewtonConfig(1e-6, 3).tol, NewtonConfig(1e-6, 3).max_iter) == (1e-6, 3)
+        assert repr(NewtonConfig()) == "NewtonConfig(tol=1e-09, max_iter=50)"
+
+    def test_trace_construction_and_repr(self, hq):
+        first, second = NewtonTrace(), NewtonTrace()
+        assert (first.iterates, first.status) == ([], MAX_ITERATIONS)
+        first.iterates.append((hq.one(), hq.zero(), 0.0))
+        assert second.iterates == []  # a fresh list per trace
+        assert NewtonTrace([], SINGULAR_DERIVATIVE) == \
+            NewtonTrace(iterates=[], status=SINGULAR_DERIVATIVE)
+        assert repr(NewtonTrace()) == "NewtonTrace(iterates=[], status='max_iterations')"
+        assert repr(first) == ("NewtonTrace(iterates=[(Element(1), Element(0), 0.0)], "
+                               "status='max_iterations')")
+
+    def test_equality_needs_the_type_and_every_field(self):
+        assert NewtonTrace() != NewtonTrace([], CONVERGED)
+        assert NewtonConfig() != NewtonConfig(max_iter=51)
+        assert NewtonConfig() != (1e-9, 50)
+        assert NewtonTrace([], CONVERGED) != NewtonTrace([(1, 2, 3)], CONVERGED)
+
+    def test_mutable_and_unhashable(self):
+        cfg, trace = NewtonConfig(), NewtonTrace()
+        cfg.max_iter, trace.status = 7, CONVERGED
+        assert (cfg.max_iter, trace.status) == (7, CONVERGED)
+        for record in (cfg, trace):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_pickle_and_deepcopy(self):
+        assert_round_trips(NewtonConfig(1e-6, 3))
+        assert_round_trips(NewtonTrace())
+        # an algebra that has multiplied holds its compiled product kernel,
+        # which pickle cannot reach, so the iterate holds a fresh one's units
+        alg = nc.quaternion_algebra(nc.FLOAT)
+        assert_round_trips(NewtonTrace([(alg.one(), alg.basis(2), 1.0)], CONVERGED))

@@ -25,7 +25,7 @@ from ncalg.parser import (
     parse_expression,
     _tokenize,
 )
-from helpers import rand_element, rand_nonzero
+from helpers import assert_round_trips, rand_element, rand_nonzero
 
 
 def eval_with(node, algebra, values):
@@ -504,3 +504,55 @@ class TestFormatting:
     def test_expr_to_text_names_subterms(self, hq):
         expr = parse_expression("k*x*j", hq)
         assert "x" in expr_to_text(expr)
+
+
+def one_node_per_type():
+    return [Lit(Fraction(1)), BasisUnit("i", 1), Unknown("x"), Neg(Unknown("x")),
+            Sum((Lit(Fraction(1)), Unknown("x"))), Product((BasisUnit("i", 1), Unknown("x"))),
+            Power(Unknown("x"), 2)]
+
+
+class TestAstNodes:
+    # the seven node types are immutable records, hashable by their fields
+    NODES = one_node_per_type()
+
+    def test_construction_by_keyword(self):
+        x = Unknown(name="x")
+        assert [Lit(value=Fraction(1)), BasisUnit(name="i", index=1), x, Neg(operand=x),
+                Sum(terms=(Lit(Fraction(1)), x)), Product(factors=(BasisUnit("i", 1), x)),
+                Power(base=x, exponent=2)] == self.NODES
+
+    def test_repr(self):
+        assert [repr(node) for node in self.NODES] == [
+            "Lit(value=Fraction(1, 1))",
+            "BasisUnit(name='i', index=1)",
+            "Unknown(name='x')",
+            "Neg(operand=Unknown(name='x'))",
+            "Sum(terms=(Lit(value=Fraction(1, 1)), Unknown(name='x')))",
+            "Product(factors=(BasisUnit(name='i', index=1), Unknown(name='x')))",
+            "Power(base=Unknown(name='x'), exponent=2)",
+        ]
+
+    def test_parse_builds_these_nodes(self, hq):
+        assert parse_expression("1 + x", hq) == self.NODES[4]
+        assert parse_expression("i*x", hq) == self.NODES[5]
+
+    def test_equality_needs_the_type_and_every_field(self):
+        assert Unknown("x") != Lit("x")
+        assert Unknown("x") != ("x",)
+        assert Power(Unknown("x"), 2) != Power(Unknown("x"), 3)
+
+    def test_immutable_and_hashable(self):
+        for node, name in zip(self.NODES, ["value", "name", "name", "operand", "terms",
+                                           "factors", "base"]):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        again = one_node_per_type()
+        assert [hash(node) for node in again] == [hash(node) for node in self.NODES]
+        assert len(set(self.NODES + again)) == len(self.NODES)
+
+    def test_pickle_and_deepcopy(self):
+        for node in self.NODES:
+            assert_round_trips(node)

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import ncalg as nc
 from ncalg import algebra as algebra_module
-from ncalg.linalg import rank
-from ncalg.solvers import build_richardson, nc_row_reduce
+from ncalg.linalg import DEFAULT_ZERO_TOL, rank
+from ncalg.solvers import RichardsonSystem, build_richardson, nc_row_reduce, residuals_vanish
 from helpers import (
     DENSE_H_BASIS,
     algebra_from_data,
+    assert_round_trips,
     change_basis,
     clifford_algebra,
     coordinates_in,
@@ -379,15 +380,19 @@ class TestSolveField:
             assert [values(d) for d in other.nullspace] == \
                 [values(d) for d in sol.nullspace]
 
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
     @pytest.mark.parametrize("names", [("H", "complex"), ("complex", "dual"), ("H", "dual")],
                              ids="+".join)
-    def test_direct_sum_is_the_pair_of_its_summands(self, names):
+    def test_direct_sum_is_the_pair_of_its_summands(self, names, mode):
         # a metamorphic relation: over A (+) B a system is the pair of its
         # components over A and over B, so it is inconsistent when either is;
         # otherwise its free count is the sum of theirs (unique when 0), and
-        # the components of its solution and directions solve theirs
-        A, B = (nc.quaternion_algebra() if name == "H" else algebra_from_data(name)
+        # the components of its solution and directions solve theirs: by
+        # `residuals_vanish`, and directions to DEFAULT_ZERO_TOL in float mode.
+        # Both modes draw the same systems.
+        A, B = (nc.quaternion_algebra(mode) if name == "H" else algebra_from_data(name, mode)
                 for name in names)
+        tol = 0.0 if mode == nc.RATIONAL else DEFAULT_ZERO_TOL
         S, rng = direct_sum(A, B), random.Random("direct-sum-" + "+".join(names))
         kinds = []
         for _ in range(150):
@@ -411,9 +416,10 @@ class TestSolveField:
             assert (sol.kind, len(sol.nullspace)) == (nc.UNIQUE if free == 0
                                                       else nc.PARAMETRIC, free)
             for side, (system, _) in enumerate(parts):
-                assert residuals_are_zero(system, [summands(x, A, B)[side] for x in sol.x])
+                assert residuals_vanish(system.residuals([summands(x, A, B)[side]
+                                                          for x in sol.x]))
                 for direction in sol.nullspace:
-                    assert all(v.is_zero() for v in system.apply_ops(
+                    assert all(v.is_zero(tol) for v in system.apply_ops(
                         [summands(d, A, B)[side] for d in direction]))
         assert set(kinds) == {nc.UNIQUE, nc.PARAMETRIC, nc.INCONSISTENT}, kinds
 
@@ -540,3 +546,47 @@ class TestSystemJson:
         assert again.ops == system.ops
         assert again.rhs == system.rhs
         assert again.m_unk == 2
+
+
+class TestRecords:
+    # RichardsonSystem and AlgebraSolution are plain records: fields by
+    # position or keyword, == within the type, the repr that names every
+    # field, mutable and unhashable
+    def test_construction_and_repr(self, hq):
+        one = hq.one()
+        rich = RichardsonSystem(hq, 1, 1, [[one]], [one])
+        assert rich == RichardsonSystem(algebra=hq, m_eq=1, m_unk=1, amat=[[one]],
+                                        brhs=[one])
+        assert repr(rich) == ("RichardsonSystem(algebra=Algebra(quaternion, rational), "
+                              "m_eq=1, m_unk=1, amat=[[Element(1)]], brhs=[Element(1)])")
+        sol = nc.AlgebraSolution("unique", [one], [], [], [hq.zero()])
+        assert sol == nc.AlgebraSolution(kind="unique", x=[one], nullspace=[],
+                                         free_names=[], residuals=[hq.zero()])
+        assert repr(sol) == ("AlgebraSolution(kind='unique', x=[Element(1)], nullspace=[], "
+                             "free_names=[], residuals=[Element(0)])")
+
+    def test_equality_needs_the_type_and_every_field(self, hq):
+        sol = nc.AlgebraSolution("inconsistent", None, [], [], None)
+        assert sol == nc.AlgebraSolution("inconsistent", None, [], [], None)
+        assert sol != nc.AlgebraSolution("inconsistent", None, [], [], [])
+        assert sol != ("inconsistent", None, [], [], None)
+        assert nc.AlgebraSolution("unique", [1], [], [], None) != \
+            nc.SolutionSet("unique", [1], [], [])
+
+    def test_mutable_and_unhashable(self, example_21):
+        sol, rich = nc.solve_field(example_21), build_richardson(example_21)
+        sol.x, rich.m_eq = None, 2
+        assert (sol.x, rich.m_eq) == (None, 2)
+        for record in (sol, rich):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_pickle_and_deepcopy(self):
+        # an algebra that has multiplied holds its compiled product kernel,
+        # which pickle cannot reach, so these records hold a fresh one's units
+        alg = nc.quaternion_algebra()
+        one, i = alg.one(), alg.basis(1)
+        assert_round_trips(RichardsonSystem(alg, 1, 1, [[one, i]], [i]))
+        assert_round_trips(nc.AlgebraSolution("parametric", [one], [(i,)], ["C0"],
+                                              [alg.zero()]))
+        assert_round_trips(nc.AlgebraSolution("inconsistent", None, [], [], None))

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -23,3 +26,15 @@ def test_table_format_stays_in_algebra_and_tensor(name):
     # `operator_rows`, `pair_coefficients` and `right_multiples`
     text = (SOURCES[0].parent / name).read_text(encoding="utf-8")
     assert "_mul_table" not in text and "_dc" not in text
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every CLI call imports ncalg.cli, and `dataclasses` would add inspect,
+    # ast, dis, tokenize and copy, over a third of that import; -S keeps the
+    # site packages' own imports out of the result
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", "import ncalg.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded == "[]\n"
