@@ -380,9 +380,10 @@ class TestSolveField:
             assert [values(d) for d in other.nullspace] == \
                 [values(d) for d in sol.nullspace]
 
-    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
-    @pytest.mark.parametrize("names", [("H", "complex"), ("complex", "dual"), ("H", "dual")],
-                             ids="+".join)
+    @pytest.mark.parametrize("names, mode", [
+        pytest.param(names, mode, id="+".join(names) + ("" if mode == nc.RATIONAL else "-float"))
+        for mode in (nc.RATIONAL, nc.FLOAT)
+        for names in (("H", "complex"), ("complex", "dual"), ("H", "dual"))])
     def test_direct_sum_is_the_pair_of_its_summands(self, names, mode):
         # a metamorphic relation: over A (+) B a system is the pair of its
         # components over A and over B, so it is inconsistent when either is;
