@@ -55,8 +55,8 @@ class Algebra:
     kernel that `_product_kernel` compiles from this table, in both modes,
     and the contractions `pair_coefficients` and `operator_rows` through
     kernels compiled on their first call; none is compiled at construction.
-    Validation reads this table, and keeps the sums behind `pair_products()`;
-    the operator tensors' composition (`tensor._compose`) reads it too, and
+    Validation reads this table, as do `pair_products()`, formed on their
+    first call, and the operator tensors' composition (`tensor._compose`);
     the dense `constants` are derived from it on request.
     """
 
@@ -94,16 +94,19 @@ class Algebra:
         # the stored numerators' zero, which every sum of them starts from
         self._dc, self._num_zero = 1, 0.0
         if scalar_mode == RATIONAL:
+            # a table of ints (`_nonzero`) is its own numerators over 1
             self._num_zero = 0
-            self._dc = dc = math.lcm(*(c.denominator for plane in table
-                                       for cell in plane for _, c in cell))
-            table = tuple(tuple(tuple((k, c.numerator * (dc // c.denominator))
-                                      for k, c in cell) for cell in plane)
-                          for plane in table)
+            fractions = [c for plane in table for cell in plane for _, c in cell
+                         if type(c) is not int]
+            self._dc = dc = math.lcm(*(c.denominator for c in fractions))
+            if fractions:
+                table = tuple(tuple(tuple((k, c.numerator * (dc // c.denominator))
+                                          for k, c in cell) for cell in plane)
+                              for plane in table)
         table = self._check_unit_law(table)
-        self._pair_products = self._check_associativity(table)
+        self._check_associativity(table)
         self._mul_table, self._kernel, self._traces = table, None, None
-        self._pairs_kernel = self._rows_kernel = None
+        self._pair_products = self._pairs_kernel = self._rows_kernel = None
         zero = self._num_zero
         self._basis_cache = tuple(cleared_element(self, 1, _unit(n, zero + 1, zero, k))
                                   for k in range(n))
@@ -111,16 +114,26 @@ class Algebra:
 
     def _nonzero(self, row):
         """The coerced nonzero (k, row[k]).  Int and "0" zeros are skipped
-        unread; anything else is coerced, and so type-checked, first.  A
-        float constant must be finite: the unit-law and associativity
-        checks find inf equal to inf."""
-        cell = []
+        unread; anything else is coerced, and so type-checked, first.  An
+        int, or its plain decimal text, is kept as an int in rational mode,
+        where the table holds integer numerators anyway, and made a float
+        directly in float mode, which rounds as `coerce` does; no `Fraction`
+        is built for it.  A float constant must be finite: the unit-law and
+        associativity checks find inf equal to inf."""
+        exact, cell = self.scalar_mode == RATIONAL, []
         for k, v in enumerate(row):
             if v == "0" or type(v) is int and v == 0:
                 continue
-            c = self.coerce(v)
+            if type(v) is int or (type(v) is str and v.isascii()
+                                  and v.removeprefix("-").isdigit()):
+                try:
+                    c = int(v) if exact else float(int(v))
+                except OverflowError:  # beyond the float range: coerce names it
+                    c = self.coerce(v)
+            else:
+                c = self.coerce(v)
             if c != 0:
-                if self.scalar_mode == FLOAT and not math.isfinite(c):
+                if not exact and not math.isfinite(c):
                     raise ValueError(f"structure constant {c} is not finite")
                 cell.append((k, c))
         return tuple(cell)
@@ -164,10 +177,16 @@ class Algebra:
 
     def pair_products(self):
         """Sparse L(e_i) @ R(e_j), the maps x -> e_i x e_j, for every basis
-        pair, as kept from the associativity check: entry [i][j] lists the
-        (q, p, value) in row-major order, value the e_q-coordinate of
-        e_i (e_p e_j) on the table's scale (in rational mode an int, the
-        entry times _dc**2)."""
+        pair: entry [i][j] lists the (q, p, value) in row-major order, value
+        the e_q-coordinate of e_i (e_p e_j) on the table's scale (in rational
+        mode an int, the entry times _dc**2), summed over the nonzero
+        constants, m ascending.  Formed on the first call and kept."""
+        if self._pair_products is None:
+            table, n = self._mul_table, self.dim
+            self._pair_products = tuple(tuple(tuple(sorted(
+                [(q, p, v) for p in range(n)
+                 for q, v in _combine(table[p][j], row).items() if v != 0]))
+                for j in range(n)) for row in table)
         return self._pair_products
 
     # -- scalar handling ---------------------------------------------------
@@ -177,6 +196,8 @@ class Algebra:
         a zero denominator raises ValueError."""
         try:
             if self.scalar_mode == RATIONAL:
+                if type(value) is Fraction:  # immutable: kept as it is
+                    return value
                 if isinstance(value, float):
                     raise TypeError(
                         "float scalar in rational mode; use Fraction, int or 'p/q'"
@@ -226,53 +247,53 @@ class Algebra:
 
     def _check_unit_law(self, table) -> tuple:
         """Check that e_0 is the unit, naming the first wrong coordinate; return
-        the table with e_0 e_j = e_j e_0 = e_j exactly, also in float mode."""
+        the table with e_0 e_j = e_j e_0 = e_j exactly, also in float mode.
+        A table that holds the exact unit passes at once."""
         n, dc, zero = self.dim, self._dc, self._num_zero
-        left = [dict(cell) for cell in table[0]]          # e0 * e_j
-        right = [dict(plane[0]) for plane in table]       # e_j * e0
-        for j in range(n):
-            for k in range(n):
-                want = dc if j == k else 0
-                for got, i, jj in ((left[j].get(k, zero), 0, j),
-                                   (right[j].get(k, zero), j, 0)):
-                    if not self._scalar_close(got, want):
-                        raise UnitLawViolation(
-                            f"e{i}*e{jj} has wrong e{k}-coordinate "
-                            f"{self._scalars(dc, (got,))[0]} "
-                            f"(indices i={i}, j={jj}, k={k})"
-                        )
         unit = tuple(((j, zero + dc),) for j in range(n))
-        return (unit, *((unit[i], *plane[1:]) for i, plane in enumerate(table[1:], 1)))
-
-    def _check_associativity(self, table) -> tuple:
-        """Check (e_i e_j) e_k = e_i (e_j e_k) at every coordinate p,
-            sum_m C[i][j][m] C[m][k][p] = sum_m C[i][m][p] C[j][k][m],
-        summed over nonzero constants, m ascending, scaled by _dc**2, naming
-        the first failing (i, j, k, p); return the right-hand sides, entry
-        (p, j) of `pair_products()[i][k]`."""
-        n, zero, scale = self.dim, self._num_zero, self._dc * self._dc
-        columns = [tuple(plane[k] for plane in table) for k in range(n)]
-        sums = [[[] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
+        if table[0] != unit or any(plane[0] != cell for plane, cell in zip(table, unit)):
+            left = [dict(cell) for cell in table[0]]          # e0 * e_j
+            right = [dict(plane[0]) for plane in table]       # e_j * e0
             for j in range(n):
                 for k in range(n):
-                    lhs = _combine(table[i][j], columns[k])
-                    rhs = _combine(table[j][k], table[i])
-                    sums[i][k].append(rhs)
-                    if lhs == rhs:
-                        continue
-                    for p in sorted(lhs.keys() | rhs.keys()):
-                        left, right = lhs.get(p, zero), rhs.get(p, zero)
-                        if not self._scalar_close(left, right):
-                            left, right = self._scalars(scale, (left, right))
-                            raise NonAssociative(
-                                f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k}) at "
-                                f"coordinate p={p} (indices i={i}, j={j}, "
-                                f"k={k}, p={p}): {left} != {right}"
+                    want = dc if j == k else 0
+                    for got, i, jj in ((left[j].get(k, zero), 0, j),
+                                       (right[j].get(k, zero), j, 0)):
+                        if not self._scalar_close(got, want):
+                            raise UnitLawViolation(
+                                f"e{i}*e{jj} has wrong e{k}-coordinate "
+                                f"{self._scalars(dc, (got,))[0]} "
+                                f"(indices i={i}, j={jj}, k={k})"
                             )
-        return tuple(tuple(tuple(sorted([(p, j, v) for j, rhs in enumerate(cell)
-                                         for p, v in rhs.items() if v != 0]))
-                           for cell in plane) for plane in sums)
+        return (unit, *((unit[i], *plane[1:]) for i, plane in enumerate(table[1:], 1)))
+
+    def _check_associativity(self, table):
+        """Check (e_i e_j) e_k = e_i (e_j e_k) at every coordinate p,
+            sum_m C[i][j][m] C[m][k][p] = sum_m C[i][m][p] C[j][k][m].
+        A table of integers, which every rational table is (scaled by _dc)
+        and a float one may be, passes at once if `_exactly_associative`
+        proves it.  Any other table is checked term by term: summed over
+        nonzero constants, m ascending, scaled by _dc**2, within
+        FLOAT_CHECK_TOL in float mode, naming the first failing
+        (i, j, k, p)."""
+        if _exactly_associative(table, self.scalar_mode == RATIONAL):
+            return
+        n, zero, scale = self.dim, self._num_zero, self._dc * self._dc
+        columns = [tuple(plane[k] for plane in table) for k in range(n)]
+        for i, j, k in itertools.product(range(n), repeat=3):
+            lhs = _combine(table[i][j], columns[k])
+            rhs = _combine(table[j][k], table[i])
+            if lhs == rhs:
+                continue
+            for p in sorted(lhs.keys() | rhs.keys()):
+                left, right = lhs.get(p, zero), rhs.get(p, zero)
+                if not self._scalar_close(left, right):
+                    left, right = self._scalars(scale, (left, right))
+                    raise NonAssociative(
+                        f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k}) at "
+                        f"coordinate p={p} (indices i={i}, j={j}, "
+                        f"k={k}, p={p}): {left} != {right}"
+                    )
 
     # -- element construction ----------------------------------------------
 
@@ -306,9 +327,72 @@ class Algebra:
     def __hash__(self):
         return hash((self.dim, self.scalar_mode, self.basis_names))
 
+    # -- pickling ------------------------------------------------------------
+
+    _KERNELS = ("_kernel", "_pairs_kernel", "_rows_kernel")
+
+    def __getstate__(self):
+        """The slots but the compiled kernels: functions made at run time,
+        which pickle cannot name.  Written out, as Python 3.10 gives slotted
+        classes no `object.__getstate__`."""
+        return {name: getattr(self, name) for name in self.__slots__
+                if name not in self._KERNELS}
+
+    def __setstate__(self, state):
+        """The pickled slots, and None for the kernels left out: compiled
+        again on first use (from the process's kernel caches, if it holds
+        them)."""
+        for name in self._KERNELS:
+            setattr(self, name, None)
+        for name, value in state.items():
+            setattr(self, name, value)
+
     def __repr__(self):
         label = self.name or f"dim-{self.dim}"
         return f"Algebra({label}, {self.scalar_mode})"
+
+
+def _exactly_associative(table, exact) -> bool:
+    """Whether a sparse table of integers (`exact`; else of floats, which
+    must all be integers small enough that every sum the term-by-term check
+    forms is exact) is associative, exactly; False also where it does not
+    apply.
+
+    For each i, the n**3 coordinates (j, k, p) of (e_i e_j) e_k and of
+    e_i (e_j e_k) are compared at once, each side packed into one integer
+    (Kronecker substitution): a vector v packs to sum_t v_t 2**(w t), with
+    slot t = n*n*j + n*k + p, which is linear in v and one to one while
+    every |v_t| < 2**(w-1); each coordinate is a sum of n products of
+    constants.  Packed over the slots named,
+        P[i][m] = e_i e_m over p,  R[m] = e_m e_k over (k, p),
+        B[m] = C[j][k][m] over (j, k),
+    the sides are sum_jm C[i][j][m] R[m] 2**(w n n j) and sum_m P[i][m] B[m]:
+    one pass over the nonzero constants to pack, one to compare."""
+    n = len(table)
+    values = [c for plane in table for cell in plane for _, c in cell]
+    big = max(map(abs, values))
+    if not exact:
+        if n * big * big >= 2 ** 53 or not all(c.is_integer() for c in values):
+            return False
+        big = int(big)
+        table = tuple(tuple(tuple((k, int(c)) for k, c in cell) for cell in plane)
+                      for plane in table)
+    w = (n * big * big).bit_length() + 1
+    P, R, B = [[0] * n for _ in range(n)], [0] * n, [0] * n
+    for i, plane in enumerate(table):
+        for j, cell in enumerate(plane):
+            for k, c in cell:
+                P[i][j] += c << w * k
+                R[i] += c << w * (n * j + k)
+                B[k] += c << w * n * (n * i + j)
+    for i, plane in enumerate(table):
+        lhs = 0
+        for j, cell in enumerate(plane):
+            for m, a in cell:
+                lhs += a * R[m] << w * n * n * j
+        if lhs != sum(map(operator.mul, P[i], B)):
+            return False
+    return True
 
 
 def _combine(coeffs, cells):
@@ -870,10 +954,14 @@ def check_json_scalars(data, scalar_mode, arrays: int):
     float in rational mode.  The JSON readers call this, so a `null`, a
     `true`/`false`, an object, a rational-mode float, or a scalar where an
     array belongs raises a ValueError naming it (the CLI's exit 2), while
-    `coerce` keeps raising TypeError for library callers."""
+    `coerce` keeps raising TypeError for library callers.  An innermost
+    array of plain ints and strings (and floats in float mode) passes at
+    once."""
     if isinstance(data, list) and arrays:
-        for item in data:
-            check_json_scalars(item, scalar_mode, arrays - 1)
+        scalars = (int, str) if scalar_mode == RATIONAL else (int, float, str)
+        if arrays > 1 or not all(type(item) in scalars for item in data):
+            for item in data:
+                check_json_scalars(item, scalar_mode, arrays - 1)
     elif arrays:
         raise ValueError(f"JSON {json.dumps(data)} where an array belongs")
     elif isinstance(data, bool) or not isinstance(data, (int, float, str)):

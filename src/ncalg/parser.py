@@ -164,8 +164,10 @@ def _tokenize(text: str, float_ok: bool) -> list:
             continue
         value = None
         if kind == "NUM":
+            # from the digits' ints: the value Fraction(token) gives
+            num, _, den = token.partition("/")
             try:
-                value = Fraction(token)
+                value = Fraction(int(num), int(den)) if den else Fraction(int(num))
             except ZeroDivisionError:
                 raise EquationSyntaxError(
                     f"zero denominator in '{token}'", col) from None

@@ -1,9 +1,11 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 
 import ncalg as nc
-from helpers import quat_conjugate, rand_element, rand_nonzero
+from helpers import (assert_round_trips, float_bits, quat_conjugate, rand_element,
+                     rand_nonzero, scaled_quaternion_algebra)
 
 
 def complex_constants():
@@ -233,3 +235,47 @@ class TestJson:
     def test_element_round_trip(self, hq, rng):
         x = rand_element(hq, rng)
         assert nc.element_from_json(hq, nc.element_to_json(x)) == x
+
+
+class TestPickle:
+    """An algebra that has multiplied, inverted and built an operator matrix
+    holds compiled kernels, which pickle leaves out: what comes back holds
+    an equal algebra that compiles them again, with the same results, bit
+    for bit in float mode."""
+
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_used_algebra_round_trips(self, mode):
+        # odd scales give constants inexact as floats
+        alg = scaled_quaternion_algebra(mode, scale=(1, 3, 5, 7))
+        one, u, v, w = (alg.basis(t) for t in range(4))
+        x = one + u.scale(Fraction(1, 3)) - w
+        y = x.inverse()
+        t = nc.tensor_from_pairs([(x, v), (w, y)])
+        matrix = t.operator_matrix()
+        assert None not in (alg._kernel, alg._rows_kernel, alg._pairs_kernel)
+
+        def same(a, b):
+            return a == b and (mode == nc.RATIONAL or
+                               float_bits(a._nums) == float_bits(b._nums))
+
+        for obj in (x, y, t):
+            assert same(pickle.loads(pickle.dumps(obj)), obj)
+        x2, y2, t2 = pickle.loads(pickle.dumps((x, y, t)))
+        assert x2.algebra == alg and x2.algebra is not alg
+        assert x2.algebra is y2.algebra is t2.algebra
+        assert same(x2 * y2 * x2, x * y * x) and same(x2.inverse(), y)
+        assert same(t2.apply(x2), t.apply(x)) and same(t2.compose(t2), t.compose(t))
+        assert t2.operator_matrix() == matrix
+
+        system = nc.normalize_linear(alg, [nc.parse_equation("u*x*v + x*w = 1/3 + v", alg)],
+                                     ["x"])
+        assert_round_trips(nc.solve_field(system))
+
+    def test_a_missing_slot_stays_unset(self):
+        state = nc.quaternion_algebra().__getstate__()
+        del state["dim"]
+        alg = object.__new__(nc.Algebra)
+        alg.__setstate__(state)
+        assert alg._kernel is alg._pairs_kernel is alg._rows_kernel is None
+        with pytest.raises(AttributeError):
+            alg.dim

@@ -1,15 +1,21 @@
-"""Algebra construction: validation verdicts and messages, pair products
-against their definition, and exact dim-16 algebras."""
+"""Algebra construction: validation verdicts and messages, the packed
+associativity check against the dense identity, integer constants read
+without `Fraction`s, pair products against their definition, and exact
+dim-16 algebras."""
 
+import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import ncalg as nc
-from helpers import (SPECIAL_FLOATS, algebra_from_data, clifford_algebra,
-                     constructor_constants, float_bits, matrix_algebra, naive_product,
-                     near_unit_quaternion_algebra, rand_nonzero, scaled_quaternion_algebra)
+from ncalg import algebra as algebra_module
+from helpers import (SPECIAL_FLOATS, algebra_from_data, change_basis, clifford_algebra,
+                     constructor_constants, dense_quaternion_algebra, float_bits,
+                     matrix_algebra, naive_product, near_unit_quaternion_algebra,
+                     rand_nonzero, scaled_quaternion_algebra)
 
 MODES = [nc.RATIONAL, nc.FLOAT]
 
@@ -160,3 +166,142 @@ class TestDim16Exact:
         assert lhs != rhs and (str(lhs), str(rhs)) == found.group(5, 6)
         # the flipped constant is what breaks the identity there
         assert dense_sides(good, i, j, k, p)[0] == dense_sides(good, i, j, k, p)[1]
+
+
+def dense_table(alg):
+    """The integer numerators of alg's table (over _dc), densely."""
+    dense = [[[0] * alg.dim for _ in range(alg.dim)] for _ in range(alg.dim)]
+    for i, plane in enumerate(alg._mul_table):
+        for j, cell in enumerate(plane):
+            for k, c in cell:
+                dense[i][j][k] = c
+    return dense
+
+
+def sparse_table(C):
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+                 for plane in C)
+
+
+def combine_calls(monkeypatch):
+    """The calls of `_combine`, the term-by-term check's sum, from here on."""
+    calls, original = [], algebra_module._combine
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+    monkeypatch.setattr(algebra_module, "_combine", counting)
+    return calls
+
+
+class TestPackedAssociativity:
+    """`_exactly_associative` compares both sides of the identity packed
+    into one integer per row of the table; the term-by-term check runs only
+    where it does not apply or fails, and names the indices."""
+
+    @pytest.mark.parametrize("name", [*ALGEBRAS, "H~P", "M3", "Cl30"])
+    def test_agrees_with_the_dense_identity(self, name, rng):
+        # each table as built, then with one constant off the unit row and
+        # column changed (by up to the table's largest constant, so that the
+        # packing's slot width is what keeps the sides apart)
+        build = {"H~P": dense_quaternion_algebra, "M3": lambda mode: matrix_algebra(3, mode),
+                 "Cl30": lambda mode: clifford_algebra(3, 0, mode)}.get(name, ALGEBRAS.get(name))
+        alg = build(nc.RATIONAL)
+        C, n = dense_table(alg), alg.dim
+        assert algebra_module._exactly_associative(alg._mul_table, True)
+        largest = max(abs(c) for plane in C for row in plane for c in row)
+        verdicts = set()
+        for _ in range(40):
+            D = [[list(row) for row in plane] for plane in C]
+            i, j, k = rng.randrange(1, n), rng.randrange(1, n), rng.randrange(n)
+            D[i][j][k] += rng.choice([-1, 1]) * rng.randint(1, 2 * largest)
+            expected = all(dense_sides(D, a, b, c, p)[0] == dense_sides(D, a, b, c, p)[1]
+                           for a in range(n) for b in range(n) for c in range(n)
+                           for p in range(n))
+            assert algebra_module._exactly_associative(sparse_table(D), True) == expected
+            verdicts.add(expected)
+        # in dim 2 every e1^2 = c + d e1 is associative; above, no change is
+        assert verdicts == ({True} if n == 2 else {False})
+
+    def test_float_tables(self):
+        # integral float constants are checked packed; other constants, and
+        # integers whose products could round in a float sum, are not
+        H = nc.quaternion_algebra(nc.FLOAT)
+        assert algebra_module._exactly_associative(H._mul_table, False)
+        # H~P's numerators over _dc = 2, as floats: a dense integral table
+        numerators = dense_quaternion_algebra()._mul_table
+        assert algebra_module._exactly_associative(numerators, True)
+        assert algebra_module._exactly_associative(
+            tuple(tuple(tuple((k, float(c)) for k, c in cell) for cell in plane)
+                  for plane in numerators), False)
+        for halves in (dense_quaternion_algebra, scaled_quaternion_algebra):
+            assert not algebra_module._exactly_associative(halves(nc.FLOAT)._mul_table, False)
+        s = 2 ** 13  # basis 1, s i, s j, s^2 k: constants up to s^4 = 2**52
+        wide = change_basis(H, ((1, 0, 0, 0), (0, s, 0, 0), (0, 0, s, 0), (0, 0, 0, s * s)))
+        assert not algebra_module._exactly_associative(wide._mul_table, False)
+        exact = change_basis(nc.quaternion_algebra(),
+                             ((1, 0, 0, 0), (0, s, 0, 0), (0, 0, s, 0), (0, 0, 0, s * s)))
+        assert algebra_module._exactly_associative(exact._mul_table, True)
+        assert wide.constants == exact.constants
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_valid_integer_tables_skip_the_term_by_term_check(self, mode, monkeypatch):
+        # every rational table is integral over _dc; M2 and H/2 hold halves
+        # and quarters, so as floats they are not
+        calls = combine_calls(monkeypatch)
+        for name in ("H", "complex", "dual", "Cl11"):
+            assert ALGEBRAS[name](mode)._pair_products is None
+        clifford_algebra(4, 0, mode)
+        assert calls == []
+        for halves in (ALGEBRAS["M2"], scaled_quaternion_algebra):
+            halves(mode)
+            assert bool(calls) == (mode == nc.FLOAT)
+        C = quaternion_constants()
+        C[1][2][3] = C[2][1][3] = Fraction(-1)
+        with pytest.raises(nc.NonAssociative):
+            nc.make_algebra(C, scalar_mode=mode)
+        assert calls
+
+
+class TestIntegerConstants:
+    """Integer constants, and their plain decimal text, are read without a
+    `Fraction`, to the values `coerce` gives."""
+
+    TEXTS = ["7", "-3", "007", "-0", "0", " 5", "+2", "1/2", "-4/6", "2.5", "1e3",
+             "9" * 40, -12, 3, Fraction(5, 3), Fraction(4, 1)]
+
+    @staticmethod
+    def algebra(c, d, mode):
+        # e1^2 = c + d e1: associative and unital for any c and d
+        return nc.make_algebra([[[1, 0], [0, 1]], [[0, 1], [c, d]]], scalar_mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_values_and_types_match_coerce(self, mode):
+        H = nc.quaternion_algebra(mode)
+        for c in self.TEXTS:
+            if mode == nc.RATIONAL and c in ("2.5", "1e3"):
+                continue
+            got = self.algebra(c, "-1", mode).constants[1][1]
+            assert got == (H.coerce(c), H.coerce(-1)), c
+            assert type(got[0]) is scalar_type(mode), c
+
+    def test_float_overflow_message_is_coerce_s(self):
+        huge = "1" + "0" * 400
+        with pytest.raises(ValueError) as expected:
+            nc.quaternion_algebra(nc.FLOAT).coerce(huge)
+        with pytest.raises(ValueError) as err:
+            self.algebra(huge, 0, nc.FLOAT)
+        assert str(err.value) == str(expected.value)
+        assert self.algebra(huge, 0, nc.RATIONAL).constants[1][1][0] == 10 ** 400
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_integer_tables_build_no_fraction(self, mode, fraction_count):
+        path = Path(__file__).parent / "data" / "complex_algebra.json"
+        data = json.loads(path.read_text())
+        cl11 = {"dim": 4, "constants": [[[str(c) for c in row] for row in plane]
+                                         for plane in clifford_algebra(1, 1).constants]}
+        del fraction_count[:]
+        nc.algebra_from_json(data, mode)
+        nc.algebra_from_json(cl11, mode)
+        nc.quaternion_algebra(mode)
+        assert fraction_count == []

@@ -501,7 +501,5 @@ class TestRecords:
     def test_pickle_and_deepcopy(self):
         assert_round_trips(NewtonConfig(1e-6, 3))
         assert_round_trips(NewtonTrace())
-        # an algebra that has multiplied holds its compiled product kernel,
-        # which pickle cannot reach, so the iterate holds a fresh one's units
         alg = nc.quaternion_algebra(nc.FLOAT)
         assert_round_trips(NewtonTrace([(alg.one(), alg.basis(2), 1.0)], CONVERGED))

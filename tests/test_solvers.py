@@ -583,8 +583,6 @@ class TestRecords:
                 hash(record)
 
     def test_pickle_and_deepcopy(self):
-        # an algebra that has multiplied holds its compiled product kernel,
-        # which pickle cannot reach, so these records hold a fresh one's units
         alg = nc.quaternion_algebra()
         one, i = alg.one(), alg.basis(1)
         assert_round_trips(RichardsonSystem(alg, 1, 1, [[one, i]], [i]))
