@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -39,6 +40,17 @@ FLOAT = "float"
 #: and to verify inverses in float mode
 FLOAT_CHECK_TOL = 1e-9
 
+# The equation grammar's NAME, for basis names and the parser's tokens
+# alike: a letter or "_", then letters, digits or "_" (\w is str.isalnum or
+# "_").  The first class also matches a numeral that is no decimal digit,
+# such as "²", which only `_is_name`'s test of the first character refuses.
+_NAME = re.compile(r"[^\W\d]\w*")
+
+
+def _is_name(text: str) -> bool:
+    """Whether `text` is a NAME of the equation grammar."""
+    return (text[:1].isalpha() or text[:1] == "_") and _NAME.fullmatch(text) is not None
+
 
 class Algebra:
     """An associative unital algebra with a fixed basis.
@@ -55,15 +67,16 @@ class Algebra:
     kernel that `_product_kernel` compiles from this table, in both modes,
     and the contractions `pair_coefficients` and `operator_rows` through
     kernels compiled on their first call; none is compiled at construction.
-    Validation reads this table, as do `pair_products()`, formed on their
-    first call, and the operator tensors' composition (`tensor._compose`);
-    the dense `constants` are derived from it on request.
+    Validation reads this table, as do the operator tensors' composition
+    (`tensor._compose`) and the pair products, which are per-table data
+    (`_pair_products`); the dense `constants` are derived from it on
+    request, and an algebra pickles and copies as them, through this
+    constructor.
     """
 
     __slots__ = ("name", "dim", "basis_names", "scalar_mode", "_mul_table",
                  "_dc", "_num_zero", "_name_to_index", "_basis_cache", "_zero",
-                 "_pair_products", "_kernel", "_traces", "_pairs_kernel",
-                 "_rows_kernel")
+                 "_kernel", "_traces", "_pairs_kernel", "_rows_kernel")
 
     def __init__(self, constants, basis_names=None, scalar_mode=RATIONAL, name=None):
         if scalar_mode not in (RATIONAL, FLOAT):
@@ -81,13 +94,17 @@ class Algebra:
             raise ValueError("need exactly one name per basis element")
         if len(set(basis_names)) != n:
             raise ValueError("basis names must be distinct")
+        # printed answers name every basis element but the unit
+        for nm in basis_names[1:]:
+            if not _is_name(nm):
+                raise ValueError(f"basis name {nm!r} is not a name the equation "
+                                 'grammar reads: a letter or "_", then letters, '
+                                 'digits or "_"')
         self.basis_names = basis_names
         self._name_to_index = {nm: idx for idx, nm in enumerate(basis_names)}
 
-        if len(constants) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane)
-            for plane in constants
-        ):
+        if any(len(plane) != n or any(len(row) != n for row in plane)
+               for plane in constants):
             raise ValueError("constants must form an n*n*n array")
         table = tuple(tuple(self._nonzero(row) for row in plane)
                       for plane in constants)
@@ -106,7 +123,7 @@ class Algebra:
         table = self._check_unit_law(table)
         self._check_associativity(table)
         self._mul_table, self._kernel, self._traces = table, None, None
-        self._pair_products = self._pairs_kernel = self._rows_kernel = None
+        self._pairs_kernel = self._rows_kernel = None
         zero = self._num_zero
         self._basis_cache = tuple(cleared_element(self, 1, _unit(n, zero + 1, zero, k))
                                   for k in range(n))
@@ -180,14 +197,8 @@ class Algebra:
         pair: entry [i][j] lists the (q, p, value) in row-major order, value
         the e_q-coordinate of e_i (e_p e_j) on the table's scale (in rational
         mode an int, the entry times _dc**2), summed over the nonzero
-        constants, m ascending.  Formed on the first call and kept."""
-        if self._pair_products is None:
-            table, n = self._mul_table, self.dim
-            self._pair_products = tuple(tuple(tuple(sorted(
-                [(q, p, v) for p in range(n)
-                 for q, v in _combine(table[p][j], row).items() if v != 0]))
-                for j in range(n)) for row in table)
-        return self._pair_products
+        constants, m ascending: `_pair_products` of the table."""
+        return _pair_products(self._mul_table, self.scalar_mode)
 
     # -- scalar handling ---------------------------------------------------
 
@@ -327,25 +338,12 @@ class Algebra:
     def __hash__(self):
         return hash((self.dim, self.scalar_mode, self.basis_names))
 
-    # -- pickling ------------------------------------------------------------
-
-    _KERNELS = ("_kernel", "_pairs_kernel", "_rows_kernel")
-
-    def __getstate__(self):
-        """The slots but the compiled kernels: functions made at run time,
-        which pickle cannot name.  Written out, as Python 3.10 gives slotted
-        classes no `object.__getstate__`."""
-        return {name: getattr(self, name) for name in self.__slots__
-                if name not in self._KERNELS}
-
-    def __setstate__(self, state):
-        """The pickled slots, and None for the kernels left out: compiled
-        again on first use (from the process's kernel caches, if it holds
+    def __reduce__(self):
+        """Pickle and copy through the constructor, which validates the
+        constants again; the compiled kernels, which pickle cannot name,
+        come again on first use (from the process's caches, if it holds
         them)."""
-        for name in self._KERNELS:
-            setattr(self, name, None)
-        for name, value in state.items():
-            setattr(self, name, value)
+        return Algebra, (self.constants, self.basis_names, self.scalar_mode, self.name)
 
     def __repr__(self):
         label = self.name or f"dim-{self.dim}"
@@ -432,12 +430,12 @@ def operator_rows(algebra: Algebra, d, coeff) -> tuple:
     row-major (i, j) order: the one contraction behind every linear map.
     Exact coeff are integers and give integer rows over den = d * _dc**2,
     the pair products' scale; float ones give float rows (d = den = 1).
-    The sums run through a straight-line kernel compiled on the algebra's
-    first call (`_compiled_rows`), whose float results are the loop
-    `_rows`'s, bit for bit."""
+    The sums run through a straight-line kernel compiled once per equal
+    table and scalar mode (`_compiled_rows`), whose float results are the
+    loop `_rows`'s, bit for bit."""
     kernel = algebra._rows_kernel
     if kernel is None:
-        kernel = algebra._rows_kernel = _compiled_rows(algebra.pair_products(),
+        kernel = algebra._rows_kernel = _compiled_rows(algebra._mul_table,
                                                        algebra.scalar_mode)
     return d * algebra._dc ** 2, kernel(coeff)
 
@@ -829,7 +827,21 @@ def _pairs(n, pairs, zero):
 
 
 @functools.lru_cache
-def _compiled_rows(pair_products, scalar_mode):
+def _pair_products(table, scalar_mode):
+    """`Algebra.pair_products` of a sparse table, formed once per equal
+    table and scalar mode, on first use (by the first operator matrix, for
+    most algebras).  The key holds the mode for `_compiled_product`'s
+    reason: an int table equals the float table of the same constants, but
+    its pair products are ints."""
+    n = len(table)
+    return tuple(tuple(tuple(sorted(
+        [(q, p, v) for p in range(n)
+         for q, v in _combine(table[p][j], row).items() if v != 0]))
+        for j in range(n)) for row in table)
+
+
+@functools.lru_cache
+def _compiled_rows(table, scalar_mode):
     """`operator_rows`' contraction of flat coefficients f with the pair
     products, compiled per table and scalar mode: output (q, p) sums f_t*w
     over the cells t = i*n + j holding (q, p, w), in row-major order
@@ -837,6 +849,7 @@ def _compiled_rows(pair_products, scalar_mode):
     `_rows` skips add +-0 to a sum, which changes it only where w is not
     finite (0*inf); only then does a float output holding a NaN get
     computed again by `_rows`."""
+    pair_products = _pair_products(table, scalar_mode)
     n, exact = len(pair_products), scalar_mode == RATIONAL
     scope = {} if exact else {"loop": lambda coeff: _rows(pair_products, coeff, 0.0)}
     sums = [[[] for _ in range(n)] for _ in range(n)]
@@ -920,14 +933,21 @@ def format_terms(terms) -> str:
     too), a coefficient of magnitude 1 is omitted before a nonempty name,
     the first term's sign is attached and later ones read ' + ' or ' - ';
     no term at all reads '0'.  A coefficient prints as `str`, which the
-    equation grammar reads back: '1/2', and for a float its repr, '1e-07'."""
+    equation grammar reads back: '1/2', and for a float its repr, '1e-07'.
+    A repr with a decimal point and no exponent takes a '*' before a name
+    that the grammar would read as its exponent, such as 'e1' or 'E11':
+    '2.5*e1', not '2.5e1', which reads as 25.0."""
     parts = []
     for c, name in terms:
         if c == 0:
             continue
         negative = c < 0
         mag = -c if negative else c
-        body = name if name and mag == 1 else f"{mag!s}{name}"
+        text = str(mag)
+        if ("." in text and "e" not in text and name[:1] in ("e", "E")
+                and name[1:2].isdecimal()):
+            text += "*"  # else '2.5e1' would read as the decimal 25.0
+        body = name if name and mag == 1 else f"{text}{name}"
         if parts:
             parts.append(f"- {body}" if negative else f"+ {body}")
         else:

@@ -120,6 +120,9 @@ def _solution_lines(sol, unknowns) -> list:
         lines.append(f"{name} = {text}{''.join(extras)}")
     if sol.free_names:
         lines.append("free: " + ", ".join(sol.free_names))
+    elif sol.kind == PARAMETRIC:
+        # the method could not prove the answer unique (an empty family)
+        lines.append("parametric: no free direction was verified")
     if sol.kind == UNVERIFIED_ENLARGED:
         for idx, r in enumerate(sol.residuals):
             lines.append(f"residual[{idx}] = {format_element(r)}")

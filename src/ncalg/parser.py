@@ -14,7 +14,8 @@ pattern: NUMBER is an INTEGER of decimal digits "2", a fraction "1/2" (a
 zero denominator is a syntax error), or (float mode only) a decimal like
 "0.5" with an optional exponent; only an INTEGER above 0 is an exponent
 ("i^4/2" is a syntax error at "4/2").  NAME is a letter or "_" followed by
-letters, digits or "_" (so "x²" is one name).
+letters, digits or "_" (so "x²" is one name), as `algebra._is_name` states
+it for basis names too.
 A "*" is required between non-numeric factors; juxtaposition is only legal
 right after a numeric literal ("2i", "3/2k", "2(1+i)").  Unary minus binds
 tighter than "+" and looser than "*".
@@ -35,7 +36,7 @@ import math
 import re
 from fractions import Fraction
 
-from .algebra import Algebra, Element, RATIONAL, format_coords
+from .algebra import _NAME, Algebra, Element, RATIONAL, _is_name, format_coords
 from .errors import (
     DegreeLimitExceeded,
     EquationSyntaxError,
@@ -139,13 +140,13 @@ def expr_to_text(node) -> str:
 # digit (str.isdecimal), \s is str.isspace and \w is str.isalnum or "_".
 # An exponent needs a decimal point or an explicit sign, so that "2e1" stays
 # a juxtaposed product with a basis named e1 rather than the float 20.0
-# (float repr always signs its exponent, so round-trips are unaffected).
-_TOKEN = re.compile(r"""
+# (float repr always signs its exponent, and `format_terms` writes "2.5*e1").
+_TOKEN = re.compile(rf"""
     \s+
   | (?P<DEC> (?: \d+ \. \d* | \. \d+ ) (?: [eE] [+-]? \d+ )?
            | \d+ [eE] [+-] \d+ )
   | (?P<NUM> \d+ (?: / \d+ )? )
-  | (?P<NAME> [^\W\d] \w* )
+  | (?P<NAME> {_NAME.pattern} )
   | (?P<OP> [-+*^()=] )
   | (?P<BAD> . )
 """, re.VERBOSE | re.DOTALL)
@@ -176,8 +177,7 @@ def _tokenize(text: str, float_ok: bool) -> list:
                 raise EquationSyntaxError(
                     f"decimal literal '{token}' needs float scalar mode", col)
             kind, value = "NUM", float(token)
-        elif kind == "BAD" or (
-                kind == "NAME" and not (token[0].isalpha() or token[0] == "_")):
+        elif kind == "BAD" or (kind == "NAME" and not _is_name(token)):
             raise EquationSyntaxError(f"unexpected character {token[0]!r}", col)
         tokens.append((kind, token, col, value))
     tokens.append(("END", "", len(text) + 1, None))

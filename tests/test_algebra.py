@@ -1,4 +1,6 @@
+import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -208,6 +210,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="'-1/0'"):
             nc.make_algebra(C, scalar_mode=mode)
 
+    @pytest.mark.parametrize("name", ["2", "", "i j", "x+y", "²"])
+    def test_basis_names_are_grammar_names(self, name):
+        # printed answers name each basis element but the unit, so each must
+        # read back as that name: a letter or "_", then letters, digits or "_"
+        with pytest.raises(ValueError, match=f"basis name {re.escape(repr(name))} is "
+                           "not a name the equation grammar reads"):
+            nc.make_algebra(complex_constants(), ("1", name))
+        for names in (("1", "u²"), ("1", "_"), ("1", "Ж1"), ("one", "e1"), ("", "u")):
+            assert nc.make_algebra(complex_constants(), names).basis_names == names
+
     def test_float_mode_accepts_everything(self, hq_float):
         x = hq_float.element([0.5, "1/2", 1, Fraction(1, 4)])
         assert x.coords == (0.5, 0.5, 1.0, 0.25)
@@ -239,9 +251,9 @@ class TestJson:
 
 class TestPickle:
     """An algebra that has multiplied, inverted and built an operator matrix
-    holds compiled kernels, which pickle leaves out: what comes back holds
-    an equal algebra that compiles them again, with the same results, bit
-    for bit in float mode."""
+    holds compiled kernels, which pickle and copy leave out: they rebuild it
+    through the constructor, as an equal algebra that compiles them again,
+    with the same results, bit for bit in float mode."""
 
     @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
     def test_used_algebra_round_trips(self, mode):
@@ -258,24 +270,35 @@ class TestPickle:
             return a == b and (mode == nc.RATIONAL or
                                float_bits(a._nums) == float_bits(b._nums))
 
+        for again in (pickle.loads(pickle.dumps(alg)), copy.deepcopy(alg)):
+            assert again == alg and again is not alg
         for obj in (x, y, t):
             assert same(pickle.loads(pickle.dumps(obj)), obj)
-        x2, y2, t2 = pickle.loads(pickle.dumps((x, y, t)))
-        assert x2.algebra == alg and x2.algebra is not alg
-        assert x2.algebra is y2.algebra is t2.algebra
-        assert same(x2 * y2 * x2, x * y * x) and same(x2.inverse(), y)
-        assert same(t2.apply(x2), t.apply(x)) and same(t2.compose(t2), t.compose(t))
-        assert t2.operator_matrix() == matrix
+            assert same(copy.deepcopy(obj), obj)
+        for x2, y2, t2 in (pickle.loads(pickle.dumps((x, y, t))), copy.deepcopy((x, y, t))):
+            assert x2.algebra == alg and x2.algebra is not alg
+            assert x2.algebra is y2.algebra is t2.algebra
+            assert x2.algebra.name == alg.name and x2.algebra.basis_names == alg.basis_names
+            assert same(x2 * y2 * x2, x * y * x) and same(x2.inverse(), y)
+            assert same(t2.apply(x2), t.apply(x)) and same(t2.compose(t2), t.compose(t))
+            assert t2.operator_matrix() == matrix
 
         system = nc.normalize_linear(alg, [nc.parse_equation("u*x*v + x*w = 1/3 + v", alg)],
                                      ["x"])
         assert_round_trips(nc.solve_field(system))
 
-    def test_a_missing_slot_stays_unset(self):
-        state = nc.quaternion_algebra().__getstate__()
-        del state["dim"]
-        alg = object.__new__(nc.Algebra)
-        alg.__setstate__(state)
-        assert alg._kernel is alg._pairs_kernel is alg._rows_kernel is None
-        with pytest.raises(AttributeError):
-            alg.dim
+    @pytest.mark.parametrize("mode", [nc.RATIONAL, nc.FLOAT])
+    def test_loading_validates_the_constants(self, mode):
+        # a pickle holds the constructor's arguments, so a forged one whose
+        # constants break associativity is refused as the constructor
+        # refuses them
+        cls, (constants, names, scalar_mode, name) = nc.quaternion_algebra(mode).__reduce__()
+        assert cls is nc.Algebra and scalar_mode == mode and name == "quaternion"
+        broken = [[list(row) for row in plane] for plane in constants]
+        broken[1][2][3] = broken[2][1][3] = -broken[1][2][3]
+
+        class Forged:
+            def __reduce__(self):
+                return cls, (broken, names, scalar_mode, name)
+        with pytest.raises(nc.NonAssociative):
+            pickle.loads(pickle.dumps(Forged()))

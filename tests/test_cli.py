@@ -20,6 +20,12 @@ EXAMPLE_UNIQUE = "(i+j)*x*k + k*x*(j+k) = 1+k"
 EXAMPLE_INCONSISTENT = "(i+j)*x*k + k*x*(j+1) = 1+k"
 EXAMPLE_SPURIOUS = "(i+j)*x*k + k*x*(j+1) = j-k"
 EXAMPLE_NEWTON = "x^2 - i*x - x*j + k = 0"
+# M2 over the matrix units 1, E11, E01, E10 (E00 = 1 - E11)
+M2_UNITS = {"name": "M2", "dim": 4, "basis": ["1", "E11", "E01", "E10"], "constants": [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+    [[0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 0], [1, -1, 0, 0]],
+    [[0, 0, 0, 1], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]]}
 
 
 def invoke(capsys, *argv):
@@ -222,6 +228,33 @@ class TestSolve:
         assert payload["status"] == "parametric"
         assert len(payload["free"]) == 2
 
+    def test_parametric_result_without_directions_says_so(self, capsys):
+        # the Richardson family of x - i*x*i = 0 on H is empty, while the
+        # solution set is span(j, k): "x = 0" alone read as a unique answer
+        equation = "x - i*x*i = 0"
+        assert invoke(capsys, "solve", "--method", "richardson", equation) == (
+            0, "x = 0\nparametric: no free direction was verified\n", "")
+        code, out, _ = invoke(capsys, "solve", "--method", "richardson",
+                              "--output", "json", equation)
+        assert code == 0 and out == (
+            '{"free": [], "method": "richardson", "residual_norm": 0.0, '
+            '"solution": ["0"], "status": "parametric", "unknowns": ["x"]}\n')
+        # a family with directions lists them, as before
+        code, out, _ = invoke(capsys, "solve", "--method", "field", equation)
+        assert code == 0 and "verified" not in out and out.splitlines()[-1] == "free: C0, C1"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the float field route "
+                       "reports unique with exit 0 for an answer whose residual "
+                       "6.1e-05 check rejects")
+    def test_float_solve_answer_passes_check(self, capsys):
+        equation = "3.3*x*i + 0.7*j*x*k - x = 1.5e+12*k"
+        code, out, _ = invoke(capsys, "solve", "--scalar", "float", "--output", "json",
+                              equation)
+        payload = json.loads(out)
+        assert (code, payload["status"]) == (0, "unique")
+        assert invoke(capsys, "check", "--scalar", "float",
+                      f"--x={payload['solution'][0]}", equation)[0] == 0
+
     def test_auto_rejects_shifted_richardson_solution(self, capsys, monkeypatch):
         import ncalg.cli as cli
 
@@ -304,6 +337,18 @@ class TestNewton:
                               "(i+j)*x*k + k*x*(j+1) = 1+k")
         assert code == 1
         assert "singular_derivative" in out
+
+    def test_float_answer_over_exponent_like_names_reads_back(self, capsys, tmp_path):
+        # "0.999999999999999E11" read back as about 1e11
+        path = tmp_path / "M2.json"
+        path.write_text(json.dumps(M2_UNITS))
+        code, out, _ = invoke(capsys, "newton", "--algebra", str(path),
+                              "--x0", "0.5 + 2.5*E11", "x^2 = 1 + 3*E11")
+        final = out.splitlines()[-1]
+        assert (code, final) == (0, "x = 1.000000000000001 + 0.999999999999999*E11")
+        alg = nc.algebra_from_json(M2_UNITS, nc.FLOAT)
+        x = nc.evaluate_constant(nc.parse_expression(final[4:], alg), alg)
+        assert x.coords == (1.000000000000001, 0.999999999999999, 0.0, 0.0)
 
     def test_rational_mode_allowed(self, capsys):
         code, out, _ = invoke(capsys, "newton", "--scalar", "rational",
@@ -736,6 +781,23 @@ class TestUsage:
             code, out, err = invoke(capsys, "solve", "--algebra", str(path),
                                     "e1*x = 1")
             assert (code, out, err) == (0, "x = -e1\n", ""), data
+
+    @pytest.mark.parametrize("name", ["2", "", "i j", "x+y"])
+    def test_basis_name_outside_the_grammar_exits_2(self, capsys, tmp_path, name):
+        # with the basis 1, 2, x = 3*e1 printed as "x = 32", which check
+        # read as the number 32
+        table = dict(json.loads((DATA / "complex_algebra.json").read_text()),
+                     basis=["1", name])
+        path, system = tmp_path / "algebra.json", tmp_path / "system.json"
+        path.write_text(json.dumps(table))
+        system.write_text(json.dumps({"unknowns": 1, "equations": [{
+            "terms": [{"left": ["1", "0"], "right": ["1", "0"], "var": 0}],
+            "rhs": ["0", "3"]}]}))
+        message = (f"error: basis name {name!r} is not a name the equation grammar "
+                   'reads: a letter or "_", then letters, digits or "_"\n')
+        for argv in (["solve", "--system-json", str(system)],
+                     ["check", "--x", "1", "--system-json", str(system)]):
+            assert invoke(capsys, *argv, "--algebra", str(path)) == (2, "", message)
 
     def test_json_scalar_where_an_array_belongs_exits_2(self, capsys, tmp_path):
         # a number or null in place of the constants, a plane, a row, an

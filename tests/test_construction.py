@@ -249,10 +249,12 @@ class TestPackedAssociativity:
         # every rational table is integral over _dc; M2 and H/2 hold halves
         # and quarters, so as floats they are not
         calls = combine_calls(monkeypatch)
+        algebra_module._pair_products.cache_clear()
         for name in ("H", "complex", "dual", "Cl11"):
-            assert ALGEBRAS[name](mode)._pair_products is None
+            ALGEBRAS[name](mode)
         clifford_algebra(4, 0, mode)
-        assert calls == []
+        # nor are pair products formed
+        assert calls == [] and algebra_module._pair_products.cache_info().currsize == 0
         for halves in (ALGEBRAS["M2"], scaled_quaternion_algebra):
             halves(mode)
             assert bool(calls) == (mode == nc.FLOAT)

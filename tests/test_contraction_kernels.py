@@ -219,11 +219,12 @@ def test_construction_compiles_nothing_and_rebuilt_algebras_reuse_kernels(monkey
         return original(*args, **kwargs)
     monkeypatch.setattr(algebra_module, "_compiled", counting)
     for cached in (algebra_module._compiled_pairs, algebra_module._compiled_rows,
-                   algebra_module._compiled_product):
+                   algebra_module._compiled_product, algebra_module._pair_products):
         cached.cache_clear()
     for mode in (nc.RATIONAL, nc.FLOAT):
+        formed = algebra_module._pair_products.cache_info().currsize
         first = clifford_algebra(1, 1, mode)
-        assert compiled == []
+        assert compiled == [] and algebra_module._pair_products.cache_info().currsize == formed
         assert first._pairs_kernel is first._rows_kernel is first._kernel is None
         x = first.element([1, 2, 0, -1])
         pair_coefficients(first, exact_pairs([(x, x)]) if mode == nc.RATIONAL
@@ -238,6 +239,7 @@ def test_construction_compiles_nothing_and_rebuilt_algebras_reuse_kernels(monkey
         assert compiled == ["pairs", "coeff"]
         assert second._rows_kernel is first._rows_kernel
         assert second._pairs_kernel is first._pairs_kernel
+        assert second.pair_products() is first.pair_products()
         compiled.clear()
     # keyed by the scalar mode: the int table equals, and hashes like, the
     # float one, but their kernels differ
@@ -247,6 +249,9 @@ def test_construction_compiles_nothing_and_rebuilt_algebras_reuse_kernels(monkey
         pair_coefficients(alg, exact_pairs([(alg.one(),) * 2]) if alg is exact
                           else [(alg.one()._nums,) * 2])
     assert exact.pair_products() == floats.pair_products()
+    assert exact.pair_products() is not floats.pair_products()
+    assert {type(w) for plane in floats.pair_products() for cell in plane
+            for _, _, w in cell} == {float}
     assert exact._rows_kernel is not floats._rows_kernel
     assert exact._pairs_kernel is not floats._pairs_kernel
 

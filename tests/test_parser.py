@@ -25,7 +25,8 @@ from ncalg.parser import (
     parse_expression,
     _tokenize,
 )
-from helpers import assert_round_trips, rand_element, rand_nonzero
+from helpers import (assert_round_trips, clifford_algebra, float_bits, matrix_algebra,
+                     rand_element, rand_nonzero)
 
 
 def eval_with(node, algebra, values):
@@ -500,6 +501,36 @@ class TestFormatting:
             back = evaluate_constant(
                 parse_expression(format_element(x), hq_float), hq_float)
             assert back == x
+
+    @pytest.mark.parametrize("build, names", [
+        (lambda: clifford_algebra(1, 1, nc.FLOAT), None),
+        (lambda: matrix_algebra(2, nc.FLOAT), ("1", "E11", "E01", "E10")),
+        (lambda: clifford_algebra(1, 1, nc.FLOAT), ("1", "e1x", "E2", "_e3")),
+    ])
+    def test_round_trip_float_over_exponent_like_names(self, build, names, rng):
+        # the grammar reads "2.5e1" as 25.0, so a repr with a decimal point
+        # and no exponent takes a "*" before such a name
+        alg = build()
+        if names:
+            alg = nc.make_algebra(alg.constants, names, nc.FLOAT)
+        for _ in range(60):
+            x = alg.element([rng.choice((0.0, 1.0, 2.5, rng.uniform(-9, 9),
+                                         rng.uniform(-1, 1) * 1e-9, rng.uniform(-1, 1) * 1e20))
+                             for _ in range(alg.dim)])
+            back = evaluate_constant(parse_expression(format_element(x), alg), alg)
+            # bit for bit but the sign of a zero, which the text drops
+            assert float_bits(v + 0.0 for v in back._nums) == float_bits(x._nums), \
+                format_element(x)
+
+    @pytest.mark.parametrize("coords, names, text", [
+        ((0.0, 2.5, 0.0, 0.0), ("1", "e1", "e2", "e12"), "2.5*e1"),
+        ((0.0, -2.5, 1e-07, 0.0), ("1", "E11", "e2", "e12"), "-2.5*E11 + 1e-07e2"),
+        ((0.0, 2.5, 0.0, 3.0), ("1", "i", "j", "e"), "2.5i + 3.0e"),
+        ((0.0, 0.0, 0.0, 1e+16), ("1", "e1", "e2", "e12"), "1e+16e12"),
+        ((0, Fraction(1, 2), 0, 2), ("1", "e1", "e2", "e12"), "1/2e1 + 2e12"),
+    ])
+    def test_star_goldens(self, coords, names, text):
+        assert format_coords(coords, names) == text
 
     def test_expr_to_text_names_subterms(self, hq):
         expr = parse_expression("k*x*j", hq)
